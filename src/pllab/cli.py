@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
+from .basis import BasisSpec
 from .equidist import (Arcsine, Polynomial, TabulatedLipschitz, UniformCircle,
                        equilibrium_pairing, rate_experiment)
 from .extremal import SandwichEvaluator, relative_extremal_1c
 from .fekete import (FeketeConfig, FubiniStudyWeight, ZeroWeight,
-                     quality_gamma, solve_fekete, transfinite_diameter)
+                     solve_fekete, transfinite_diameter)
 from .geometry import (ComplexBall, Interval, exact_extremal, sample,
                        spec_from_dict, spec_to_dict)
 from .regularity import (capacity_density_from_supnorm, hcp_scan,
@@ -127,7 +127,6 @@ def manifest_hash(man):
 class Cache:
     def __init__(self, root):
         self.root = root
-        self.hits = 0
 
     def path(self, key):
         return os.path.join(self.root, key[:2], key + ".json")
@@ -140,9 +139,7 @@ class Cache:
             return None
         try:
             with open(p) as f:
-                doc = json.load(f)
-            self.hits += 1
-            return doc
+                return json.load(f)
         except (json.JSONDecodeError, OSError):
             print(f"warning: cache entry {p} unreadable, recomputing",
                   file=sys.stderr)
@@ -179,17 +176,9 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
     if hit is not None and "node_indices" in hit:
         try:
             sel = np.asarray(hit["node_indices"], dtype=int)
-            nodes = cloud.points[sel]
-            ortho = orthonormal_basis(cloud, basis)
-            phi = weight.evaluate(nodes)
-            obj = log_abs_vdm(nodes, basis) - degree * float(np.sum(phi))
-            config = FeketeConfig(basis=basis, weight=weight, nodes=nodes,
-                                  node_indices=sel, objective=obj, gamma=None,
-                                  lebesgue=None,
-                                  provenance=hit.get("provenance",
-                                                     {"cloud_seed": seed}),
-                                  ortho=ortho)
-            quality_gamma(config, cloud)
+            config = FeketeConfig.from_indices(
+                cloud, basis, weight, sel,
+                provenance=hit.get("provenance", {"cloud_seed": seed}))
             return config, cloud, True
         except (IndexError, ValueError):
             print("warning: cache entry inconsistent, recomputing",
@@ -390,7 +379,7 @@ _RUNNERS = {"fekete": _run_fekete, "extremal": _run_extremal,
 # entry point
 # ---------------------------------------------------------------------------
 
-def run_manifest(man, outdir, cache_dir=None, threads=0):
+def run_manifest(man, outdir, cache_dir=None):
     """Execute one validated manifest; returns the manifest content hash."""
     validate_manifest(man)
     os.makedirs(outdir, exist_ok=True)
@@ -410,8 +399,6 @@ def main(argv=None):
     parser.add_argument("--manifest", required=True, help="path to a JSON manifest")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--cache", default=None, help="cache directory")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="thread budget (0 = auto)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the Fekete cache")
     args = parser.parse_args(argv)
@@ -427,7 +414,7 @@ def main(argv=None):
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        run_manifest(man, args.out, cache_dir, args.threads)
+        run_manifest(man, args.out, cache_dir)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

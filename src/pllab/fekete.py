@@ -1,10 +1,15 @@
 """Approximate (weighted) Fekete configurations on sample clouds.
 
 Phase 1 is greedy pivoted column selection on the orthonormalized, weighted
-Vandermonde; phase 2 is exchange refinement over the whole cloud via rank-one
-determinant updates.  The quality factor gamma (sup of weighted Lagrange
-magnitudes over the cloud) certifies proximity to a true maximizer and feeds
-every downstream sandwich width.
+Vandermonde; phase 2 is exchange refinement over the whole cloud (the
+AFP-plus-exchange method of Sommariva-Vianello and Bos-De Marchi-Sommariva-
+Vianello).  Refinement keeps the Lagrange matrix C = B^{-1} A of the selected
+columns and carries it across each swap by a rank-one Sherman-Morrison update;
+a decision that the updated C cannot settle beyond rounding (a near tie, a
+gain near the tolerance, or the stop) is re-taken on a fresh solve, so the
+selections equal those of re-solving after every swap.  The quality factor
+gamma (sup of weighted Lagrange magnitudes over the cloud) certifies
+proximity to a true maximizer and feeds every downstream sandwich width.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from scipy.spatial import cKDTree
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
 from .geometry import DegenerateSetError
 
+# Relative margin below which the rank-one-updated Lagrange matrix of the
+# exchange refinement defers a decision to a freshly solved one.
+_FRESH_MARGIN = 1e-9
 
 # ---------------------------------------------------------------------------
 # weights
@@ -102,6 +110,24 @@ class FeketeConfig:
     provenance: dict
     ortho: object = field(default=None, repr=False)
 
+    @classmethod
+    def from_indices(cls, cloud, basis, weight, sel, provenance, ortho=None):
+        """The configuration on cloud.points[sel], with objective and gamma.
+
+        ortho is the cloud's orthonormal basis when the caller already has it.
+        """
+        nodes = cloud.points[sel]
+        obj = (log_abs_vdm(nodes, basis)
+               - basis.d * float(np.sum(weight.evaluate(nodes))))
+        if not np.isfinite(obj):
+            raise DegenerateSetError(
+                f"set appears pluripolar at degree {basis.d}")
+        config = cls(basis=basis, weight=weight, nodes=nodes,
+                     node_indices=sel, objective=obj, gamma=None,
+                     lebesgue=None, provenance=provenance, ortho=ortho)
+        quality_gamma(config, cloud)
+        return config
+
     @property
     def degree(self):
         return self.basis.d
@@ -153,8 +179,7 @@ def fekete_measure(config):
 def _weighted_columns(ortho, weight, d, points):
     """Rows u(x) = q(x) * exp(-d phi(x)), returned as (len(points), N)."""
     vals = ortho.evaluate(points)
-    phi = weight.evaluate(points)
-    return vals * np.exp(-d * phi[:, None]), phi
+    return vals * np.exp(-d * weight.evaluate(points)[:, None])
 
 
 def solve_fekete(cloud, basis, weight=None, restarts=3, tol=1e-10,
@@ -169,7 +194,7 @@ def solve_fekete(cloud, basis, weight=None, restarts=3, tol=1e-10,
         raise ValueError(f"cloud size {M} < 2 N = {2 * N}")
     ortho = orthonormal_basis(cloud, basis)
     d = basis.d
-    U, phi = _weighted_columns(ortho, weight, d, cloud.points)   # (M, N)
+    U = _weighted_columns(ortho, weight, d, cloud.points)        # (M, N)
     if not np.all(np.isfinite(U)):
         raise DegenerateSetError(f"set appears pluripolar at degree {d}")
 
@@ -188,20 +213,12 @@ def solve_fekete(cloud, basis, weight=None, restarts=3, tol=1e-10,
         if best is None or logdet > best[1]:
             best = (sel, logdet, swaps, k)
     sel, _, swaps, which = best
-
-    nodes = cloud.points[sel]
-    obj = log_abs_vdm(nodes, basis) - d * float(np.sum(phi[sel]))
-    config = FeketeConfig(
-        basis=basis, weight=weight, nodes=nodes, node_indices=sel,
-        objective=obj, gamma=None, lebesgue=None, ortho=ortho,
+    return FeketeConfig.from_indices(
+        cloud, basis, weight, sel, ortho=ortho,
         provenance={"cloud_seed": cloud.seed,
                     "density_parameter": cloud.density_parameter,
                     "restart": which, "accepted_swaps": int(swaps),
                     "restarts": restarts, "tol": tol})
-    if not np.isfinite(obj):
-        raise DegenerateSetError(f"set appears pluripolar at degree {d}")
-    quality_gamma(config, cloud)
-    return config
 
 
 def _logdet(B):
@@ -212,29 +229,65 @@ def _logdet(B):
 def _exchange_refine(A, sel, tol, max_iters):
     """Swap one node for one cloud point while the log objective gains >= tol.
 
-    Gains come from |B^{-1} A|: replacing node j by cloud column m multiplies
-    |det| by |(B^{-1}A)[j, m]|.  Ties break at the lowest cloud index, then the
-    lowest node slot.
+    Gains come from C = B^{-1} A, the Lagrange matrix of the selected columns
+    B = A[:, sel]: replacing node j by cloud column m multiplies |det B| by
+    |C[j, m]|.  Ties break at the lowest cloud index, then the lowest node
+    slot.  After a swap C is carried forward by the Sherman-Morrison step
+    C <- C - (C[:, m] - e_j) C[j, :] / C[j, m], O(N M) instead of the O(N^2 M)
+    of a fresh solve.  A decision is re-taken on a fresh solve
+    C = solve(A[:, sel], A), with sel in slot order, whenever the updated C
+    cannot settle it beyond rounding: the best gain lies within a relative
+    _FRESH_MARGIN of the runner-up anywhere in |C|, log(gain) lies within
+    _FRESH_MARGIN of tol, or the refinement would stop.  So every swap and the
+    stop match those of re-solving after every swap, tie-breaks included.
     """
     N, M = A.shape
     sel = np.array(sel, dtype=int)
+    cols = np.arange(M)
+    G = np.empty((N, M))
+    C = None
     swaps = 0
-    for _ in range(max_iters):
-        B = A[:, sel]
-        try:
-            G = np.abs(np.linalg.solve(B, A))            # (N, M)
-        except np.linalg.LinAlgError:
-            break
+    while swaps < max_iters:
+        fresh = C is None
+        if fresh:
+            try:
+                C = np.linalg.solve(A[:, sel], A)        # (N, M)
+            except np.linalg.LinAlgError:
+                break
+        np.abs(C, out=G)
         G[:, sel] = 0.0
         j_best = np.argmax(G, axis=0)                    # best slot per column
-        col_gain = G[j_best, np.arange(M)]
+        col_gain = G[j_best, cols]
         m = int(np.argmax(col_gain))                     # lowest m wins ties
+        j = int(j_best[m])
         gain = float(col_gain[m])
+        if not fresh and _unsettled(G, col_gain, j, m, gain, tol):
+            C = None
+            continue
         if gain <= 0 or math.log(gain) < tol:
             break
-        sel[int(j_best[m])] = m
+        u = C[:, m].copy()
+        u[j] -= 1.0
+        C -= np.outer(u, C[j] / C[j, m])
+        sel[j] = m
         swaps += 1
     return np.sort(sel), _logdet(A[:, np.sort(sel)]), swaps
+
+
+def _unsettled(G, col_gain, j, m, gain, tol):
+    """True when G's best entry (j, m) may not be the one a fresh solve picks.
+
+    Overwrites col_gain[m].
+    """
+    if not (math.isfinite(gain) and gain > 0):
+        return True
+    if math.log(gain) < tol + _FRESH_MARGIN:
+        return True
+    col_gain[m] = 0.0
+    g_m = G[:, m].copy()
+    g_m[j] = 0.0
+    runner_up = max(float(np.max(col_gain)), float(np.max(g_m)))
+    return gain - runner_up <= _FRESH_MARGIN * gain
 
 
 def quality_gamma(config, cloud):
@@ -246,8 +299,8 @@ def quality_gamma(config, cloud):
     """
     ortho = config.ortho or orthonormal_basis(cloud, config.basis)
     d = config.basis.d
-    W_cloud, _ = _weighted_columns(ortho, config.weight, d, cloud.points)
-    W_nodes, _ = _weighted_columns(ortho, config.weight, d, config.nodes)
+    W_cloud = _weighted_columns(ortho, config.weight, d, cloud.points)
+    W_nodes = _weighted_columns(ortho, config.weight, d, config.nodes)
     try:
         lag = np.linalg.solve(W_nodes.T, W_cloud.T)      # (N, M) weighted l_j(x)
     except np.linalg.LinAlgError:

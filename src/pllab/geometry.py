@@ -355,17 +355,14 @@ class SampleCloud:
 
 
 def _dedupe(pts):
-    """Stable removal of duplicates under 1e-12 tolerance."""
-    if len(pts) == 0:
-        return pts
-    keep = []
-    seen = set()
-    for p in pts:
-        key = tuple(np.round(np.concatenate([p.real, p.imag]), 12))
-        if key not in seen:
-            seen.add(key)
-            keep.append(p)
-    return np.array(keep)
+    """Stable removal of duplicates under 1e-12 tolerance.
+
+    Points are equal when their coordinates agree after rounding to 12
+    decimals (-0.0 equals 0.0); the first occurrence of each is kept, in order.
+    """
+    keys = np.round(np.hstack([pts.real, pts.imag]), 12) + 0.0
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return pts[np.sort(first)]
 
 
 def _kronecker(count, dims, seed):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pllab import fekete
 from pllab.basis import BasisSpec, log_abs_vdm
-from pllab.fekete import (DiscreteMeasure, FubiniStudyWeight, TabulatedWeight,
-                          ZeroWeight, fekete_measure, quality_gamma,
-                          solve_fekete, transfinite_diameter,
+from pllab.fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
+                          TabulatedWeight, ZeroWeight, fekete_measure,
+                          quality_gamma, solve_fekete, transfinite_diameter,
                           weight_from_callable)
-from pllab.geometry import (AffineImage, ComplexBall, DegenerateSetError,
+from pllab.geometry import (AffineImage, Box, ComplexBall, DegenerateSetError,
                             Interval, sample)
 
 
@@ -136,3 +137,86 @@ def test_weighted_solve_runs(interval_cloud):
     cfg = solve_fekete(interval_cloud, BasisSpec(1, 6), FubiniStudyWeight())
     assert cfg.gamma >= 1.0 - 1e-9
     assert np.isfinite(cfg.objective)
+
+
+def _exchange_refine_resolve(A, sel, tol, max_iters):
+    """Reference exchange loop: a full solve of B^{-1} A before every swap."""
+    N, M = A.shape
+    sel = np.array(sel, dtype=int)
+    swaps = 0
+    for _ in range(max_iters):
+        B = A[:, sel]
+        try:
+            G = np.abs(np.linalg.solve(B, A))
+        except np.linalg.LinAlgError:
+            break
+        G[:, sel] = 0.0
+        j_best = np.argmax(G, axis=0)
+        col_gain = G[j_best, np.arange(M)]
+        m = int(np.argmax(col_gain))
+        gain = float(col_gain[m])
+        if gain <= 0 or math.log(gain) < tol:
+            break
+        sel[int(j_best[m])] = m
+        swaps += 1
+    sel = np.sort(sel)
+    sign, logdet = np.linalg.slogdet(A[:, sel])
+    return sel, (logdet if sign != 0 else -np.inf), swaps
+
+
+def _refine_runs(monkeypatch, cloud, basis, weight=None, **kw):
+    """Solve, recording every refinement's inputs and results."""
+    runs = []
+    refine = fekete._exchange_refine
+
+    def recording(A, sel, tol, max_iters):
+        out = refine(A, sel, tol, max_iters)
+        runs.append(((A, np.array(sel), tol, max_iters), out))
+        return out
+
+    monkeypatch.setattr(fekete, "_exchange_refine", recording)
+    solve_fekete(cloud, basis, weight, **kw)
+    return runs
+
+
+@pytest.mark.parametrize("spec,d,count,weight", [
+    (ComplexBall((0.0,), 1.0), 8, 2001, None),
+    (ComplexBall((0.0,), 1.0), 16, 2001, None),
+    (Interval(-1.0, 1.0), 60, 2001, None),
+    (ComplexBall((0.0, 0.0), 1.0), 6, 1000, None),
+    (Box(((-1.0, 1.0), (-1.0, 1.0))), 6, 1000, None),
+    (Interval(-1.0, 1.0), 16, 2001, FubiniStudyWeight()),
+], ids=["disc-d8", "disc-d16", "interval-d60", "ball2-d6", "box-d6",
+        "fubini-study-interval-d16"])
+def test_exchange_refine_matches_full_resolve(monkeypatch, spec, d, count,
+                                              weight):
+    cloud = sample(spec, count, seed=5)
+    runs = _refine_runs(monkeypatch, cloud, BasisSpec(spec.dim, d), weight)
+    assert len(runs) == 3
+    for args, (sel, logdet, swaps) in runs:
+        ref_sel, ref_logdet, ref_swaps = _exchange_refine_resolve(*args)
+        assert np.array_equal(sel, ref_sel)
+        assert logdet == ref_logdet
+        assert swaps == ref_swaps
+
+
+def test_exchange_refine_swap_cap_matches_full_resolve(monkeypatch):
+    cloud = sample(ComplexBall((0.0,), 1.0), 2001, seed=5)
+    basis = BasisSpec(1, 16)
+    runs = _refine_runs(monkeypatch, cloud, basis, max_sweep_factor=1)
+    for args, (sel, logdet, swaps) in runs:
+        assert swaps == args[3] == basis.size
+        ref_sel, ref_logdet, ref_swaps = _exchange_refine_resolve(*args)
+        assert np.array_equal(sel, ref_sel)
+        assert logdet == ref_logdet
+        assert swaps == ref_swaps
+
+
+def test_from_indices_rebuilds_solved_config(interval_cloud):
+    basis = BasisSpec(1, 8)
+    weight = FubiniStudyWeight()
+    cfg = solve_fekete(interval_cloud, basis, weight)
+    again = FeketeConfig.from_indices(interval_cloud, basis, weight,
+                                      cfg.node_indices, dict(cfg.provenance))
+    assert again.to_dict() == cfg.to_dict()
+    assert np.array_equal(again.node_indices, cfg.node_indices)

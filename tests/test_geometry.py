@@ -9,6 +9,7 @@ from pllab.geometry import (AffineImage, BallIntersection, Box, ComplexBall,
                             Union, as_point, contains, diameter,
                             exact_extremal, halfdisc_harmonic_measure, sample,
                             spec_from_dict, spec_to_dict)
+from pllab.geometry import _dedupe, _sample_dispatch
 
 
 def test_point_real_slice_rejects_imaginary():
@@ -119,6 +120,62 @@ def test_sample_no_duplicates():
     cloud = sample(ComplexBall((0.0,), 1.0), 500, seed=0)
     pts = np.round(np.column_stack([cloud.points.real, cloud.points.imag]), 12)
     assert len(np.unique(pts, axis=0)) == cloud.size
+
+
+def _dedupe_loop(pts):
+    """Per-point reference: first occurrence of each 12-decimal key."""
+    if len(pts) == 0:
+        return pts
+    keep, seen = [], set()
+    for p in pts:
+        key = tuple(np.round(np.concatenate([p.real, p.imag]), 12))
+        if key not in seen:
+            seen.add(key)
+            keep.append(p)
+    return np.array(keep)
+
+
+def _assert_same_dedupe(pts):
+    got, ref = _dedupe(pts), _dedupe_loop(pts)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_dedupe_matches_loop_on_edge_cases():
+    z = np.array([
+        [0.0 + 0.0j, 1.0 + 0.0j],
+        [-0.0 + 0.0j, 1.0 - 0.0j],             # signed zeros fold together
+        [0.3 + 0.1j, 0.2 + 0.0j],
+        [0.3 + 1e-13 + 0.1j, 0.2 + 0.0j],      # near-duplicate, 1e-13 apart
+        [0.5 + 0.5j, -0.5 + 0.0j],
+        [0.3 + 0.1j, 0.2 + 0.0j],              # exact repeat
+        [-0.5 + 0.0j, 0.5 + 0.5j],             # same values, other order
+        [0.5 + 0.5j, -0.5 + 0.0j],
+    ])
+    _assert_same_dedupe(z)
+    got = _dedupe(z)
+    assert len(got) == 4
+    # first occurrences, in input order
+    assert got.tobytes() == z[[0, 2, 4, 6]].tobytes()
+    _assert_same_dedupe(z[:0])
+    _assert_same_dedupe(z[::-1].copy())
+
+
+@pytest.mark.parametrize("spec", [
+    Interval(-1.0, 1.0),
+    ComplexBall((0.0,), 1.0),
+    ComplexBall((0.0, 0.0), 1.0),
+    RealBall((0.0, 0.0), 1.0),
+    Box(((0.0, 1.0), (0.0, 1.0))),
+    ConvexHull(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
+    AffineImage(ComplexBall((0.0,), 1.0), ((2.0,),), (1.0,)),
+    Union((Interval(-1.0, 0.0), Interval(0.0, 1.0))),
+    BallIntersection(ComplexBall((0.0,), 1.0), (1.0,), 0.5),
+])
+def test_dedupe_matches_loop_on_sampler_output(spec):
+    pts, *_ = _sample_dispatch(spec, 600, 1)
+    _assert_same_dedupe(pts)
 
 
 def test_exact_extremal_ball():
