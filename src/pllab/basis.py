@@ -78,12 +78,12 @@ def vandermonde(points, basis):
 
 
 def _rescale(pts):
-    """Shift/scale nodes into a unit bounding box; returns scaled points and
-    the per-coordinate log-scale corrections."""
+    """Shift/scale nodes into a unit bounding box; returns the scaled points,
+    the center and the per-coordinate scale."""
     c = pts.mean(axis=0)
     dev = np.max(np.abs(pts - c[None, :]), axis=0).real
     s = np.where(dev > 0, dev, 1.0)
-    return (pts - c[None, :]) / s[None, :], np.log(s)
+    return (pts - c[None, :]) / s[None, :], c, s
 
 
 def log_abs_vdm(nodes, basis):
@@ -97,7 +97,8 @@ def log_abs_vdm(nodes, basis):
     N = basis.size
     if pts.shape[0] != N:
         raise ValueError(f"need exactly {N} nodes, got {pts.shape[0]}")
-    scaled, logs = _rescale(pts)
+    scaled, _, s = _rescale(pts)
+    logs = np.log(s)
     V = vandermonde(scaled, basis)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")      # exact singularity returns -inf
@@ -110,15 +111,6 @@ def log_abs_vdm(nodes, basis):
         for k in range(basis.n):
             corr += alpha[k] * logs[k]
     return float(np.sum(np.log(diag)) + corr)
-
-
-def vdm_phase(nodes, basis):
-    """Unit-modulus phase of det [e_i(x_j)] (recorded, unused downstream)."""
-    pts = np.atleast_2d(np.asarray(nodes, dtype=complex))
-    scaled, _ = _rescale(pts)
-    V = vandermonde(scaled, basis)
-    sign, _ = np.linalg.slogdet(V)
-    return complex(sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +157,7 @@ def orthonormal_basis(cloud, basis, degeneracy_rtol=1e-15):
     N = basis.size
     if M < N:
         raise DegenerateSetError(f"set appears pluripolar at degree {basis.d}")
-    scaled, _ = _rescale(pts)
-    c = pts.mean(axis=0)
-    dev = np.max(np.abs(pts - c[None, :]), axis=0).real
-    s = np.where(dev > 0, dev, 1.0)
+    scaled, c, s = _rescale(pts)
     V = vandermonde(scaled, basis)                    # (N, M)
     Phi = V.T / math.sqrt(M)                          # (M, N)
     Q, R = qr(Phi, mode="economic")

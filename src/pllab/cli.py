@@ -167,7 +167,7 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
     """
     key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
                "weight": weight_tag or "zero", "seed": seed,
-               "cloud_target": cloud_target, "version": 1}
+               "cloud_target": cloud_target, "version": 2}
     key = manifest_hash(key_doc)
     basis = BasisSpec(spec.dim, degree)
     weight = _weight_from_tag(weight_tag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fekete import FubiniStudyWeight, ZeroWeight, _weighted_columns
+from .fekete import FubiniStudyWeight, ZeroWeight
 from .geometry import ComplexBall, as_point, contains
 
 

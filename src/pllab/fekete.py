@@ -1,15 +1,16 @@
 """Approximate (weighted) Fekete configurations on sample clouds.
 
-Phase 1 is greedy pivoted column selection on the orthonormalized, weighted
-Vandermonde; phase 2 is exchange refinement over the whole cloud (the
-AFP-plus-exchange method of Sommariva-Vianello and Bos-De Marchi-Sommariva-
-Vianello).  Refinement keeps the Lagrange matrix C = B^{-1} A of the selected
-columns and carries it across each swap by a rank-one Sherman-Morrison update;
-a decision that the updated C cannot settle beyond rounding (a near tie, a
-gain near the tolerance, or the stop) is re-taken on a fresh solve, so the
-selections equal those of re-solving after every swap.  The quality factor
-gamma (sup of weighted Lagrange magnitudes over the cloud) certifies
-proximity to a true maximizer and feeds every downstream sandwich width.
+Phase 1 is one pivoted-QR seeding: greedy column selection on the
+orthonormalized, weighted Vandermonde; phase 2 is exchange refinement over
+the whole cloud (the AFP-plus-exchange method of Sommariva-Vianello and
+Bos-De Marchi-Sommariva-Vianello).  Refinement keeps the Lagrange matrix
+C = B^{-1} A of the selected columns and carries it across each swap by a
+rank-one Sherman-Morrison update; a decision that the updated C cannot settle
+beyond rounding (a near tie, a gain near the tolerance, or the stop) is
+re-taken on a fresh solve, so the selections equal those of re-solving after
+every swap.  The quality factor gamma (sup of weighted Lagrange magnitudes
+over the cloud) certifies proximity to a true maximizer and feeds every
+downstream sandwich width.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from scipy.spatial import cKDTree
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
 from .geometry import DegenerateSetError
 
-# Relative margin below which the rank-one-updated Lagrange matrix of the
-# exchange refinement defers a decision to a freshly solved one.
+# Exchange refinement swaps while a swap raises the log objective by at least
+# _SWAP_TOL.  Below a relative _FRESH_MARGIN, the rank-one-updated Lagrange
+# matrix defers a decision to a freshly solved one.
+_SWAP_TOL = 1e-10
 _FRESH_MARGIN = 1e-9
 
 # ---------------------------------------------------------------------------
@@ -182,12 +185,9 @@ def _weighted_columns(ortho, weight, d, points):
     return vals * np.exp(-d * weight.evaluate(points)[:, None])
 
 
-def solve_fekete(cloud, basis, weight=None, restarts=3, tol=1e-10,
-                 max_sweep_factor=50):
-    """Greedy column selection plus exchange refinement over the cloud."""
+def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
+    """Pivoted-QR seeding plus exchange refinement over the cloud."""
     weight = weight or ZeroWeight()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     N = basis.size
     M = cloud.size
     if M < 2 * N:
@@ -199,37 +199,21 @@ def solve_fekete(cloud, basis, weight=None, restarts=3, tol=1e-10,
         raise DegenerateSetError(f"set appears pluripolar at degree {d}")
 
     A = U.T                                                      # (N, M)
-    best = None
-    rng0 = np.random.default_rng(cloud.seed * 7919 + 13)
-    for k in range(max(1, restarts)):
-        if k == 0:
-            T = np.eye(N)
-        else:
-            G = np.random.default_rng(1000 * k + cloud.seed).standard_normal((N, N))
-            T, _ = qr(G)
-        _, _, piv = qr(T @ A, pivoting=True, mode="economic")
-        sel = np.sort(piv[:N]).astype(int)
-        sel, logdet, swaps = _exchange_refine(A, sel, tol, max_sweep_factor * N)
-        if best is None or logdet > best[1]:
-            best = (sel, logdet, swaps, k)
-    sel, _, swaps, which = best
+    _, _, piv = qr(A, pivoting=True, mode="economic")
+    sel, swaps = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
+                                  max_sweep_factor * N)
     return FeketeConfig.from_indices(
         cloud, basis, weight, sel, ortho=ortho,
         provenance={"cloud_seed": cloud.seed,
                     "density_parameter": cloud.density_parameter,
-                    "restart": which, "accepted_swaps": int(swaps),
-                    "restarts": restarts, "tol": tol})
-
-
-def _logdet(B):
-    sign, val = np.linalg.slogdet(B)
-    return val if sign != 0 else -np.inf
+                    "restart": 0, "accepted_swaps": int(swaps),
+                    "tol": _SWAP_TOL})
 
 
 def _exchange_refine(A, sel, tol, max_iters):
     """Swap one node for one cloud point while the log objective gains >= tol.
 
-    Gains come from C = B^{-1} A, the Lagrange matrix of the selected columns
+    Returns the sorted selection and the number of swaps.  Gains come from C = B^{-1} A, the Lagrange matrix of the selected columns
     B = A[:, sel]: replacing node j by cloud column m multiplies |det B| by
     |C[j, m]|.  Ties break at the lowest cloud index, then the lowest node
     slot.  After a swap C is carried forward by the Sherman-Morrison step
@@ -271,7 +255,7 @@ def _exchange_refine(A, sel, tol, max_iters):
         C -= np.outer(u, C[j] / C[j, m])
         sel[j] = m
         swaps += 1
-    return np.sort(sel), _logdet(A[:, np.sort(sel)]), swaps
+    return np.sort(sel), swaps
 
 
 def _unsettled(G, col_gain, j, m, gain, tol):

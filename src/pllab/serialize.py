@@ -141,32 +141,3 @@ def field_contour_svg(path, xs, ys, values, levels):
                      f'data-level="{format_float(lev)}" d="{" ".join(d)}"/>\n')
     parts.append("</svg>\n")
     atomic_write_text(path, "".join(parts))
-
-
-def loglog_plot_svg(path, series):
-    """Log-log scatter/line plot; series is a list of (label, xs, ys)."""
-    all_x = [x for _, xs, _ in series for x in xs if x > 0]
-    all_y = [y for _, _, ys in series for y in ys if y > 0]
-    if not all_x or not all_y:
-        atomic_write_text(path, _SVG_HEAD + "</svg>\n")
-        return
-    lx0, lx1 = math.log(min(all_x)), math.log(max(all_x))
-    ly0, ly1 = math.log(min(all_y)), math.log(max(all_y))
-    lx1 = lx1 if lx1 > lx0 else lx0 + 1.0
-    ly1 = ly1 if ly1 > ly0 else ly0 + 1.0
-
-    def tx(x):
-        return 10.0 + (math.log(x) - lx0) / (lx1 - lx0) * 460.0
-
-    def ty(y):
-        return 470.0 - (math.log(y) - ly0) / (ly1 - ly0) * 460.0
-
-    parts = [_SVG_HEAD]
-    for label, xs, ys in series:
-        pts = [(tx(x), ty(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
-        d = " ".join(("M" if i == 0 else "L") + f" {px:.3f} {py:.3f}"
-                     for i, (px, py) in enumerate(pts))
-        parts.append(f'<path fill="none" stroke="black" stroke-width="1" '
-                     f'data-series="{label}" d="{d}"/>\n')
-    parts.append("</svg>\n")
-    atomic_write_text(path, "".join(parts))

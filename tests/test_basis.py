@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pllab.basis import (BasisSpec, dimension, log_abs_vdm, orthonormal_basis,
-                         vandermonde, vdm_phase)
+                         vandermonde)
 from pllab.geometry import (ComplexBall, DegenerateSetError,
                             DimensionMismatchError, Interval, sample)
 
@@ -80,12 +80,6 @@ def test_log_abs_vdm_degenerate_is_minus_inf():
 def test_log_abs_vdm_node_count_check():
     with pytest.raises(ValueError):
         log_abs_vdm(np.zeros((3, 1), dtype=complex), BasisSpec(1, 3))
-
-
-def test_vdm_phase_unit_modulus():
-    pts = np.array([[0.3 + 0.1j], [1.2 - 0.5j], [-0.7 + 0.9j]])
-    ph = vdm_phase(pts, BasisSpec(1, 2))
-    assert abs(abs(ph) - 1.0) < 1e-9
 
 
 def test_orthonormal_basis_gram_identity():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import pllab
 from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, ManifestError,
                        main, manifest_hash, validate_manifest)
 
@@ -185,7 +186,11 @@ def test_verify_command(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # the child imports the pllab under test, installed or not
+    src = os.path.dirname(os.path.dirname(pllab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run([sys.executable, "-m", "pllab.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "--manifest" in res.stdout

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pllab.serialize import (atomic_write_text, canonical_json,
-                             field_contour_svg, format_float, loglog_plot_svg,
-                             write_csv, write_json)
+                             field_contour_svg, format_float, write_csv,
+                             write_json)
 
 
 def test_format_float_roundtrip():
@@ -75,16 +75,3 @@ def test_field_contour_svg(tmp_path):
     assert text.count("<path") == 2
     assert "M " in text
 
-
-def test_loglog_plot_svg(tmp_path):
-    p = tmp_path / "l.svg"
-    loglog_plot_svg(str(p), [("err", [1, 2, 4, 8], [1.0, 0.5, 0.25, 0.125])])
-    text = p.read_text()
-    assert 'data-series="err"' in text
-    assert text.count("L ") == 3
-
-
-def test_loglog_plot_svg_empty(tmp_path):
-    p = tmp_path / "e.svg"
-    loglog_plot_svg(str(p), [("err", [], [])])
-    assert "</svg>" in p.read_text()
