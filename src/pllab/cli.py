@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from .equidist import (Arcsine, Polynomial, TabulatedLipschitz, UniformCircle,
                        equilibrium_pairing, rate_experiment)
 from .extremal import SandwichEvaluator, relative_extremal_1c
 from .fekete import (FeketeConfig, FubiniStudyWeight, ZeroWeight,
-                     solve_fekete, transfinite_diameter)
+                     _scalar_provenance, solve_fekete, transfinite_diameter)
 from .geometry import (ComplexBall, Interval, exact_extremal, sample,
                        spec_from_dict, spec_to_dict)
 from .regularity import (capacity_density_from_supnorm, hcp_scan,
@@ -88,10 +89,19 @@ def validate_manifest(man):
         _require(man, "degree", int, lambda d: d >= 1, "must be >= 1")
         _require(man, "points", list, lambda p: len(p) >= 1, "must be nonempty")
     elif cmd == "relative":
-        _validate_spec_doc(man, "set")
+        if _validate_spec_doc(man, "set").dim != 1:
+            raise ManifestError("field 'set' is invalid: must be a set in C^1")
         B = _validate_spec_doc(man, "disc")
         if not isinstance(B, ComplexBall) or B.dim != 1:
             raise ManifestError("field 'disc' is invalid: must be a ComplexBall in C^1")
+        if "grid_n" in man:
+            _require(man, "grid_n", int,
+                     lambda g: not isinstance(g, bool) and 64 <= g <= 2048,
+                     "must be an integer in [64, 2048]")
+        if "tol" in man:
+            _require(man, "tol", (int, float),
+                     lambda t: not isinstance(t, bool) and math.isfinite(t)
+                     and t > 0, "must be a finite positive number")
     elif cmd == "scan-regularity":
         _validate_spec_doc(man)
         _require(man, "anchor", list)
@@ -185,8 +195,7 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
                   file=sys.stderr)
     config = solve_fekete(cloud, basis, weight)
     cache.put(key, {"node_indices": [int(i) for i in config.node_indices],
-                    "provenance": {k: v for k, v in config.provenance.items()
-                                   if isinstance(v, (int, float, str, bool))}})
+                    "provenance": _scalar_provenance(config.provenance)})
     return config, cloud, False
 
 
@@ -344,7 +353,6 @@ def _run_verify(man, outdir, cache):
         print(("PASS" if ok else "FAIL") + f" {name}")
         checks.append((name, ok))
 
-    import math
     check("disc extremal closed form",
           lambda: abs(exact_extremal(ComplexBall((0,), 1.0), 2.0) - math.log(2))
           < 1e-12)

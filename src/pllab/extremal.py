@@ -152,10 +152,9 @@ class RelativeField:
 
     def to_csv(self, path):
         from .serialize import write_csv
-        rows = []
-        for i, y in enumerate(self.ys):
-            for j, x in enumerate(self.xs):
-                rows.append([x, y, self.values[i, j]])
+        nx, ny = len(self.xs), len(self.ys)
+        rows = zip(np.tile(self.xs, ny).tolist(), np.repeat(self.ys, nx).tolist(),
+                   self.values.ravel().tolist())
         write_csv(path, ["re", "im", "value"], rows)
 
     def to_svg(self, path, levels=None):
@@ -182,14 +181,8 @@ def relative_extremal_1c(E, B, grid_n=256, tol=1e-8, omega=1.9,
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     outer = np.abs(Z - c) >= r
-    if isinstance(E, ComplexBall) and E.dim == 1:
-        e_mask = (np.abs(Z - E.c[0]) <= E.radius) & ~outer
-    else:
-        flat = Z.ravel()
-        inside_disc = ~outer.ravel()
-        memb = np.zeros(flat.shape, dtype=bool)
-        memb[inside_disc] = [contains(E, np.array([z])) for z in flat[inside_disc]]
-        e_mask = memb.reshape(Z.shape)
+    e_mask = np.zeros(Z.shape, dtype=bool)
+    e_mask[~outer] = contains(E, Z[~outer][:, None])
 
     free = ~(outer | e_mask)
     if not free.any():

@@ -101,6 +101,12 @@ def weight_from_callable(fn, cloud, holder_alpha=1.0, holder_const=1.0):
 # configurations and measures
 # ---------------------------------------------------------------------------
 
+def _scalar_provenance(provenance):
+    """The entries of a provenance dict that JSON output and the cache keep."""
+    return {k: v for k, v in provenance.items()
+            if isinstance(v, (int, float, str, bool))}
+
+
 @dataclass(eq=False)
 class FeketeConfig:
     basis: BasisSpec
@@ -149,8 +155,7 @@ class FeketeConfig:
             "objective": self.objective,
             "gamma": self.gamma,
             "lebesgue": self.lebesgue,
-            "provenance": {k: v for k, v in self.provenance.items()
-                           if isinstance(v, (int, float, str, bool))},
+            "provenance": _scalar_provenance(self.provenance),
         }
 
 

@@ -61,10 +61,6 @@ def as_point(p, n=None):
     return z
 
 
-def _is_real_vec(z, tol=TOL):
-    return bool(np.all(np.abs(z.imag) <= tol))
-
-
 # ---------------------------------------------------------------------------
 # SetSpec kinds
 # ---------------------------------------------------------------------------
@@ -259,37 +255,69 @@ class BallIntersection:
 # ---------------------------------------------------------------------------
 
 def contains(spec, p, tol=TOL):
-    """Closed-set membership with boundary tolerance."""
-    z = as_point(p, spec.dim)
+    """Closed-set membership with boundary tolerance.
+
+    p is one point, answered with a bool, or a (k, dim) ndarray of points,
+    answered with a (k,) bool array.
+    """
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        if p.shape[1] != spec.dim:
+            raise DimensionMismatchError(
+                f"points have dimension {p.shape[1]}, expected {spec.dim}")
+        return _member(spec, np.asarray(p, dtype=complex), tol)
+    return bool(_member(spec, as_point(p, spec.dim)[None, :], tol)[0])
+
+
+def _real_rows(Z, tol):
+    return np.all(np.abs(Z.imag) <= tol, axis=1)
+
+
+def _row_norms(D):
+    # the sums np.linalg.norm forms for one vector (a dot product of the real
+    # parts, plus one of the imaginary parts), so a row of a batch gets the
+    # same bits as the same point alone
+    sq = np.vecdot(D.real, D.real)
+    if np.iscomplexobj(D):
+        sq = sq + np.vecdot(D.imag, D.imag)
+    return np.sqrt(sq)
+
+
+def _member(spec, Z, tol):
+    """Membership of each row of the (k, dim) complex array Z."""
     if isinstance(spec, Interval):
-        x = z[0]
-        return _is_real_vec(z, tol) and spec.a - tol <= x.real <= spec.b + tol
+        x = Z[:, 0].real
+        return _real_rows(Z, tol) & (spec.a - tol <= x) & (x <= spec.b + tol)
     if isinstance(spec, ComplexBall):
-        return bool(np.linalg.norm(z - spec.c) <= spec.radius + tol)
+        return _row_norms(Z - spec.c) <= spec.radius + tol
     if isinstance(spec, RealBall):
-        return _is_real_vec(z, tol) and bool(
-            np.linalg.norm(z.real - spec.c) <= spec.radius + tol)
+        return _real_rows(Z, tol) & (_row_norms(Z.real - spec.c)
+                                     <= spec.radius + tol)
     if isinstance(spec, Box):
-        if not _is_real_vec(z, tol):
-            return False
-        return all(a - tol <= x <= b + tol for x, (a, b) in zip(z.real, spec.intervals))
+        lo = np.array([a for a, _ in spec.intervals]) - tol
+        hi = np.array([b for _, b in spec.intervals]) + tol
+        return _real_rows(Z, tol) & np.all((lo <= Z.real) & (Z.real <= hi),
+                                           axis=1)
     if isinstance(spec, ConvexHull):
-        return _hull_contains(spec, z, tol)
+        return np.array([_hull_contains(spec, z, tol) for z in Z], dtype=bool)
     if isinstance(spec, Cusp):
-        if not _is_real_vec(z, tol):
-            return False
-        return _cusp_gap(spec, z.real) <= tol
+        inside = _real_rows(Z, tol)
+        inside[inside] = [_cusp_gap(spec, z.real) <= tol for z in Z[inside]]
+        return inside
     if isinstance(spec, AffineImage):
-        w = np.linalg.solve(spec.A, z - spec.b)
-        if _is_real_vec(w, 1e-9):
-            w = w.real.astype(complex)
-        return contains(spec.inner, w, tol)
+        W = np.linalg.solve(spec.A, (Z - spec.b)[:, :, None])[:, :, 0]
+        real = _real_rows(W, 1e-9)
+        W[real] = W[real].real
+        return _member(spec.inner, W, tol)
     if isinstance(spec, Union):
-        return any(contains(part, z, tol) for part in spec.parts)
+        inside = np.zeros(len(Z), dtype=bool)
+        for part in spec.parts:
+            rest = ~inside
+            inside[rest] = _member(part, Z[rest], tol)
+        return inside
     if isinstance(spec, BallIntersection):
-        if np.linalg.norm(z - spec.c) > spec.radius + tol:
-            return False
-        return contains(spec.inner, z, tol)
+        inside = ~(_row_norms(Z - spec.c) > spec.radius + tol)
+        inside[inside] = _member(spec.inner, Z[inside], tol)
+        return inside
     raise TypeError(f"unknown SetSpec kind {type(spec).__name__}")
 
 
@@ -615,9 +643,8 @@ def _sample_ballcap(spec, count, seed):
         shell = c[None, :] + r * np.exp(1j * ang)[:, None]
     else:
         shell = c[None, :] + r * _sphere3_points(nb, seed + 3)
-    keep = [contains(spec.inner, q) for q in shell]
-    shell = shell[np.array(keep, dtype=bool)] if len(shell) else shell
-    pts = np.vstack([inside, shell]) if len(shell) else inside
+    shell = shell[contains(spec.inner, shell)]
+    pts = np.vstack([inside, shell])
     rad = float(np.max(np.linalg.norm(pts, axis=1)))
     return pts, h, rad, bf
 

@@ -1,30 +1,29 @@
 """Deterministic output formats: canonical JSON, CSV, and SVG plot data.
 
-All floats are written with 17 significant digits so identical inputs produce
-byte-identical files.  Writes go through a temp file plus rename so concurrent
-writers never expose partial content.
+Every float is written as its shortest round-trip decimal text (Python's
+repr), so identical inputs produce byte-identical files.  Writes go through a
+temp file plus rename so concurrent writers never expose partial content.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
+import numpy as np
+
 
 def format_float(x):
-    """17-significant-digit decimal representation, stable across runs."""
+    """Shortest round-trip decimal text of a number, stable across runs.
+
+    Floats go through repr, which also gives nan, inf, -inf and -0.0.
+    """
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x) if float(repr(x)) == x else format(x, ".17g")
+    return repr(float(x))
 
 
 def _canonicalize(obj):
@@ -77,9 +76,11 @@ def write_csv(path, header, rows):
     """CSV with ',' separator, '.' decimal, mandatory header row."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, (int, float)) or hasattr(v, "item")
-            else str(v) for v in row))
+        # a Python float's repr is what format_float returns for it
+        lines.append(",".join([
+            repr(v) if type(v) is float
+            else format_float(v) if isinstance(v, (int, float)) or hasattr(v, "item")
+            else str(v) for v in row]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -91,26 +92,37 @@ _SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="480" height="480" '
              'viewBox="0 0 480 480">\n')
 
 
-def _marching_segments(xs, ys, values, level):
-    """Line segments of the level set via marching squares (no saddles split)."""
-    segs = []
-    ny, nx = values.shape
-    for i in range(ny - 1):
-        for j in range(nx - 1):
-            corners = [(xs[j], ys[i], values[i, j]),
-                       (xs[j + 1], ys[i], values[i, j + 1]),
-                       (xs[j + 1], ys[i + 1], values[i + 1, j + 1]),
-                       (xs[j], ys[i + 1], values[i + 1, j])]
-            pts = []
-            for k in range(4):
-                x0, y0, v0 = corners[k]
-                x1, y1, v1 = corners[(k + 1) % 4]
-                if (v0 - level) * (v1 - level) < 0:
-                    t = (level - v0) / (v1 - v0)
-                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-    return segs
+def _marching_segments(xs, ys, values, levels):
+    """Line segments of each level set via marching squares (no saddles split).
+
+    The edges of cell (i, j) run 0..3 around its corners (xs[j], ys[i]),
+    (xs[j+1], ys[i]), (xs[j+1], ys[i+1]), (xs[j], ys[i+1]); a cell with two or
+    more crossing edges gives one segment, between the crossings of the first
+    two.  Returns, per level, the arrays (px, py, qx, qy) of segment ends,
+    cells in row-major order.
+    """
+    X, Y = np.meshgrid(xs, ys)
+
+    def corners(a):
+        # (cells, 4): corner k of each cell, and corner k + 1 (mod 4)
+        c = np.stack([a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]],
+                     axis=-1).reshape(-1, 4)
+        return c, c[:, [1, 2, 3, 0]]
+
+    (x0, x1), (y0, y1), (v0, v1) = corners(X), corners(Y), corners(values)
+    out = []
+    for level in levels:
+        cross = (v0 - level) * (v1 - level) < 0
+        cells = np.flatnonzero(np.count_nonzero(cross, axis=1) >= 2)
+        cross = cross[cells]
+        first = cross.argmax(axis=1)
+        cross[np.arange(len(cells)), first] = False
+        ends = []
+        for e in ((cells, first), (cells, cross.argmax(axis=1))):
+            t = (level - v0[e]) / (v1[e] - v0[e])
+            ends += [x0[e] + t * (x1[e] - x0[e]), y0[e] + t * (y1[e] - y0[e])]
+        out.append(ends)
+    return out
 
 
 def field_contour_svg(path, xs, ys, values, levels):
@@ -132,11 +144,11 @@ def field_contour_svg(path, xs, ys, values, levels):
     xss = xs[::step]
     yss = ys[::step]
     parts = [_SVG_HEAD]
-    for lev in levels:
-        segs = _marching_segments(xss, yss, vs, lev)
-        d = []
-        for (px, py), (qx, qy) in segs:
-            d.append(f"M {tx(px):.3f} {ty(py):.3f} L {tx(qx):.3f} {ty(qy):.3f}")
+    for lev, (px, py, qx, qy) in zip(levels,
+                                     _marching_segments(xss, yss, vs, levels)):
+        d = [f"M {a:.3f} {b:.3f} L {c:.3f} {e:.3f}" for a, b, c, e in
+             zip(tx(px).tolist(), ty(py).tolist(), tx(qx).tolist(),
+                 ty(qy).tolist())]
         parts.append(f'<path fill="none" stroke="black" stroke-width="0.7" '
                      f'data-level="{format_float(lev)}" d="{" ".join(d)}"/>\n')
     parts.append("</svg>\n")

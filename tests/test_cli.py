@@ -161,6 +161,24 @@ def test_relative_command(tmp_path):
     assert os.path.exists(os.path.join(out, "relative_field.svg"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_n", "x"), ("grid_n", 64.5), ("grid_n", True), ("grid_n", 32),
+    ("grid_n", 4096), ("tol", "x"), ("tol", 0), ("tol", -1e-8),
+    ("tol", True), ("tol", float("inf")), ("tol", float("nan")),
+    ("set", {"kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
+             "radius": 0.5}),
+])
+def test_relative_manifest_bad_field_exits_schema(tmp_path, capsys, field,
+                                                 value):
+    man = {"command": "relative",
+           "set": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+                   "radius": 0.5},
+           "disc": DISC, field: value}
+    mp = _write_manifest(tmp_path, man)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 def test_equidist_command(tmp_path):
     man = {"command": "equidist", "spec": INTERVAL,
            "degrees": [2, 4, 8, 16],

@@ -8,7 +8,8 @@ from pllab.extremal import (PolyMap, ProjectiveEvaluator, SandwichEvaluator,
                             composition_gap, projective_extremal,
                             relative_extremal_1c, sandwich)
 from pllab.fekete import FubiniStudyWeight, ZeroWeight, solve_fekete
-from pllab.geometry import ComplexBall, Interval, exact_extremal, sample
+from pllab.geometry import (ComplexBall, Interval, Union, contains,
+                            exact_extremal, sample)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,29 @@ def test_relative_field_ball_in_ball_oracle():
     assert err <= 0.02
     assert np.all(f.values >= 0) and np.all(f.values <= 1)
     assert np.all(f.values[f.e_mask] == 0.0)
+
+
+@pytest.mark.parametrize("E, grid_n", [
+    (ComplexBall((0.0,), 0.5), 64),
+    (ComplexBall((0.0,), 0.5), 128),
+    (ComplexBall((0.0,), 0.3), 128),
+    (ComplexBall((0.0,), 1.0), 64),
+    (Union((ComplexBall((-0.4,), 0.2), ComplexBall((0.4,), 0.2))), 96),
+    (Interval(-0.5, 0.5), 96),
+])
+def test_relative_field_e_mask_matches_per_cell(E, grid_n):
+    """The one array membership call gives the mask of the per-cell calls,
+    and for a disc E the mask of |z - c| <= r."""
+    B = ComplexBall((0.0,), 1.0)
+    f = relative_extremal_1c(E, B, grid_n=grid_n, tol=1e-4)
+    Z = (f.xs[None, :] + 1j * f.ys[:, None]).ravel()
+    inside = ~f.outer_mask.ravel()
+    ref = np.zeros(Z.shape, dtype=bool)
+    ref[inside] = [contains(E, np.array([z])) for z in Z[inside]]
+    assert np.array_equal(f.e_mask.ravel(), ref)
+    if isinstance(E, ComplexBall):
+        disc = (np.abs(Z - E.c[0]) <= E.radius) & inside
+        assert np.array_equal(f.e_mask.ravel(), disc)
 
 
 def test_relative_field_e_equals_b():

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from pllab.geometry import (AffineImage, BallIntersection, Box, ComplexBall,
-                            ConvexHull, Cusp, DegenerateSetError,
+from pllab import geometry
+from pllab.geometry import (TOL, AffineImage, BallIntersection, Box,
+                            ComplexBall, ConvexHull, Cusp, DegenerateSetError,
                             DimensionMismatchError, Interval, Point, RealBall,
                             Union, as_point, contains, diameter,
                             exact_extremal, halfdisc_harmonic_measure, sample,
                             spec_from_dict, spec_to_dict)
-from pllab.geometry import _dedupe, _sample_dispatch
+from pllab.geometry import _cusp_gap, _dedupe, _hull_contains, _sample_dispatch
 
 
 def test_point_real_slice_rejects_imaginary():
@@ -82,6 +83,209 @@ def test_union_and_ball_intersection():
     assert contains(cap, 0.9)
     assert not contains(cap, 0.5)       # inside the disc, outside the ball
     assert not contains(cap, 1.2)
+
+
+def _contains_loop(spec, p, tol=TOL):
+    """Per-point reference: the scalar membership test, one point at a time."""
+    z = as_point(p, spec.dim)
+    real = bool(np.all(np.abs(z.imag) <= tol))
+    if isinstance(spec, Interval):
+        return real and spec.a - tol <= z[0].real <= spec.b + tol
+    if isinstance(spec, ComplexBall):
+        return bool(np.linalg.norm(z - spec.c) <= spec.radius + tol)
+    if isinstance(spec, RealBall):
+        return real and bool(
+            np.linalg.norm(z.real - spec.c) <= spec.radius + tol)
+    if isinstance(spec, Box):
+        return real and all(a - tol <= x <= b + tol
+                            for x, (a, b) in zip(z.real, spec.intervals))
+    if isinstance(spec, ConvexHull):
+        return _hull_contains(spec, z, tol)
+    if isinstance(spec, Cusp):
+        return real and _cusp_gap(spec, z.real) <= tol
+    if isinstance(spec, AffineImage):
+        w = np.linalg.solve(spec.A, z - spec.b)
+        if np.all(np.abs(w.imag) <= 1e-9):
+            w = w.real.astype(complex)
+        return _contains_loop(spec.inner, w, tol)
+    if isinstance(spec, Union):
+        return any(_contains_loop(part, z, tol) for part in spec.parts)
+    if isinstance(spec, BallIntersection):
+        if np.linalg.norm(z - spec.c) > spec.radius + tol:
+            return False
+        return _contains_loop(spec.inner, z, tol)
+    raise TypeError(type(spec).__name__)
+
+
+# offsets across the 1e-12 boundary tolerance, inside and outside
+_NEAR = np.array([-3e-12, -1e-12, -0.5e-12, 0.0, 0.5e-12, 0.9e-12, 1.5e-12,
+                  3e-12])
+
+
+def _sphere(n, count, rng):
+    u = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def _probe(spec, rng):
+    """Random points around spec plus points just inside and just outside
+    each boundary, and points with tiny imaginary parts."""
+    n = spec.dim
+    pts = [rng.uniform(-2.5, 2.5, (60, n)) + 0j,
+           rng.uniform(-2.5, 2.5, (20, n)) + 1j * rng.uniform(-1, 1, (20, n))]
+    if isinstance(spec, Interval):
+        ends = np.array([spec.a, spec.b])
+        pts.append((ends[:, None] + _NEAR[None, :]).reshape(-1, 1) + 0j)
+    elif isinstance(spec, (ComplexBall, RealBall)):
+        u = _sphere(n, 12, rng)
+        if isinstance(spec, RealBall):
+            u = u.real / np.linalg.norm(u.real, axis=1, keepdims=True)
+        rad = spec.radius + _NEAR
+        pts.append((spec.c + rad[:, None, None] * u[None]).reshape(-1, n))
+    elif isinstance(spec, Box):
+        lo = np.array([a for a, _ in spec.intervals])
+        hi = np.array([b for _, b in spec.intervals])
+        mid = 0.5 * (lo + hi)
+        for k in range(n):
+            for face in (lo[k], hi[k]):
+                q = np.tile(mid, (len(_NEAR), 1))
+                q[:, k] = face + _NEAR
+                pts.append(q + 0j)
+        pts.append(np.tile(hi, (len(_NEAR), 1)) + _NEAR[:, None])
+    elif isinstance(spec, ConvexHull):
+        V = spec.v
+        t = np.linspace(0.0, 1.0, 5)[:, None]
+        edge = (V[0] * (1 - t) + V[1] * t)
+        normal = np.zeros(n, dtype=complex)
+        normal[-1] = 1.0
+        pts.append(edge + 1e-9 * normal)
+        pts.append(edge - 1e-9 * normal)
+    elif isinstance(spec, Cusp):
+        t = np.linspace(0.05, 1.0, 8)
+        pts.append(spec.h(t) + 0j)
+        pts.append(spec.h(t) + (spec.M * t ** spec.m)[:, None] + 0j)
+    elif isinstance(spec, BallIntersection):
+        u = _sphere(n, 8, rng)
+        rad = spec.radius + _NEAR
+        pts.append((spec.c + rad[:, None, None] * u[None]).reshape(-1, n))
+        pts.append(_probe(spec.inner, rng))
+    elif isinstance(spec, AffineImage):
+        inner = _probe(spec.inner, rng)
+        pts.append(inner @ spec.A.T + spec.b)
+    elif isinstance(spec, Union):
+        pts += [_probe(part, rng) for part in spec.parts]
+    P = np.vstack(pts)
+    # the same points nudged off the real slice, across the tolerance
+    lift = np.zeros(n)
+    lift[0] = 1.0
+    off = P[:: max(1, len(P) // 24)]
+    for eps in (-2e-12, 0.5e-12, 2e-12):
+        pts.append(off + 1j * eps * lift)
+    return np.vstack(pts)
+
+
+MEMBERSHIP_SPECS = [
+    Interval(-1.0, 1.0),
+    ComplexBall((0.3 + 0.1j,), 0.7),
+    ComplexBall((0.0, 0.2j), 1.0),
+    RealBall((0.5,), 1.0),
+    RealBall((0.1, -0.2), 0.8),
+    Box(((0.0, 1.0), (0.0, 2.0))),
+    ConvexHull(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
+    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
+    AffineImage(Interval(-1.0, 1.0), ((2.0,),), (1.0,)),
+    AffineImage(ComplexBall((0.0, 0.0), 1.0),
+                ((1.0, 0.5j), (0.0, 2.0)), (0.1, -0.3j)),
+    Union((Interval(-1.0, 0.0), Interval(0.5, 1.0))),
+    Union((ComplexBall((-0.4,), 0.2), ComplexBall((0.4,), 0.2))),
+    BallIntersection(ComplexBall((0.0,), 1.0), (1.0,), 0.3),
+    BallIntersection(Box(((0.0, 1.0), (0.0, 1.0))), (1.0, 1.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("spec", MEMBERSHIP_SPECS,
+                         ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("tol", [TOL, 1e-9])
+def test_contains_array_matches_per_point(spec, tol):
+    P = _probe(spec, np.random.default_rng(7))
+    ref = np.array([_contains_loop(spec, p, tol) for p in P])
+    got = contains(spec, P, tol)
+    assert got.dtype == bool and got.shape == (len(P),)
+    assert np.array_equal(got, ref)
+    assert 0 < ref.sum() < len(ref)
+    single = [contains(spec, p, tol) for p in P]
+    assert all(type(v) is bool for v in single)
+    assert single == ref.tolist()
+
+
+def _radius_reaching(norm):
+    """A radius r with r + TOL == norm exactly, or None."""
+    r = norm - TOL
+    for _ in range(4):
+        if r + TOL == norm:
+            return r
+        r = np.nextafter(r, np.inf if r + TOL < norm else -np.inf)
+    return None
+
+
+@pytest.mark.parametrize("kind", [ComplexBall, RealBall])
+def test_contains_ball_threshold_is_linalg_norm(kind):
+    """A point whose np.linalg.norm distance is exactly radius + tol is
+    inside, one ulp further is outside, singly and in an array: the batch
+    sums the squares as np.linalg.norm does for one point."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(200):
+        c = rng.standard_normal(2)
+        z = rng.standard_normal(2)
+        if kind is ComplexBall:
+            c = c + 1j * rng.standard_normal(2)
+            z = z + 1j * rng.standard_normal(2)
+        norm = float(np.linalg.norm(z - c))
+        r = _radius_reaching(norm)
+        r_below = _radius_reaching(np.nextafter(norm, 0.0))
+        if r is None or r_below is None:
+            continue
+        spec, short = kind(tuple(c), r), kind(tuple(c), r_below)
+        zc = np.asarray(z, dtype=complex)
+        assert contains(spec, zc) and contains(spec, zc[None, :])[0]
+        assert not contains(short, zc) and not contains(short, zc[None, :])[0]
+        checked += 1
+    assert checked > 100
+
+
+def test_contains_array_dimension_check():
+    with pytest.raises(DimensionMismatchError):
+        contains(ComplexBall((0.0, 0.0), 1.0), np.zeros((3, 1)))
+    assert contains(Interval(-1.0, 1.0), np.zeros((0, 1))).shape == (0,)
+
+
+@pytest.mark.parametrize("inner", [
+    ComplexBall((0.0,), 1.0),
+    Interval(-1.0, 1.0),
+    ComplexBall((0.0, 0.0), 1.0),
+    Box(((0.0, 1.0), (0.0, 1.0))),
+    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
+], ids=lambda s: f"{type(s).__name__}{s.dim}")
+def test_ballcap_shell_filter_matches_per_point(inner, monkeypatch):
+    """Ball-intersection clouds are the same when the shell filter asks
+    contains for the whole shell or one point at a time."""
+    spec = BallIntersection(inner, tuple([0.9] + [0.1] * (inner.dim - 1)),
+                            0.5)
+    want = sample(spec, 300, seed=4)
+
+    def listed(s, p, tol=TOL):
+        if isinstance(p, np.ndarray) and p.ndim == 2:
+            return np.array([_contains_loop(s, q, tol) for q in p], dtype=bool)
+        return _contains_loop(s, p, tol)
+
+    monkeypatch.setattr(geometry, "contains", listed)
+    got = sample(spec, 300, seed=4)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert (got.density_parameter, got.bounding_radius,
+            got.boundary_fraction) == (want.density_parameter,
+                                       want.bounding_radius,
+                                       want.boundary_fraction)
 
 
 def test_sample_interval_deterministic():

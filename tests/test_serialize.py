@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from pllab.extremal import RelativeField
 from pllab.serialize import (atomic_write_text, canonical_json,
                              field_contour_svg, format_float, write_csv,
                              write_json)
@@ -75,3 +77,145 @@ def test_field_contour_svg(tmp_path):
     assert text.count("<path") == 2
     assert "M " in text
 
+
+
+# ---------------------------------------------------------------------------
+# per-cell references for the array writers
+# ---------------------------------------------------------------------------
+
+def _format_float_reference(x):
+    """The 17-digit fallback formatter that format_float replaced."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return repr(x) if float(repr(x)) == x else format(x, ".17g")
+
+
+def _csv_reference(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            _format_float_reference(v)
+            if isinstance(v, (int, float)) or hasattr(v, "item")
+            else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _marching_segments_loop(xs, ys, values, level):
+    """Per-cell marching squares: the first two crossing edges of each cell."""
+    segs = []
+    ny, nx = values.shape
+    for i in range(ny - 1):
+        for j in range(nx - 1):
+            corners = [(xs[j], ys[i], values[i, j]),
+                       (xs[j + 1], ys[i], values[i, j + 1]),
+                       (xs[j + 1], ys[i + 1], values[i + 1, j + 1]),
+                       (xs[j], ys[i + 1], values[i + 1, j])]
+            pts = []
+            for k in range(4):
+                x0, y0, v0 = corners[k]
+                x1, y1, v1 = corners[(k + 1) % 4]
+                if (v0 - level) * (v1 - level) < 0:
+                    t = (level - v0) / (v1 - v0)
+                    pts.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+            if len(pts) >= 2:
+                segs.append((pts[0], pts[1]))
+    return segs
+
+
+def _contour_svg_reference(xs, ys, values, levels):
+    x0, x1 = float(xs[0]), float(xs[-1])
+    y0, y1 = float(ys[0]), float(ys[-1])
+    sx = 460.0 / (x1 - x0)
+    sy = 460.0 / (y1 - y0)
+    step = max(1, values.shape[0] // 128)
+    vs, xss, yss = values[::step, ::step], xs[::step], ys[::step]
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="480" '
+             'height="480" viewBox="0 0 480 480">\n']
+    for lev in levels:
+        d = []
+        for (px, py), (qx, qy) in _marching_segments_loop(xss, yss, vs, lev):
+            d.append(f"M {10.0 + (px - x0) * sx:.3f} {470.0 - (py - y0) * sy:.3f} "
+                     f"L {10.0 + (qx - x0) * sx:.3f} {470.0 - (qy - y0) * sy:.3f}")
+        parts.append(f'<path fill="none" stroke="black" stroke-width="0.7" '
+                     f'data-level="{_format_float_reference(lev)}" '
+                     f'd="{" ".join(d)}"/>\n')
+    parts.append("</svg>\n")
+    return "".join(parts)
+
+
+def _contour_cases():
+    rng = np.random.default_rng(3)
+    deciles = [0.1 * k for k in range(1, 10)]
+    grid = np.linspace(-1.0, 1.0, 40)
+    X, Y = np.meshgrid(grid, grid)
+    big = np.linspace(-1.0, 1.0, 300)
+    BX, BY = np.meshgrid(big, big)
+    uneven_x = np.cumsum(rng.uniform(0.1, 1.0, 35))
+    uneven_y = -1.0 + np.geomspace(1e-3, 2.0, 20)
+    return {
+        "random": (grid, grid, rng.random((40, 40)), deciles),
+        "random-signed": (grid, grid, rng.standard_normal((40, 40)),
+                          [-1.0, -0.25, 0.0, 0.5, 2.0]),
+        "on-levels-deciles": (grid, grid, np.round(rng.random((40, 40)), 1),
+                              deciles),
+        "on-levels-quarters": (grid, grid,
+                               np.round(4 * rng.random((40, 40))) / 4,
+                               [0.25, 0.5, 0.75]),
+        "constant-zero": (grid, grid, np.zeros((40, 40)), deciles),
+        "constant-on-level": (grid, grid, np.full((40, 40), 0.5),
+                              [0.25, 0.5]),
+        "smooth": (grid, grid, X ** 2 + Y ** 2, [0.25, 0.5, 1.0]),
+        "non-square-uneven": (uneven_x, uneven_y, rng.random((20, 35)),
+                              deciles),
+        "subsampled-300": (big, big,
+                           np.hypot(BX, BY) + 0.05 * rng.random((300, 300)),
+                           deciles),
+    }
+
+
+@pytest.mark.parametrize("case", list(_contour_cases()))
+def test_field_contour_svg_matches_per_cell_loop(tmp_path, case):
+    xs, ys, values, levels = _contour_cases()[case]
+    p = tmp_path / "c.svg"
+    field_contour_svg(str(p), xs, ys, values, levels)
+    assert p.read_text() == _contour_svg_reference(xs, ys, values, levels)
+
+
+def _relative_field(xs, ys, values):
+    return RelativeField(xs=xs, ys=ys, values=values,
+                         e_mask=np.zeros(values.shape, dtype=bool),
+                         outer_mask=np.zeros(values.shape, dtype=bool),
+                         residual=0.0, iterations=0)
+
+
+def test_relative_field_csv_matches_row_loop(tmp_path):
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-1.0, 1.0, 7)
+    ys = np.linspace(-0.5, 2.0, 5)
+    values = rng.random((5, 7))
+    values.flat[:6] = [0.0, -0.0, 1.0, 1e-300, 5e-324, 1.0 / 3.0]
+    field = _relative_field(xs, ys, values)
+    rows = []
+    for i, y in enumerate(field.ys):
+        for j, x in enumerate(field.xs):
+            rows.append([x, y, field.values[i, j]])
+    p = tmp_path / "f.csv"
+    field.to_csv(str(p))
+    assert p.read_text() == _csv_reference(["re", "im", "value"], rows)
+
+
+def test_write_csv_cells_match_reference_formatter(tmp_path):
+    row = [1, True, False, np.int64(3), np.float64(0.1), np.float32(0.1),
+           0.1, -0.0, 1e-300, 5e-324, float("nan"), float("inf"),
+           float("-inf"), 2.5e17, "pass", None]
+    p = tmp_path / "m.csv"
+    write_csv(str(p), [str(k) for k in range(len(row))], [row])
+    assert p.read_text() == _csv_reference(
+        [str(k) for k in range(len(row))], [row])
