@@ -69,7 +69,7 @@ def _validate_spec_doc(man, field="spec"):
 def _positive_degree_list(man, field="degrees"):
     ds = _require(man, field, list, lambda v: len(v) >= 1, "must be nonempty")
     for d in ds:
-        if not isinstance(d, int) or d < 1:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise ManifestError(f"field '{field}' is invalid: degree {d!r} "
                                 "must be an integer >= 1")
     return ds
@@ -81,6 +81,10 @@ def validate_manifest(man):
     cmd = _require(man, "command", str)
     if cmd not in COMMANDS:
         raise ManifestError(f"field 'command' is invalid: unknown command {cmd!r}")
+    if cmd in ("fekete", "extremal", "capacity") and "cloud_target" in man:
+        _require(man, "cloud_target", int,
+                 lambda t: not isinstance(t, bool) and t >= 1,
+                 "must be an integer >= 1")
     if cmd in ("fekete", "capacity"):
         _validate_spec_doc(man)
         _positive_degree_list(man)
@@ -96,12 +100,8 @@ def validate_manifest(man):
             raise ManifestError("field 'disc' is invalid: must be a ComplexBall in C^1")
         if "grid_n" in man:
             _require(man, "grid_n", int,
-                     lambda g: not isinstance(g, bool) and 64 <= g <= 2048,
-                     "must be an integer in [64, 2048]")
-        if "tol" in man:
-            _require(man, "tol", (int, float),
-                     lambda t: not isinstance(t, bool) and math.isfinite(t)
-                     and t > 0, "must be a finite positive number")
+                     lambda g: not isinstance(g, bool) and 64 <= g <= 1024,
+                     "must be an integer in [64, 1024]")
     elif cmd == "scan-regularity":
         _validate_spec_doc(man)
         _require(man, "anchor", list)
@@ -260,8 +260,7 @@ def _run_extremal(man, outdir, cache):
 def _run_relative(man, outdir, cache):
     E = spec_from_dict(man["set"])
     B = spec_from_dict(man["disc"])
-    field = relative_extremal_1c(E, B, grid_n=man.get("grid_n", 256),
-                                 tol=man.get("tol", 1e-8))
+    field = relative_extremal_1c(E, B, grid_n=man.get("grid_n", 256))
     field.to_csv(os.path.join(outdir, "relative_field.csv"))
     field.to_svg(os.path.join(outdir, "relative_field.svg"))
     write_json(os.path.join(outdir, "relative.json"),

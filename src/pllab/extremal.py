@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .fekete import FubiniStudyWeight, ZeroWeight
 from .geometry import ComplexBall, as_point, contains
@@ -152,8 +154,10 @@ class RelativeField:
 
     def to_csv(self, path):
         from .serialize import write_csv
-        nx, ny = len(self.xs), len(self.ys)
-        rows = zip(np.tile(self.xs, ny).tolist(), np.repeat(self.ys, nx).tolist(),
+        # format each coordinate once; write_csv writes a str cell as is
+        re = [repr(x) for x in self.xs.tolist()]
+        im = [repr(y) for y in self.ys.tolist()]
+        rows = zip(re * len(im), np.repeat(im, len(re)).tolist(),
                    self.values.ravel().tolist())
         write_csv(path, ["re", "im", "value"], rows)
 
@@ -163,12 +167,15 @@ class RelativeField:
                           levels or [0.1 * k for k in range(1, 10)])
 
 
-def relative_extremal_1c(E, B, grid_n=256, tol=1e-8, omega=1.9,
-                         max_sweeps=10 ** 6):
+def relative_extremal_1c(E, B, grid_n=256):
     """Zero-one relative extremal function of E inside the disc B.
 
-    Red-black over-relaxation of the 5-point Laplacian with values clamped to 0
-    on E-cells and 1 on/outside the disc boundary.
+    In C^1 this is the harmonic measure of the boundary of B in B minus E, so
+    its 5-point discretization is one linear system: cells in E are fixed at
+    0, cells on or outside the boundary of B at 1, and the free cells solve
+    the discrete Laplace equation, factored once by a sparse LU.  `residual`
+    is the largest 5-point residual on the free cells; `iterations` counts
+    linear solves (1, or 0 when no cell is free).
     """
     if not isinstance(B, ComplexBall) or B.dim != 1:
         raise ValueError("B must be a ComplexBall in C^1")
@@ -181,6 +188,10 @@ def relative_extremal_1c(E, B, grid_n=256, tol=1e-8, omega=1.9,
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     outer = np.abs(Z - c) >= r
+    # rounding can put the middle of a grid side just inside the disc; the
+    # solve needs every free cell to have its four neighbours on the grid
+    outer[[0, -1], :] = True
+    outer[:, [0, -1]] = True
     e_mask = np.zeros(Z.shape, dtype=bool)
     e_mask[~outer] = contains(E, Z[~outer][:, None])
 
@@ -196,30 +207,24 @@ def relative_extremal_1c(E, B, grid_n=256, tol=1e-8, omega=1.9,
         raise ValueError("E touches the boundary of B")
 
     v = np.where(outer, 1.0, 0.0)
-    ii, jj = np.meshgrid(np.arange(grid_n), np.arange(grid_n), indexing="ij")
-    red = ((ii + jj) % 2 == 0)
-    masks = [free & red, free & ~red]
-    update = np.inf
-    sweeps = 0
-    while update > tol and sweeps < max_sweeps:
-        update = 0.0
-        for mcolor in masks:
-            nb = np.zeros_like(v)
-            nb[1:-1, 1:-1] = 0.25 * (v[:-2, 1:-1] + v[2:, 1:-1] +
-                                     v[1:-1, :-2] + v[1:-1, 2:])
-            delta = np.where(mcolor, omega * (nb - v), 0.0)
-            v = v + delta
-            upd = float(np.max(np.abs(delta)))
-            update = max(update, upd)
-        v = np.clip(v, 0.0, 1.0)
-        sweeps += 1
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid_n, grid_n))
+    L = sp.kronsum(T, T, format="csr")
+    f = free.ravel()
+    rows = L[f]
+    # symmetric positive definite: no pivoting, and a symmetric ordering
+    # keeps the fill down; SuperLU's two dense work arrays hold
+    # panel_size columns each, so a one-column panel keeps the peak memory
+    # down too (factoring grid 1024: 0.39 GB, 0.57 GB at the default of 10)
+    lu = splu(rows[:, f].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, panel_size=1,
+              options={"SymmetricMode": True})
+    v[free] = lu.solve(-(rows[:, ~f] @ v[~free]))
+    v = np.clip(v, 0.0, 1.0)
     nb = np.zeros_like(v)
     nb[1:-1, 1:-1] = 0.25 * (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:])
     residual = float(np.max(np.abs(np.where(free, nb - v, 0.0))))
-    if update > tol:
-        raise RuntimeError("relaxation did not converge within the sweep cap")
     return RelativeField(xs=xs, ys=ys, values=v, e_mask=e_mask,
-                         outer_mask=outer, residual=residual, iterations=sweeps)
+                         outer_mask=outer, residual=residual, iterations=1)
 
 
 # ---------------------------------------------------------------------------

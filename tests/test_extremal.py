@@ -169,9 +169,17 @@ def test_relative_field_ball_in_ball_oracle():
 ])
 def test_relative_field_e_mask_matches_per_cell(E, grid_n):
     """The one array membership call gives the mask of the per-cell calls,
-    and for a disc E the mask of |z - c| <= r."""
+    and for a disc E the mask of |z - c| <= r; the values solve the discrete
+    5-point problem with 0 on E and 1 on and outside the circle."""
     B = ComplexBall((0.0,), 1.0)
-    f = relative_extremal_1c(E, B, grid_n=grid_n, tol=1e-4)
+    f = relative_extremal_1c(E, B, grid_n=grid_n)
+    v = f.values
+    assert np.all(v[f.e_mask] == 0.0) and np.all(v[f.outer_mask] == 1.0)
+    assert np.all((v >= 0.0) & (v <= 1.0))
+    i, j = np.nonzero(~(f.e_mask | f.outer_mask))
+    nb = (v[i - 1, j] + v[i + 1, j] + v[i, j - 1] + v[i, j + 1]) / 4.0
+    assert np.max(np.abs(nb - v[i, j]), initial=0.0) <= 1e-12
+    assert f.residual <= 1e-12
     Z = (f.xs[None, :] + 1j * f.ys[:, None]).ravel()
     inside = ~f.outer_mask.ravel()
     ref = np.zeros(Z.shape, dtype=bool)
@@ -180,6 +188,17 @@ def test_relative_field_e_mask_matches_per_cell(E, grid_n):
     if isinstance(E, ComplexBall):
         disc = (np.abs(Z - E.c[0]) <= E.radius) & inside
         assert np.array_equal(f.e_mask.ravel(), disc)
+
+
+def test_relative_field_grid_border_is_outer():
+    """Rounding puts the middle of a grid side just inside this disc; that
+    cell still holds the boundary value 1."""
+    B = ComplexBall((-1.2 - 0.46j,), 0.6)
+    f = relative_extremal_1c(ComplexBall((-1.2 - 0.46j,), 0.2), B, grid_n=65)
+    border = np.ones(f.values.shape, dtype=bool)
+    border[1:-1, 1:-1] = False
+    assert np.all(f.outer_mask[border])
+    assert np.all(f.values[border] == 1.0)
 
 
 def test_relative_field_e_equals_b():
