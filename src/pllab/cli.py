@@ -28,8 +28,7 @@ from .geometry import (ComplexBall, Interval, exact_extremal, sample,
                        spec_from_dict, spec_to_dict)
 from .regularity import (capacity_density_from_supnorm, hcp_scan,
                          localization_experiment)
-from .serialize import (atomic_write_text, canonical_json, format_float,
-                        write_csv, write_json)
+from .serialize import atomic_write_text, canonical_json, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -66,6 +65,40 @@ def _validate_spec_doc(man, field="spec"):
         raise ManifestError(f"field '{field}' is invalid: {exc}")
 
 
+_FMAX = sys.float_info.max
+
+
+def _real(x):
+    """A finite int or float, not a bool; an int must convert to a float."""
+    return type(x) in (int, float) and -_FMAX <= x <= _FMAX
+
+
+def _pair(v):
+    return type(v) is list and len(v) == 2 and _real(v[0]) and _real(v[1])
+
+
+def _degree(man):
+    return _require(man, "degree", int,
+                    lambda d: not isinstance(d, bool) and d >= 1,
+                    "must be an integer >= 1")
+
+
+def _points_ok(points, dim):
+    """Every point is a list of dim [re, im] pairs of finite numbers."""
+    # _pair and _real inlined: an extremal manifest can hold 10^4 points
+    for p in points:
+        if type(p) is not list or len(p) != dim:
+            return False
+        for z in p:
+            if type(z) is not list or len(z) != 2:
+                return False
+            a, b = z
+            if (type(a) not in (int, float) or type(b) not in (int, float)
+                    or not (-_FMAX <= a <= _FMAX and -_FMAX <= b <= _FMAX)):
+                return False
+    return True
+
+
 def _positive_degree_list(man, field="degrees"):
     ds = _require(man, field, list, lambda v: len(v) >= 1, "must be nonempty")
     for d in ds:
@@ -89,9 +122,12 @@ def validate_manifest(man):
         _validate_spec_doc(man)
         _positive_degree_list(man)
     elif cmd == "extremal":
-        _validate_spec_doc(man)
-        _require(man, "degree", int, lambda d: d >= 1, "must be >= 1")
-        _require(man, "points", list, lambda p: len(p) >= 1, "must be nonempty")
+        dim = _validate_spec_doc(man).dim
+        _degree(man)
+        _require(man, "points", list,
+                 lambda p: len(p) >= 1 and _points_ok(p, dim),
+                 f"must be a nonempty list of points, each a list of {dim} "
+                 "[re, im] pairs of finite numbers")
     elif cmd == "relative":
         if _validate_spec_doc(man, "set").dim != 1:
             raise ManifestError("field 'set' is invalid: must be a set in C^1")
@@ -108,17 +144,17 @@ def validate_manifest(man):
         _require(man, "radii", list, lambda r: len(r) >= 1, "must be nonempty")
         _require(man, "delta_grid", list, lambda g: len(g) >= 6,
                  "needs at least 6 points")
-        _require(man, "degree", int, lambda d: d >= 1, "must be >= 1")
+        _degree(man)
     elif cmd == "localize":
         _validate_spec_doc(man)
         _require(man, "anchor", list)
         _require(man, "radius", (int, float), lambda r: r > 0, "must be positive")
-        _require(man, "degree", int, lambda d: d >= 1, "must be >= 1")
+        _degree(man)
     elif cmd == "equidist":
         _validate_spec_doc(man)
         _positive_degree_list(man)
-        _require(man, "measure", dict)
-        _require(man, "test_function", dict)
+        _measure_from_doc(_require(man, "measure", dict))
+        _test_function_from_doc(_require(man, "test_function", dict))
     return man
 
 
@@ -203,6 +239,10 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _coord_header(dim):
+    return [f"{part}{k + 1}" for k in range(dim) for part in ("re", "im")]
+
+
 def _run_fekete(man, outdir, cache):
     spec = spec_from_dict(man["spec"])
     seed = man.get("seed", 0)
@@ -213,19 +253,11 @@ def _run_fekete(man, outdir, cache):
         config, _, hit = cached_fekete(spec, d, weight_tag, seed, target, cache)
         if hit:
             print(f"cache hit: fekete degree {d}", file=sys.stderr)
-        doc = config.to_dict()
-        results.append(doc)
-        nodes_rows = []
-        for row in config.nodes:
-            flat = []
-            for z in row:
-                flat.extend([z.real, z.imag])
-            nodes_rows.append(flat)
-        header = []
-        for k in range(spec.dim):
-            header.extend([f"re{k + 1}", f"im{k + 1}"])
+        results.append(config.to_dict())
+        z = config.nodes
+        rows = np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
         write_csv(os.path.join(outdir, f"fekete_nodes_d{d}.csv"),
-                  header, nodes_rows)
+                  _coord_header(spec.dim), rows.tolist())
     write_json(os.path.join(outdir, "fekete.json"),
                {"spec": man["spec"], "configs": results})
 
@@ -238,23 +270,16 @@ def _run_extremal(man, outdir, cache):
     weight_tag = man.get("weight", "zero")
     config, cloud, _ = cached_fekete(spec, d, weight_tag, seed, target, cache)
     ev = SandwichEvaluator(config, cloud)
-    pts = np.array([[complex(a, b) for a, b in p] for p in man["points"]])
-    lower, upper = ev.bounds(pts)
-    rows = []
-    for p, lo, up in zip(pts, lower, upper):
-        flat = []
-        for z in p:
-            flat.extend([z.real, z.imag])
-        rows.append(flat + [float(lo), float(up)])
-    header = []
-    for k in range(spec.dim):
-        header.extend([f"re{k + 1}", f"im{k + 1}"])
+    xy = np.asarray(man["points"], dtype=float)     # (k, n, 2): re, im
+    # each (re, im) pair read in place as one complex: signed zeros kept
+    lower, upper = (b.tolist() for b in ev.bounds(xy.view(complex)[..., 0]))
+    rows = [p + [lo, up] for p, lo, up in
+            zip(xy.reshape(len(xy), -1).tolist(), lower, upper)]
     write_csv(os.path.join(outdir, "extremal.csv"),
-              header + ["lower", "upper"], rows)
+              _coord_header(spec.dim) + ["lower", "upper"], rows)
     write_json(os.path.join(outdir, "extremal.json"),
                {"degree": d, "gamma": config.gamma, "gap": ev.gap,
-                "lower": [float(x) for x in lower],
-                "upper": [float(x) for x in upper]})
+                "lower": lower, "upper": upper})
 
 
 def _run_relative(man, outdir, cache):
@@ -308,21 +333,50 @@ def _run_capacity(man, outdir, cache):
                {"degrees": man["degrees"], "transfinite_diameter": cap})
 
 
+_NUMBER = (_real, "a finite number")
+_CENTER = (lambda v: type(v) is list and 1 <= len(v) <= 2
+           and all(map(_real, v)), "[re] or [re, im] of finite numbers")
+_NUMBERS = (lambda v: type(v) is list and len(v) >= 1 and all(map(_real, v)),
+            "a nonempty list of finite numbers")
+_PAIRS = (lambda v: type(v) is list and len(v) >= 1 and all(map(_pair, v)),
+          "a nonempty list of [re, im] pairs of finite numbers")
+
+
+def _get(doc, key, check):
+    """doc[key], or ValueError when it is missing or fails check."""
+    ok, what = check
+    if key not in doc:
+        raise ValueError(f"missing '{key}'")
+    if not ok(doc[key]):
+        raise ValueError(f"'{key}' must be {what}")
+    return doc[key]
+
+
 def _measure_from_doc(doc):
     kind = doc.get("kind")
-    if kind == "arcsine":
-        return Arcsine(doc["a"], doc["b"])
-    if kind == "uniform-circle":
-        return UniformCircle(complex(*doc["center"]), doc["radius"])
+    try:
+        if kind == "arcsine":
+            return Arcsine(_get(doc, "a", _NUMBER), _get(doc, "b", _NUMBER))
+        if kind == "uniform-circle":
+            return UniformCircle(complex(*_get(doc, "center", _CENTER)),
+                                 _get(doc, "radius", _NUMBER))
+    except ValueError as exc:
+        raise ManifestError(f"field 'measure' is invalid: {exc}") from None
     raise ManifestError(f"field 'measure' is invalid: unknown kind {kind!r}")
 
 
 def _test_function_from_doc(doc):
     kind = doc.get("kind")
-    if kind == "polynomial":
-        return Polynomial([complex(a, b) for a, b in doc["coefficients"]])
-    if kind == "tabulated":
-        return TabulatedLipschitz(doc["grid"], doc["values"])
+    try:
+        if kind == "polynomial":
+            return Polynomial([complex(a, b) for a, b in
+                               _get(doc, "coefficients", _PAIRS)])
+        if kind == "tabulated":
+            return TabulatedLipschitz(_get(doc, "grid", _NUMBERS),
+                                      _get(doc, "values", _NUMBERS))
+    except ValueError as exc:
+        raise ManifestError(
+            f"field 'test_function' is invalid: {exc}") from None
     raise ManifestError(f"field 'test_function' is invalid: unknown kind {kind!r}")
 
 
@@ -390,11 +444,15 @@ def run_manifest(man, outdir, cache_dir=None):
     """Execute one validated manifest; returns the manifest content hash."""
     validate_manifest(man)
     os.makedirs(outdir, exist_ok=True)
-    cache = Cache(cache_dir)
-    h = manifest_hash(man)
-    _RUNNERS[man["command"]](man, outdir, cache)
-    write_json(os.path.join(outdir, "manifest.json"),
-               {"manifest": man, "hash": h, "version": __version__})
+    _RUNNERS[man["command"]](man, outdir, Cache(cache_dir))
+    # runners leave the manifest as it is: encode it once, after the run
+    # (not held through it), for both the hash and
+    # canonical_json({"hash": h, "manifest": man, "version": __version__})
+    text = canonical_json(man)
+    h = hashlib.sha256(text.encode()).hexdigest()
+    atomic_write_text(os.path.join(outdir, "manifest.json"),
+                      f'{{"hash":"{h}","manifest":{text},'
+                      f'"version":{json.dumps(__version__)}}}\n')
     return h
 
 

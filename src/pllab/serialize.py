@@ -1,7 +1,9 @@
 """Deterministic output formats: canonical JSON, CSV, and SVG plot data.
 
 Every float is written as its shortest round-trip decimal text (Python's
-repr), so identical inputs produce byte-identical files.  Writes go through a
+repr), so identical inputs produce byte-identical files.  Canonical JSON
+takes dicts with ``str`` keys only, and writes numpy arrays and scalars as
+the Python values their ``tolist``/``item`` return.  Writes go through a
 temp file plus rename so concurrent writers never expose partial content.
 """
 
@@ -26,32 +28,27 @@ def format_float(x):
     return repr(float(x))
 
 
-def _canonicalize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonicalize(obj[k]) for k in sorted(obj, key=str)}
-    if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if hasattr(obj, "tolist"):
-        return _canonicalize(obj.tolist())
-    if hasattr(obj, "item"):
-        return _canonicalize(obj.item())
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+def _plain(o):
+    # json's C encoder hands over what it cannot write itself: numpy arrays
+    # and scalars (np.float64 is a float subclass and never gets here)
+    if hasattr(o, "tolist"):
+        return o.tolist()
+    if hasattr(o, "item"):
+        return o.item()
+    raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
 def canonical_json(obj):
-    """Sorted-keys JSON text with fixed float formatting."""
-    canon = _canonicalize(obj)
+    """Sorted-keys JSON text with fixed float formatting, in one C encode.
 
-    def default(o):
-        raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-    # json always uses repr(float), which is shortest-roundtrip and stable
-    return json.dumps(canon, sort_keys=True, separators=(",", ":"),
-                      default=default, allow_nan=True)
+    Dict keys must be ``str``.  Numpy arrays and scalars are written as the
+    Python values their ``tolist``/``item`` return; anything else that JSON
+    cannot encode raises TypeError.  Floats, float subclasses included, are
+    written with ``float.__repr__``: shortest round-trip text, with NaN and
+    Infinity for the non-finite values.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=True, default=_plain)
 
 
 def atomic_write_text(path, text):

@@ -1,13 +1,19 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pllab
-from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, ManifestError,
-                       main, manifest_hash, validate_manifest)
+from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, Cache,
+                       ManifestError, cached_fekete, main, manifest_hash,
+                       validate_manifest)
+from pllab.extremal import SandwichEvaluator
+from pllab.geometry import spec_from_dict
+from test_serialize import canonical_json_reference
 
 DISC = {"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": 1.0}
 INTERVAL = {"kind": "Interval", "a": -1.0, "b": 1.0}
@@ -199,6 +205,189 @@ def test_solve_manifest_bad_field_exits_schema(tmp_path, capsys, command,
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# extremal outputs against the per-point loop and the two-encode manifest.json
+# ---------------------------------------------------------------------------
+
+def _extremal_reference(man):
+    """extremal.csv, extremal.json and manifest.json as the per-point row
+    loop and the two-encode manifest.json write produced them."""
+    spec = spec_from_dict(man["spec"])
+    config, cloud, _ = cached_fekete(spec, man["degree"], "zero",
+                                     man.get("seed", 0),
+                                     man.get("cloud_target", 2001), Cache(None))
+    ev = SandwichEvaluator(config, cloud)
+    pts = np.array([[complex(a, b) for a, b in p] for p in man["points"]])
+    lower, upper = ev.bounds(pts)
+    rows = []
+    for p, lo, up in zip(pts, lower, upper):
+        flat = []
+        for z in p:
+            flat.extend([z.real, z.imag])
+        rows.append(flat + [float(lo), float(up)])
+    header = []
+    for k in range(spec.dim):
+        header.extend([f"re{k + 1}", f"im{k + 1}"])
+    csv = "\n".join([",".join(header + ["lower", "upper"])]
+                    + [",".join(repr(float(v)) for v in row)
+                       for row in rows]) + "\n"
+    doc = {"degree": man["degree"], "gamma": config.gamma, "gap": ev.gap,
+           "lower": [float(x) for x in lower],
+           "upper": [float(x) for x in upper]}
+    h = hashlib.sha256(canonical_json_reference(man).encode()).hexdigest()
+    manifest = {"manifest": man, "hash": h, "version": pllab.__version__}
+    return {"extremal.csv": csv,
+            "extremal.json": canonical_json_reference(doc) + "\n",
+            "manifest.json": canonical_json_reference(manifest) + "\n"}
+
+
+BALL2 = {"kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
+         "radius": 1.0}
+REALBALL = {"kind": "RealBall", "center": [0.0, 0.0], "radius": 1.0}
+EXTREMAL_REFERENCE_CASES = {
+    "disc": (DISC, [[[2, 0]], [[-0.0, 1.5]], [[1.5, -0.0]], [[-0.0, -3]],
+                    [[2.0, 5e-324]], [[-1.25, 1.0 / 3.0]]]),
+    "interval": (INTERVAL, [[[2, -0.0]], [[-0.0, 2.0]], [[0, 1]],
+                            [[-1.5, 0.25]], [[1e3, -1e-3]]]),
+    "ball2": (BALL2, [[[2, 0], [-0.0, 0.0]], [[0.0, -0.0], [1, -2]],
+                      [[-0.0, 1.5], [0.5, -0.0]], [[0.3, 0.4], [1.1, -1.2]]]),
+    "realball": (REALBALL, [[[2, 0], [-0.0, 0]], [[-1.5, -0.0], [1, 1]],
+                            [[0.0, 0.0], [3, -0.0]]]),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTREMAL_REFERENCE_CASES))
+def test_extremal_outputs_match_reference(tmp_path, case):
+    spec, points = EXTREMAL_REFERENCE_CASES[case]
+    man = {"command": "extremal", "spec": spec, "degree": 4,
+           "points": points, "cloud_target": 401, "seed": 3}
+    out = str(tmp_path / "o")
+    assert main(["--manifest", _write_manifest(tmp_path, man),
+                 "--out", out, "--no-cache"]) == EXIT_OK
+    for name, text in _extremal_reference(man).items():
+        with open(os.path.join(out, name), encoding="utf-8") as f:
+            assert f.read() == text, name
+
+
+def test_manifest_json_matches_two_encode_write(tmp_path):
+    # keys out of order, non-ASCII text, -0.0 and special floats
+    man = {"seed": 7, "degrees": [3], "spec": INTERVAL, "command": "fekete",
+           "note": "λ–✓", "extra": [-0.0, 5e-324, 1e300, {"b": 1, "a": 2}]}
+    out = str(tmp_path / "o")
+    assert main(["--manifest", _write_manifest(tmp_path, man),
+                 "--out", out, "--no-cache"]) == EXIT_OK
+    h = hashlib.sha256(canonical_json_reference(man).encode()).hexdigest()
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as f:
+        assert f.read() == canonical_json_reference(
+            {"manifest": man, "hash": h,
+             "version": pllab.__version__}) + "\n"
+    assert manifest_hash(man) == h
+
+
+# ---------------------------------------------------------------------------
+# manifest boundary: nested fields exit 2 and name the field
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec, points", [
+    (DISC, [[2.0]]), (DISC, [[["x", 0.0]]]), (DISC, [[[True, 0.0]]]),
+    (DISC, [[[2.0, False]]]), (DISC, [[[2.0, None]]]),
+    (DISC, [[[2.0, 0.0], [1.0, 0.0]]]), (DISC, [[]]), (DISC, []),
+    (DISC, [[[2.0, 0.0, 1.0]]]), (DISC, [[[2.0]]]), (DISC, "x"),
+    (DISC, [[[float("nan"), 0.0]]]), (DISC, [[[2.0, float("inf")]]]),
+    (DISC, [[[10 ** 400, 0.0]]]), (DISC, [[[2.0, 0.0]], [[1.0, 0.0], 5]]),
+    (DISC, [[[2.0, 0.0]], [[1.0, 0.0]], [[1.0, "0"]]]),
+    (DISC, [{"re": 2.0, "im": 0.0}]),
+    (BALL2, [[[2.0, 0.0]]]), (BALL2, [[[2.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]),
+    (BALL2, [[[2.0, 0.0], [True, 0.0]]]),
+])
+def test_extremal_bad_points_exit_schema(tmp_path, capsys, spec, points):
+    man = {"command": "extremal", "spec": spec, "degree": 2,
+           "points": points, "cloud_target": 401}
+    mp = _write_manifest(tmp_path, man)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o"),
+                 "--no-cache"]) == EXIT_SCHEMA
+    assert "field 'points'" in capsys.readouterr().err
+
+
+SCALAR_DEGREE_MANIFESTS = {
+    "extremal": SOLVE_MANIFESTS["extremal"],
+    "scan-regularity": {"command": "scan-regularity", "spec": INTERVAL,
+                        "anchor": [[1.0, 0.0]], "radii": [0.5, 0.25],
+                        "delta_grid": [0.1 * 0.7 ** k for k in range(8)],
+                        "degree": 4},
+    "localize": {"command": "localize", "spec": DISC,
+                 "anchor": [[1.0, 0.0]], "radius": 0.3, "degree": 4},
+}
+
+
+@pytest.mark.parametrize("command", list(SCALAR_DEGREE_MANIFESTS))
+@pytest.mark.parametrize("degree", [True, False, 0, 2.0, "4"])
+def test_scalar_degree_exits_schema(tmp_path, capsys, command, degree):
+    man = dict(SCALAR_DEGREE_MANIFESTS[command], degree=degree)
+    mp = _write_manifest(tmp_path, man)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert "field 'degree'" in capsys.readouterr().err
+
+
+EQUIDIST = {"command": "equidist", "spec": INTERVAL,
+            "degrees": [2, 4, 6, 8],
+            "measure": {"kind": "arcsine", "a": -1.0, "b": 1.0},
+            "test_function": {"kind": "polynomial",
+                              "coefficients": [[0.0, 0.0], [1.0, 0.0]]}}
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("measure", {"kind": "arcsine", "b": 1.0}),
+    ("measure", {"kind": "arcsine", "a": "x", "b": 1.0}),
+    ("measure", {"kind": "arcsine", "a": -1.0, "b": None}),
+    ("measure", {"kind": "arcsine", "a": True, "b": 2.0}),
+    ("measure", {"kind": "arcsine", "a": 1.0, "b": -1.0}),
+    ("measure", {"kind": "arcsine", "a": -1.0, "b": float("inf")}),
+    ("measure", {"kind": "uniform-circle", "center": [0.0, 0.0]}),
+    ("measure", {"kind": "uniform-circle", "center": "x", "radius": 1.0}),
+    ("measure", {"kind": "uniform-circle", "center": [], "radius": 1.0}),
+    ("measure", {"kind": "uniform-circle", "center": [0.0, 0.0, 1.0],
+                 "radius": 1.0}),
+    ("measure", {"kind": "uniform-circle", "center": [0.0, None],
+                 "radius": 1.0}),
+    ("measure", {"kind": "uniform-circle", "center": [0.0, 0.0],
+                 "radius": "1"}),
+    ("measure", {"kind": "uniform-circle", "center": [0.0, 0.0],
+                 "radius": -1.0}),
+    ("measure", {"kind": "gaussian"}),
+    ("test_function", {"kind": "polynomial"}),
+    ("test_function", {"kind": "polynomial", "coefficients": [["x", 0.0]]}),
+    ("test_function", {"kind": "polynomial", "coefficients": [[1.0]]}),
+    ("test_function", {"kind": "polynomial", "coefficients": []}),
+    ("test_function", {"kind": "polynomial", "coefficients": 3}),
+    ("test_function", {"kind": "tabulated", "grid": [-1.0, 1.0]}),
+    ("test_function", {"kind": "tabulated", "grid": ["x"], "values": [1.0]}),
+    ("test_function", {"kind": "tabulated", "grid": [-1.0, 1.0],
+                       "values": [0.0, None]}),
+    ("test_function", {"kind": "tabulated", "grid": [-1.0, 0.0, 1.0],
+                       "values": [0.0, 1.0]}),
+    ("test_function", {}),
+])
+def test_equidist_bad_doc_exits_schema(tmp_path, capsys, field, doc):
+    man = dict(EQUIDIST, **{field: doc})
+    mp = _write_manifest(tmp_path, man)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_equidist_circle_center_real_or_pair(tmp_path):
+    outs = []
+    for center in ([0.0], [0.0, 0.0]):
+        man = dict(EQUIDIST, spec=DISC, measure={
+            "kind": "uniform-circle", "center": center, "radius": 1.0})
+        out = str(tmp_path / f"o{len(center)}")
+        assert main(["--manifest", _write_manifest(tmp_path, man),
+                     "--out", out, "--no-cache"]) == EXIT_OK
+        with open(os.path.join(out, "rate_fit.json")) as f:
+            outs.append(f.read())
+    assert outs[0] == outs[1]
 
 
 def test_equidist_command(tmp_path):

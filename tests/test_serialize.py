@@ -37,6 +37,74 @@ def test_canonical_json_rejects_unknown():
         canonical_json({"f": object()})
 
 
+# ---------------------------------------------------------------------------
+# canonical JSON against the recursive walk it replaced
+# ---------------------------------------------------------------------------
+
+def _canonicalize(obj):
+    if isinstance(obj, dict):
+        return {str(k): _canonicalize(obj[k]) for k in sorted(obj, key=str)}
+    if isinstance(obj, (list, tuple)):
+        return [_canonicalize(v) for v in obj]
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return obj
+    if hasattr(obj, "tolist"):
+        return _canonicalize(obj.tolist())
+    if hasattr(obj, "item"):
+        return _canonicalize(obj.item())
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def canonical_json_reference(obj):
+    """canonical_json as a Python walk to plain values, then one encode."""
+    def default(o):
+        raise TypeError(f"not JSON serializable: {type(o).__name__}")
+
+    return json.dumps(_canonicalize(obj), sort_keys=True,
+                      separators=(",", ":"), default=default, allow_nan=True)
+
+
+CANONICAL_CASES = {
+    "nested": {"b": [1, (2, 3.5), {"z": None, "a": [True, False]}],
+               "a": {"y": (), "x": {"q": [[]], "p": "s"}}},
+    "tuples": ((1, 2), [(0.5,), ()], {"t": (("a", 1),)}),
+    "numpy-scalars": {"f32": np.float32(0.1), "f64": np.float64(0.1),
+                      "i64": np.int64(-7), "bool": np.bool_(True),
+                      "list": [np.float32(1e-8), np.int64(2 ** 62),
+                               np.bool_(False), np.float64(-0.0)]},
+    "arrays": {"zero-d": np.array(2.5), "zero-d-int": np.array(3),
+               "two-d": np.arange(6.0).reshape(2, 3) / 7.0,
+               "two-d-int": np.arange(4).reshape(2, 2),
+               "bool": np.array([[True, False]]),
+               "f32": np.array([0.1, 1e30], dtype=np.float32)},
+    "special-floats": [float("nan"), float("inf"), float("-inf"), -0.0,
+                       5e-324, 1e-300, 1e16, 2.5e17, 1.0 / 3.0,
+                       np.float64("nan"), np.float64("-inf"),
+                       np.array([np.nan, -np.inf, -0.0, 5e-324])],
+    "non-ascii": {"λ": "Fekete–Leja ✓", "ключ": ["𝔼", "é", "\u0000\n\""],
+                  "a": "plain"},
+    "scalars": [0, -1, 10 ** 30, "", None, True],
+}
+
+
+@pytest.mark.parametrize("case", list(CANONICAL_CASES))
+def test_canonical_json_matches_walk(case):
+    obj = CANONICAL_CASES[case]
+    assert canonical_json(obj) == canonical_json_reference(obj)
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, 1 + 2j, b"bytes",
+                                 np.complex128(1 + 2j), [1, object()],
+                                 {"a": {"b": range(2)}}])
+def test_canonical_json_rejects_what_has_no_plain_value(bad):
+    with pytest.raises(TypeError):
+        canonical_json_reference(bad)
+    with pytest.raises(TypeError):
+        canonical_json(bad)
+
+
 def test_atomic_write_creates_dirs_and_no_temp_left(tmp_path):
     p = tmp_path / "sub" / "deep" / "out.txt"
     atomic_write_text(str(p), "hello")
