@@ -160,7 +160,7 @@ def orthonormal_basis(cloud, basis, degeneracy_rtol=1e-15):
     scaled, c, s = _rescale(pts)
     V = vandermonde(scaled, basis)                    # (N, M)
     Phi = V.T / math.sqrt(M)                          # (M, N)
-    Q, R = qr(Phi, mode="economic")
+    R = qr(Phi, mode="r")[0][:N]                      # Q is never needed
     diag = np.abs(np.diag(R))
     if np.min(diag) <= degeneracy_rtol * np.max(diag):
         raise DegenerateSetError(

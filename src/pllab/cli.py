@@ -77,6 +77,16 @@ def _pair(v):
     return type(v) is list and len(v) == 2 and _real(v[0]) and _real(v[1])
 
 
+def _positive(x):
+    return _real(x) and x > 0
+
+
+def _anchor_field(man, dim):
+    _require(man, "anchor", list,
+             lambda a: len(a) == dim and all(map(_pair, a)),
+             f"must be a list of {dim} [re, im] pairs of finite numbers")
+
+
 def _degree(man):
     return _require(man, "degree", int,
                     lambda d: not isinstance(d, bool) and d >= 1,
@@ -139,16 +149,18 @@ def validate_manifest(man):
                      lambda g: not isinstance(g, bool) and 64 <= g <= 1024,
                      "must be an integer in [64, 1024]")
     elif cmd == "scan-regularity":
-        _validate_spec_doc(man)
-        _require(man, "anchor", list)
-        _require(man, "radii", list, lambda r: len(r) >= 1, "must be nonempty")
-        _require(man, "delta_grid", list, lambda g: len(g) >= 6,
-                 "needs at least 6 points")
+        _anchor_field(man, _validate_spec_doc(man).dim)
+        _require(man, "radii", list,
+                 lambda r: len(r) >= 1 and all(map(_positive, r)),
+                 "must be a nonempty list of finite positive numbers")
+        _require(man, "delta_grid", list,
+                 lambda g: len(g) >= 6 and all(map(_positive, g)),
+                 "must be a list of at least 6 finite positive numbers")
         _degree(man)
     elif cmd == "localize":
-        _validate_spec_doc(man)
-        _require(man, "anchor", list)
-        _require(man, "radius", (int, float), lambda r: r > 0, "must be positive")
+        _anchor_field(man, _validate_spec_doc(man).dim)
+        _require(man, "radius", (int, float), _positive,
+                 "must be a finite positive number")
         _degree(man)
     elif cmd == "equidist":
         _validate_spec_doc(man)
@@ -255,9 +267,10 @@ def _run_fekete(man, outdir, cache):
             print(f"cache hit: fekete degree {d}", file=sys.stderr)
         results.append(config.to_dict())
         z = config.nodes
-        rows = np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
         write_csv(os.path.join(outdir, f"fekete_nodes_d{d}.csv"),
-                  _coord_header(spec.dim), rows.tolist())
+                  _coord_header(spec.dim),
+                  [c.tolist() for k in range(spec.dim)
+                   for c in (z[:, k].real, z[:, k].imag)])
     write_json(os.path.join(outdir, "fekete.json"),
                {"spec": man["spec"], "configs": results})
 
@@ -273,10 +286,9 @@ def _run_extremal(man, outdir, cache):
     xy = np.asarray(man["points"], dtype=float)     # (k, n, 2): re, im
     # each (re, im) pair read in place as one complex: signed zeros kept
     lower, upper = (b.tolist() for b in ev.bounds(xy.view(complex)[..., 0]))
-    rows = [p + [lo, up] for p, lo, up in
-            zip(xy.reshape(len(xy), -1).tolist(), lower, upper)]
     write_csv(os.path.join(outdir, "extremal.csv"),
-              _coord_header(spec.dim) + ["lower", "upper"], rows)
+              _coord_header(spec.dim) + ["lower", "upper"],
+              xy.reshape(len(xy), -1).T.tolist() + [lower, upper])
     write_json(os.path.join(outdir, "extremal.json"),
                {"degree": d, "gamma": config.gamma, "gap": ev.gap,
                 "lower": lower, "upper": upper})
@@ -300,9 +312,9 @@ def _run_scan_regularity(man, outdir, cache):
     write_json(os.path.join(outdir, "hcp_report.json"), report.to_dict())
     write_csv(os.path.join(outdir, "hcp_scan.csv"),
               ["r", "sup", "mu_hat"],
-              [[r, s, m if m is not None else float("nan")]
-               for r, s, m in zip(report.radii, report.sup_values,
-                                  report.mu_per_radius)])
+              [report.radii, report.sup_values,
+               [m if m is not None else float("nan")
+                for m in report.mu_per_radius]])
     if report.q_hat is not None:
         kappa, expo = capacity_density_from_supnorm(
             max(report.coefficient, 1e-300), max(report.q_hat, 0.0), spec.dim)
@@ -389,7 +401,7 @@ def _run_equidist(man, outdir, cache):
                           seed=man.get("seed", 0))
     write_json(os.path.join(outdir, "rate_fit.json"), fit.to_dict())
     write_csv(os.path.join(outdir, "rate.csv"), ["d", "e_d", "bound_line"],
-              list(zip(fit.degrees, fit.errors, fit.bound_line)))
+              [fit.degrees, fit.errors, fit.bound_line])
 
 
 def _run_verify(man, outdir, cache):
@@ -424,8 +436,9 @@ def _run_verify(man, outdir, cache):
                    - 0.5) < 1e-10
     check("arcsine pairing", pairing)
 
-    rows = [[name, "pass" if ok else "fail"] for name, ok in checks]
-    write_csv(os.path.join(outdir, "verify.csv"), ["check", "status"], rows)
+    write_csv(os.path.join(outdir, "verify.csv"), ["check", "status"],
+              [[name for name, _ in checks],
+               ["pass" if ok else "fail" for _, ok in checks]])
     if not all(ok for _, ok in checks):
         raise RuntimeError("verification suite reported failures")
 

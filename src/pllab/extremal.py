@@ -71,10 +71,15 @@ class SandwichEvaluator:
         polynomials (normalized by the measured Lebesgue constant), and the
         trivial constant candidate.  Adding the exact gap log(N gamma)/d to
         the winner stays above the degree-d proxy because it already does so
-        for each candidate separately.
+        for each candidate separately.  Raises ValueError when a Lagrange
+        value overflows (a point too far out for the monomial table).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        L = self.lagrange_abs(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = self.lagrange_abs(pts)
+        if not np.isfinite(L).all():
+            raise ValueError("Lagrange values are not finite at a query "
+                             "point: it lies too far from the set")
         with np.errstate(divide="ignore"):
             logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
         if self.weighted:
@@ -154,12 +159,12 @@ class RelativeField:
 
     def to_csv(self, path):
         from .serialize import write_csv
-        # format each coordinate once; write_csv writes a str cell as is
-        re = [repr(x) for x in self.xs.tolist()]
-        im = [repr(y) for y in self.ys.tolist()]
-        rows = zip(re * len(im), np.repeat(im, len(re)).tolist(),
-                   self.values.ravel().tolist())
-        write_csv(path, ["re", "im", "value"], rows)
+        # format each coordinate once; write_csv writes a str column as is
+        re = list(map(repr, self.xs.tolist()))
+        im = list(map(repr, self.ys.tolist()))
+        write_csv(path, ["re", "im", "value"],
+                  [re * len(im), [y for y in im for _ in re],
+                   self.values.ravel().tolist()])
 
     def to_svg(self, path, levels=None):
         from .serialize import field_contour_svg

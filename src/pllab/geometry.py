@@ -389,8 +389,12 @@ def _dedupe(pts):
     decimals (-0.0 equals 0.0); the first occurrence of each is kept, in order.
     """
     keys = np.round(np.hstack([pts.real, pts.imag]), 12) + 0.0
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(first)]
+    # a stable sort of the rows puts each point's first occurrence first
+    order = np.lexsort(keys.T[::-1])
+    k = keys[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = np.any(k[1:] != k[:-1], axis=1)
+    return pts[np.sort(order[new])]
 
 
 def _kronecker(count, dims, seed):

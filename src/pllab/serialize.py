@@ -3,8 +3,11 @@
 Every float is written as its shortest round-trip decimal text (Python's
 repr), so identical inputs produce byte-identical files.  Canonical JSON
 takes dicts with ``str`` keys only, and writes numpy arrays and scalars as
-the Python values their ``tolist``/``item`` return.  Writes go through a
-temp file plus rename so concurrent writers never expose partial content.
+the Python values their ``tolist``/``item`` return.  CSV takes columns, not
+rows: a column of exact Python floats is formatted in one pass, a column of
+``str`` is written as is, and any other column goes cell by cell through
+``format_float``/``str``.  Writes go through a temp file plus rename so
+concurrent writers never expose partial content.
 """
 
 from __future__ import annotations
@@ -69,16 +72,32 @@ def write_json(path, obj):
     atomic_write_text(path, canonical_json(obj) + "\n")
 
 
-def write_csv(path, header, rows):
-    """CSV with ',' separator, '.' decimal, mandatory header row."""
-    lines = [",".join(header)]
-    for row in rows:
-        # a Python float's repr is what format_float returns for it
-        lines.append(",".join([
-            repr(v) if type(v) is float
+def _column_text(col):
+    """The cells of one CSV column as text."""
+    kinds = set(map(type, col))
+    if kinds <= {float}:
+        return map(float.__repr__, col)
+    if kinds <= {str}:
+        return col
+    # a numpy scalar must not reach repr (numpy 2 writes np.float64(0.1))
+    return [repr(v) if type(v) is float
             else format_float(v) if isinstance(v, (int, float)) or hasattr(v, "item")
-            else str(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            else str(v) for v in col]
+
+
+def write_csv(path, header, columns):
+    """CSV with ',' separator, '.' decimal, mandatory header row.
+
+    ``columns`` is a sequence of columns, each a sequence (a list, not an
+    iterator) of cells.  A column whose cells are all exactly ``float`` is
+    written with ``float.__repr__``, a column of ``str`` as is; in any other
+    column a float is its repr, an int, bool or numpy scalar goes through
+    ``format_float`` and anything else through ``str``.  Columns of unequal
+    length raise ValueError before the file is created.
+    """
+    rows = map(",".join, zip(*map(_column_text, columns), strict=True))
+    text = "\n".join([",".join(header), *rows]) + "\n"
+    atomic_write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +162,8 @@ def field_contour_svg(path, xs, ys, values, levels):
     parts = [_SVG_HEAD]
     for lev, (px, py, qx, qy) in zip(levels,
                                      _marching_segments(xss, yss, vs, levels)):
-        d = [f"M {a:.3f} {b:.3f} L {c:.3f} {e:.3f}" for a, b, c, e in
-             zip(tx(px).tolist(), ty(py).tolist(), tx(qx).tolist(),
-                 ty(qy).tolist())]
+        d = map("M {:.3f} {:.3f} L {:.3f} {:.3f}".format, tx(px).tolist(),
+                ty(py).tolist(), tx(qx).tolist(), ty(qy).tolist())
         parts.append(f'<path fill="none" stroke="black" stroke-width="0.7" '
                      f'data-level="{format_float(lev)}" d="{" ".join(d)}"/>\n')
     parts.append("</svg>\n")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pllab.basis import (BasisSpec, dimension, log_abs_vdm, orthonormal_basis,
-                         vandermonde)
-from pllab.geometry import (ComplexBall, DegenerateSetError,
+from scipy.linalg import qr
+
+from pllab.basis import (BasisSpec, _rescale, dimension, log_abs_vdm,
+                         orthonormal_basis, vandermonde)
+from pllab.geometry import (Box, ComplexBall, Cusp, DegenerateSetError,
                             DimensionMismatchError, Interval, sample)
 
 
@@ -116,3 +118,33 @@ def test_orthonormal_basis_too_few_points_is_degenerate():
     pts = np.linspace(-1, 1, 4)[:, None].astype(complex)
     with pytest.raises(DegenerateSetError):
         orthonormal_basis(pts, BasisSpec(1, 5))
+
+
+def _economic_qr_reference(cloud, basis):
+    """coeffs and condition of orthonormal_basis from the economic QR."""
+    scaled, _, _ = _rescale(cloud.points)
+    Phi = vandermonde(scaled, basis).T / math.sqrt(cloud.size)
+    _, R = qr(Phi, mode="economic")
+    diag = np.abs(np.diag(R))
+    return np.linalg.inv(R), float(np.max(diag) / np.min(diag))
+
+
+@pytest.mark.parametrize("spec, d, target", [
+    (Interval(-1.0, 1.0), 6, 2001),
+    (Interval(-1.0, 1.0), 20, 2001),
+    (Interval(-1.0, 1.0), 60, 2001),
+    (ComplexBall((0.0,), 1.0), 12, 2001),
+    (ComplexBall((0.0,), 1.0), 16, 2001),
+    (ComplexBall((0.0, 0.0), 1.0), 6, 2001),
+    (ComplexBall((0.0, 0.0), 1.0), 12, 4000),
+    (Box(((0.0, 1.0), (0.0, 1.0))), 6, 2001),
+    (Cusp(((0.0, 1.0), (0.0,)), 0.5, 2), 6, 2001),
+    (Cusp(((0.0, 1.0), (0.0,)), 0.5, 2), 20, 2001),
+])
+def test_orthonormal_basis_matches_economic_qr(spec, d, target):
+    cloud = sample(spec, target, seed=11)
+    basis = BasisSpec(spec.dim, d)
+    ob = orthonormal_basis(cloud, basis)
+    coeffs, condition = _economic_qr_reference(cloud, basis)
+    assert ob.coeffs.tobytes() == coeffs.tobytes()
+    assert ob.condition == condition

@@ -12,7 +12,7 @@ from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, Cache,
                        ManifestError, cached_fekete, main, manifest_hash,
                        validate_manifest)
 from pllab.extremal import SandwichEvaluator
-from pllab.geometry import spec_from_dict
+from pllab.geometry import exact_extremal, spec_from_dict
 from test_serialize import canonical_json_reference
 
 DISC = {"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": 1.0}
@@ -329,6 +329,69 @@ def test_scalar_degree_exits_schema(tmp_path, capsys, command, degree):
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     assert "field 'degree'" in capsys.readouterr().err
+
+
+SIX_DELTAS = [0.1, 0.07, 0.05, 0.035, 0.025, 0.017]
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("scan-regularity", "anchor", [["x", 0]]),
+    ("scan-regularity", "anchor", [[1.0, 0.0], [0.0, 0.0]]),
+    ("scan-regularity", "anchor", []),
+    ("scan-regularity", "anchor", [[True, 0.0]]),
+    ("scan-regularity", "anchor", [[float("nan"), 0.0]]),
+    ("scan-regularity", "anchor", [[1.0]]),
+    ("scan-regularity", "anchor", [1.0, 0.0]),
+    ("scan-regularity", "radii", ["x"]),
+    ("scan-regularity", "radii", []),
+    ("scan-regularity", "radii", [0.5, 0]),
+    ("scan-regularity", "radii", [-0.25]),
+    ("scan-regularity", "radii", [True]),
+    ("scan-regularity", "radii", [float("inf")]),
+    ("scan-regularity", "radii", [10 ** 400]),
+    ("scan-regularity", "radii", 0.5),
+    ("scan-regularity", "delta_grid", ["a"] + SIX_DELTAS[1:]),
+    ("scan-regularity", "delta_grid", SIX_DELTAS[:5]),
+    ("scan-regularity", "delta_grid", SIX_DELTAS[:5] + [0.0]),
+    ("scan-regularity", "delta_grid", SIX_DELTAS[:5] + [None]),
+    ("scan-regularity", "delta_grid", SIX_DELTAS[:5] + [float("nan")]),
+    ("localize", "anchor", [["x", 0]]),
+    ("localize", "anchor", [[1.0, 0.0], [0.0, 0.0]]),
+    ("localize", "anchor", [[1.0, None]]),
+    ("localize", "radius", True),
+    ("localize", "radius", 0),
+    ("localize", "radius", -0.3),
+    ("localize", "radius", "0.3"),
+    ("localize", "radius", float("inf")),
+    ("localize", "radius", None),
+])
+def test_scan_and_localize_bad_field_exits_schema(tmp_path, capsys, command,
+                                                  field, value):
+    man = dict(SCALAR_DEGREE_MANIFESTS[command], **{field: value})
+    mp = _write_manifest(tmp_path, man)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o"),
+                 "--no-cache"]) == EXIT_SCHEMA
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
+def test_extremal_overflowing_point_exits_numerical(tmp_path):
+    man = {"command": "extremal", "spec": INTERVAL, "degree": 16,
+           "points": [[[1e25, 0.0]]]}
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_NUMERICAL
+    assert not (out / "extremal.csv").exists()
+
+
+def test_extremal_large_point_brackets_exact(tmp_path):
+    man = {"command": "extremal", "spec": INTERVAL, "degree": 16,
+           "points": [[[1e18, 0.0]]]}
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_OK
+    doc = json.loads((out / "extremal.json").read_text())
+    exact = exact_extremal(spec_from_dict(INTERVAL), 1e18)
+    assert doc["lower"][0] <= exact <= doc["upper"][0]
 
 
 EQUIDIST = {"command": "equidist", "spec": INTERVAL,

@@ -1,6 +1,8 @@
-"""Property test of the manifest boundary: random extremal `points` either
-run (exit 0), are rejected naming the field (exit 2), or fail numerically
-(exit 3); none escapes as an exception."""
+"""Property tests of the manifest boundary: random extremal `points`, and
+random `anchor`, `radii`, `delta_grid` and `radius` fields of
+`scan-regularity` and `localize`, either run (exit 0), are rejected naming
+the field (exit 2), or fail numerically (exit 3); none escapes as an
+exception."""
 
 import json
 import os
@@ -37,15 +39,50 @@ def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("cache"))
 
 
+def _run(man, *cache_args):
+    with tempfile.TemporaryDirectory() as d:
+        mp = os.path.join(d, "man.json")
+        with open(mp, "w") as f:
+            json.dump(man, f)
+        return main(["--manifest", mp, "--out", os.path.join(d, "o"),
+                     *cache_args])
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(SPECS), points=POINTS)
 def test_random_points_exit_cleanly(cache_dir, spec, points):
     man = {"command": "extremal", "spec": spec, "degree": 2,
            "cloud_target": 201, "points": points}
-    with tempfile.TemporaryDirectory() as d:
-        mp = os.path.join(d, "man.json")
-        with open(mp, "w") as f:
-            json.dump(man, f)
-        code = main(["--manifest", mp, "--out", os.path.join(d, "o"),
-                     "--cache", cache_dir])
-    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERICAL)
+    assert _run(man, "--cache", cache_dir) in (EXIT_OK, EXIT_SCHEMA,
+                                               EXIT_NUMERICAL)
+
+
+# scan-regularity and localize solve per radius and skip the cache, so they
+# run in C^1 only, at degree <= 2, on well-formed values near the set
+C1_SPECS = [SPECS[0], {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+                       "radius": 1.0}]
+NEAR = st.floats(-1.5, 1.5)
+SIZES = st.floats(0.05, 1.5)
+ANCHORS = st.one_of(
+    st.lists(st.lists(NEAR, min_size=2, max_size=2), min_size=1, max_size=2),
+    st.lists(PAIRS, max_size=2), LEAVES)
+RADII = st.one_of(st.lists(SIZES, min_size=1, max_size=4),
+                  st.lists(LEAVES, max_size=3), LEAVES)
+DELTAS = st.one_of(
+    st.floats(0.05, 0.5).map(lambda d: [d * 0.7 ** k for k in range(6)]),
+    st.lists(st.one_of(SIZES, LEAVES), min_size=5, max_size=7), LEAVES)
+SCAN_FIELDS = {
+    "scan-regularity": {"anchor": ANCHORS, "radii": RADII,
+                        "delta_grid": DELTAS},
+    "localize": {"anchor": ANCHORS, "radius": st.one_of(SIZES, LEAVES)},
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(C1_SPECS), degree=st.integers(1, 2),
+       doc=st.sampled_from(list(SCAN_FIELDS)).flatmap(
+           lambda cmd: st.fixed_dictionaries(
+               {"command": st.just(cmd), **SCAN_FIELDS[cmd]})))
+def test_random_scan_and_localize_fields_exit_cleanly(spec, degree, doc):
+    man = dict(doc, spec=spec, degree=degree)
+    assert _run(man, "--no-cache") in (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERICAL)

@@ -339,10 +339,18 @@ def _dedupe_loop(pts):
     return np.array(keep)
 
 
+def _dedupe_unique(pts):
+    """The np.unique form that the lexsort in _dedupe replaced."""
+    keys = np.round(np.hstack([pts.real, pts.imag]), 12) + 0.0
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return pts[np.sort(first)]
+
+
 def _assert_same_dedupe(pts):
-    got, ref = _dedupe(pts), _dedupe_loop(pts)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    assert got.tobytes() == ref.tobytes()
+    got = _dedupe(pts)
+    for ref in (_dedupe_loop(pts), _dedupe_unique(pts)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_dedupe_matches_loop_on_edge_cases():
@@ -380,6 +388,21 @@ def test_dedupe_matches_loop_on_edge_cases():
 def test_dedupe_matches_loop_on_sampler_output(spec):
     pts, *_ = _sample_dispatch(spec, 600, 1)
     _assert_same_dedupe(pts)
+
+
+@pytest.mark.parametrize("spec", [
+    Interval(-1.0, 1.0),
+    ComplexBall((0.0,), 1.0),
+    ComplexBall((0.0, 0.0), 1.0),
+    RealBall((0.0, 0.0), 1.0),
+    Box(((0.0, 1.0), (0.0, 1.0))),
+    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
+])
+@pytest.mark.parametrize("count", [201, 2001, 4000])
+def test_dedupe_matches_unique_on_sampler_output(spec, count):
+    pts, *_ = _sample_dispatch(spec, count, 11)
+    got, ref = _dedupe(pts), _dedupe_unique(pts)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_exact_extremal_ball():

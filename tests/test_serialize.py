@@ -124,7 +124,7 @@ def test_write_json_deterministic_bytes(tmp_path):
 
 def test_write_csv_layout(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(str(p), ["x", "y"], [[1, 0.5], [2, 0.25]])
+    write_csv(str(p), ["x", "y"], [[1, 2], [0.5, 0.25]])
     lines = p.read_text().splitlines()
     assert lines[0] == "x,y"
     assert lines[1] == "1,0.5"
@@ -284,6 +284,60 @@ def test_write_csv_cells_match_reference_formatter(tmp_path):
            0.1, -0.0, 1e-300, 5e-324, float("nan"), float("inf"),
            float("-inf"), 2.5e17, "pass", None]
     p = tmp_path / "m.csv"
-    write_csv(str(p), [str(k) for k in range(len(row))], [row])
+    write_csv(str(p), [str(k) for k in range(len(row))], [[v] for v in row])
     assert p.read_text() == _csv_reference(
         [str(k) for k in range(len(row))], [row])
+
+
+# ---------------------------------------------------------------------------
+# the columnar write_csv against the row writer it replaced
+# ---------------------------------------------------------------------------
+
+def _csv_rows_reference(header, rows):
+    """The row writer that the columnar write_csv replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([
+            repr(v) if type(v) is float
+            else format_float(v) if isinstance(v, (int, float)) or hasattr(v, "item")
+            else str(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+CSV_COLUMN_CASES = {
+    "special-floats": [[float("nan"), float("inf"), float("-inf"), -0.0,
+                        0.0, 1e-300, 5e-324, 2.5e17, 1.0 / 3.0, 0.1],
+                       [1e16, -1e-7, 1.5, -2.0, 123456.789, 1e308, -5e-324,
+                        float("nan"), 0.5, -0.0]],
+    "str": [["pass", "fail", "", "a b"], ["x", "λ", "1.0", "nan"]],
+    "mixed": [[1, True, np.int64(3), np.float32(0.1), np.float64(0.1), None],
+              [0.5, False, -7, np.float64(-0.0), "s", np.float32(np.nan)],
+              [2 ** 70, np.bool_(True), np.int64(-1), 1.0, None, "t"]],
+    "np-float64-list": [list(np.array([0.1, -0.0, 1e-300, np.nan, np.inf]))],
+    "float-and-str": [[0.25, -0.0, 3.0], ["a", "b", "c"], [1, 2, 3]],
+    "zero-rows": [[], [], []],
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_COLUMN_CASES))
+def test_write_csv_columns_match_row_writer(tmp_path, case):
+    columns = CSV_COLUMN_CASES[case]
+    header = [f"c{k}" for k in range(len(columns))]
+    p = tmp_path / "c.csv"
+    write_csv(str(p), header, columns)
+    assert p.read_text() == _csv_rows_reference(header, zip(*columns))
+
+
+def test_write_csv_zero_rows_is_header_line(tmp_path):
+    p = tmp_path / "c.csv"
+    write_csv(str(p), ["a", "b"], [[], []])
+    assert p.read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [["a"], []],
+                                     [[], [0.5]]])
+def test_write_csv_unequal_columns_raise_before_writing(tmp_path, columns):
+    p = tmp_path / "sub" / "c.csv"
+    with pytest.raises(ValueError):
+        write_csv(str(p), ["a", "b"], columns)
+    assert not (tmp_path / "sub").exists()
