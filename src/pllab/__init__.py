@@ -23,7 +23,6 @@ from .geometry import (AffineImage, BallIntersection, Box, ComplexBall,
                        halfdisc_harmonic_measure, sample, spec_from_dict,
                        spec_to_dict)
 from .regularity import (CondPWitness, ExactEngine, HcpReport, ModulusReport,
-                         ProjectiveEngine, SandwichEngine,
                          capacity_density_from_supnorm, condition_p_bound,
                          geometric_condition_m, hcp_scan,
                          localization_experiment, modulus_fit)

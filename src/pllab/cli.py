@@ -26,8 +26,8 @@ from .fekete import (FeketeConfig, FubiniStudyWeight, ZeroWeight,
                      _scalar_provenance, solve_fekete, transfinite_diameter)
 from .geometry import (ComplexBall, Interval, exact_extremal, sample,
                        spec_from_dict, spec_to_dict)
-from .regularity import (capacity_density_from_supnorm, hcp_scan,
-                         localization_experiment)
+from .regularity import (_check_delta_grid, capacity_density_from_supnorm,
+                         hcp_scan, localization_experiment)
 from .serialize import atomic_write_text, canonical_json, write_csv, write_json
 
 EXIT_OK = 0
@@ -153,9 +153,13 @@ def validate_manifest(man):
         _require(man, "radii", list,
                  lambda r: len(r) >= 1 and all(map(_positive, r)),
                  "must be a nonempty list of finite positive numbers")
-        _require(man, "delta_grid", list,
-                 lambda g: len(g) >= 6 and all(map(_positive, g)),
-                 "must be a list of at least 6 finite positive numbers")
+        grid = _require(man, "delta_grid", list,
+                        lambda g: len(g) >= 6 and all(map(_positive, g)),
+                        "must be a list of at least 6 finite positive numbers")
+        try:
+            _check_delta_grid(grid)
+        except ValueError as exc:
+            raise ManifestError(f"field 'delta_grid' is invalid: {exc}")
         _degree(man)
     elif cmd == "localize":
         _anchor_field(man, _validate_spec_doc(man).dim)

@@ -214,9 +214,7 @@ def _interval_cloud(spec, d, target, seed):
     pts = np.vstack([base.points, extra])
     order = np.argsort(pts[:, 0].real, kind="stable")
     return SampleCloud(points=pts[order], seed=seed,
-                       density_parameter=base.density_parameter,
-                       bounding_radius=base.bounding_radius,
-                       boundary_fraction=base.boundary_fraction, spec=spec)
+                       density_parameter=base.density_parameter, spec=spec)
 
 
 def _circle_cloud(spec, d, target, seed):
@@ -228,8 +226,7 @@ def _circle_cloud(spec, d, target, seed):
     ang = 2 * math.pi * np.arange(m) / m
     pts = (c + r * np.exp(1j * ang))[:, None]
     return SampleCloud(points=pts, seed=seed, density_parameter=2 * math.pi * r / m,
-                       bounding_radius=float(np.max(np.abs(pts))),
-                       boundary_fraction=1.0, spec=spec)
+                       spec=spec)
 
 
 def _rate_cloud(spec, d, target, seed):
@@ -241,9 +238,7 @@ def _rate_cloud(spec, d, target, seed):
         inner = _interval_cloud(spec.inner, d, target, seed)
         pts = inner.points @ spec.A.T + spec.b[None, :]
         return SampleCloud(points=pts, seed=seed,
-                           density_parameter=inner.density_parameter,
-                           bounding_radius=float(np.max(np.abs(pts))),
-                           boundary_fraction=1.0, spec=spec)
+                           density_parameter=inner.density_parameter, spec=spec)
     return sample(spec, target, seed=seed)
 
 

@@ -37,26 +37,26 @@ class SandwichEvaluator:
     """Reusable Lagrange machinery for one (config, cloud) pair.
 
     Solves the N x N node system once; per-z evaluations are vectorized.
+    An evaluator is an engine for `regularity.modulus_fit`: a `source`
+    label and array `bounds(points)`.
     """
 
+    source = "sandwich"
+
     def __init__(self, config, cloud):
-        if config.gamma is None:
-            from .fekete import quality_gamma
-            quality_gamma(config, cloud)
         self.config = config
-        self.cloud = cloud
         self.ortho = config.ortho
         self.d = config.basis.d
         self.N = config.basis.size
         self.gamma = config.gamma
-        self.lebesgue = config.lebesgue or (self.N * self.gamma)
+        self.lebesgue = config.lebesgue
         self.gap = math.log(self.N * self.gamma) / self.d
         self.weighted = not isinstance(config.weight, ZeroWeight)
+        self.mode = "weighted" if self.weighted else "unweighted"
         self.phi_nodes = config.weight.evaluate(config.nodes)
         self.phi_floor = float(np.min(config.weight.evaluate(cloud.points)))
-        # unweighted node matrix in the orthonormal basis
-        self._B = self.ortho.evaluate(config.nodes)          # (N, N)
-        self._lu = np.linalg.inv(self._B.T)
+        # inverse transpose of the node matrix in the orthonormal basis
+        self._lu = np.linalg.inv(self.ortho.evaluate(config.nodes).T)
 
     def lagrange_abs(self, points):
         """|l_j(z)| for the plain (unweighted) Lagrange basis: (Mz, N)."""
@@ -102,13 +102,30 @@ class SandwichEvaluator:
         upper = lower + self.gap
         return lower, upper
 
-    def estimate(self, z, mode=None):
+    def estimate(self, z):
         zz = as_point(z, self.config.basis.n)
         lower, upper = self.bounds(zz[None, :])
         return ExtremalEstimate(
             z=tuple(zz.tolist()), degree=self.d, lower=float(lower[0]),
-            upper=float(upper[0]),
-            mode=mode or ("weighted" if self.weighted else "unweighted"))
+            upper=float(upper[0]), mode=self.mode)
+
+
+class ProjectiveEvaluator(SandwichEvaluator):
+    """Sandwich for the Fubini-Study extremal V_E(z) = L_{E,rho}(z) - rho(z)."""
+
+    source = "projective"
+
+    def __init__(self, config, cloud):
+        if not isinstance(config.weight, FubiniStudyWeight):
+            raise ValueError("ProjectiveEvaluator requires a Fubini-Study "
+                             "weight")
+        super().__init__(config, cloud)
+        self.mode = "projective"
+
+    def bounds(self, points):
+        lower, upper = super().bounds(points)
+        rho = self.config.weight.evaluate(points)
+        return lower - rho, upper - rho
 
 
 def sandwich(config, cloud, z):
@@ -118,29 +135,7 @@ def sandwich(config, cloud, z):
 
 def projective_extremal(config, cloud, z):
     """Sandwich for the Fubini-Study extremal V_E(z) = L_{E,rho}(z) - rho(z)."""
-    if not isinstance(config.weight, FubiniStudyWeight):
-        raise ValueError("projective_extremal requires a Fubini-Study weight")
-    ev = SandwichEvaluator(config, cloud)
-    zz = as_point(z, config.basis.n)
-    rho = float(config.weight.evaluate(zz[None, :])[0])
-    est = ev.estimate(zz, mode="projective")
-    return ExtremalEstimate(z=est.z, degree=est.degree,
-                            lower=est.lower - rho, upper=est.upper - rho,
-                            mode="projective")
-
-
-class ProjectiveEvaluator:
-    """Batch variant of projective_extremal for modulus scans."""
-
-    def __init__(self, config, cloud):
-        self.ev = SandwichEvaluator(config, cloud)
-        self.weight = config.weight
-
-    def bounds(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        lower, upper = self.ev.bounds(pts)
-        rho = self.weight.evaluate(pts)
-        return lower - rho, upper - rho
+    return ProjectiveEvaluator(config, cloud).estimate(z)
 
 
 # ---------------------------------------------------------------------------

@@ -60,22 +60,15 @@ class FubiniStudyWeight:
 
 
 class TabulatedWeight:
-    """Weight given by values on a cloud; nearest-neighbor evaluation.
-
-    The recorded interpolation error bound is holder_const * h^holder_alpha
-    with h the cloud spacing.
-    """
+    """Weight given by values on a cloud; nearest-neighbor evaluation."""
 
     kind = "tabulated"
 
-    def __init__(self, points, values, holder_alpha=1.0, holder_const=1.0,
-                 spacing=None):
+    def __init__(self, points, values, holder_alpha=1.0, holder_const=1.0):
         self.points = np.atleast_2d(np.asarray(points, dtype=complex))
         self.values = np.asarray(values, dtype=float)
         self.holder_alpha = holder_alpha
         self.holder_const = holder_const
-        h = spacing if spacing is not None else 1.0
-        self.error_bound = holder_const * h ** holder_alpha
         emb = np.hstack([self.points.real, self.points.imag])
         self._tree = cKDTree(emb)
 
@@ -93,8 +86,7 @@ class TabulatedWeight:
 def weight_from_callable(fn, cloud, holder_alpha=1.0, holder_const=1.0):
     """Tabulate a pointwise weight function on a cloud."""
     vals = np.array([float(fn(p)) for p in cloud.points])
-    return TabulatedWeight(cloud.points, vals, holder_alpha, holder_const,
-                           spacing=cloud.density_parameter)
+    return TabulatedWeight(cloud.points, vals, holder_alpha, holder_const)
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,6 @@ class Cusp:
     def dim(self):
         return len(self.h_coeffs)
 
-    @property
-    def h_degree(self):
-        return max(self.degree_bound, max(len(c) - 1 for c in self.h_coeffs))
-
     def h(self, t):
         t = np.asarray(t, dtype=float)
         return np.stack([np.polynomial.polynomial.polyval(t, np.asarray(c, dtype=float))
@@ -177,17 +173,6 @@ class Cusp:
     @property
     def vertex(self):
         return self.h(0.0)
-
-    @property
-    def coeff_sum(self):
-        # sum over derivative orders of ||h^(l)(0)||; h^(l)(0) = l! * c_l
-        deg = max(len(c) for c in self.h_coeffs)
-        total = 0.0
-        for ell in range(deg):
-            v = np.array([math.factorial(ell) * c[ell] if ell < len(c) else 0.0
-                          for c in self.h_coeffs])
-            total += float(np.linalg.norm(v))
-        return total
 
 
 @dataclass(frozen=True)
@@ -366,8 +351,6 @@ class SampleCloud:
     points: np.ndarray     # (M, n) complex, immutable by convention
     seed: int
     density_parameter: float
-    bounding_radius: float
-    boundary_fraction: float
     spec: object = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -416,27 +399,24 @@ def sample(spec, target_count, seed=0):
     if target_count < 4:
         raise ValueError("target_count must be at least 4")
 
-    pts, h, rad, bfrac = _sample_dispatch(spec, target_count, seed)
+    pts, h = _sample_dispatch(spec, target_count, seed)
     pts = _dedupe(pts)
 
     # top up if dedupe/filtering undershot
     factor = 2
     while len(pts) < target_count and factor <= 64:
-        pts2, h, rad, bfrac = _sample_dispatch(spec, target_count * factor, seed)
+        pts2, h = _sample_dispatch(spec, target_count * factor, seed)
         pts = _dedupe(pts2)
         factor *= 2
     if len(pts) < target_count:
         raise DegenerateSetError("could not reach target_count; spec appears degenerate")
-    return SampleCloud(points=pts, seed=seed, density_parameter=h,
-                       bounding_radius=rad, boundary_fraction=bfrac, spec=spec)
+    return SampleCloud(points=pts, seed=seed, density_parameter=h, spec=spec)
 
 
 def _sample_dispatch(spec, count, seed):
     if isinstance(spec, Interval):
         pts = np.linspace(spec.a, spec.b, count).astype(complex)[:, None]
-        h = (spec.b - spec.a) / (count - 1)
-        rad = max(abs(spec.a), abs(spec.b))
-        return pts, h, rad, 1.0
+        return pts, (spec.b - spec.a) / (count - 1)
     if isinstance(spec, ComplexBall):
         if spec.dim == 1:
             return _sample_disc(spec, count, seed)
@@ -450,22 +430,17 @@ def _sample_dispatch(spec, count, seed):
     if isinstance(spec, Cusp):
         return _sample_cusp(spec, count, seed)
     if isinstance(spec, AffineImage):
-        pts, h, rad, bf = _sample_dispatch(spec.inner, count, seed)
-        zp = pts @ spec.A.T + spec.b[None, :]
-        nrm = np.linalg.norm(spec.A, 2)
-        rad2 = float(np.max(np.linalg.norm(zp, axis=1)))
-        return zp, h * nrm, rad2, bf
+        pts, h = _sample_dispatch(spec.inner, count, seed)
+        return pts @ spec.A.T + spec.b[None, :], h * np.linalg.norm(spec.A, 2)
     if isinstance(spec, Union):
         k = len(spec.parts)
         per = max(4, count // k + 1)
-        chunks, hs, rads, bfs = [], [], [], []
+        chunks, hs = [], []
         for i, part in enumerate(spec.parts):
-            p, h, r, bf = _sample_dispatch(part, per, seed + i)
+            p, h = _sample_dispatch(part, per, seed + i)
             chunks.append(p)
             hs.append(h)
-            rads.append(r)
-            bfs.append(bf)
-        return np.vstack(chunks), max(hs), max(rads), min(bfs)
+        return np.vstack(chunks), max(hs)
     if isinstance(spec, BallIntersection):
         return _sample_ballcap(spec, count, seed)
     raise TypeError(f"unknown SetSpec kind {type(spec).__name__}")
@@ -485,9 +460,7 @@ def _sample_disc(spec, count, seed):
     th = theta0 + 2 * math.pi * k * _PHI1
     inner = c + rr * np.exp(1j * th)
     h = max(2 * math.pi * r / nb, r * math.sqrt(math.pi / max(ni, 1)))
-    pts = np.concatenate([ring, inner])[:, None]
-    rad = float(np.max(np.abs(pts)))
-    return pts, h, rad, nb / count
+    return np.concatenate([ring, inner])[:, None], h
 
 
 def _sphere3_points(count, seed):
@@ -514,9 +487,7 @@ def _sample_ball2(spec, count, seed):
     keep = np.linalg.norm(body, axis=1) <= 1.0
     body = c[None, :] + r * body[keep][:ni]
     h = r * (math.pi ** 2 / 2 / max(ni, 1)) ** 0.25
-    pts = np.vstack([sph, body])
-    rad = float(np.max(np.linalg.norm(pts, axis=1)))
-    return pts, h, rad, nb / count
+    return np.vstack([sph, body]), h
 
 
 def _sample_realball(spec, count, seed):
@@ -525,7 +496,7 @@ def _sample_realball(spec, count, seed):
     n = spec.dim
     if n == 1:
         pts = np.linspace(c[0] - r, c[0] + r, count).astype(complex)[:, None]
-        return pts, 2 * r / (count - 1), float(np.max(np.abs(pts))), 1.0
+        return pts, 2 * r / (count - 1)
     nb = int(math.ceil(0.3 * count))
     ni = count - nb
     theta0 = 2 * math.pi * ((seed * _PHI1) % 1.0)
@@ -537,8 +508,7 @@ def _sample_realball(spec, count, seed):
     inner = np.stack([c[0] + rr * np.cos(th), c[1] + rr * np.sin(th)], axis=1)
     pts = np.vstack([ring, inner]).astype(complex)
     h = max(2 * math.pi * r / nb, r * math.sqrt(math.pi / max(ni, 1)))
-    rad = float(np.max(np.linalg.norm(pts, axis=1)))
-    return pts, h, rad, nb / count
+    return pts, h
 
 
 def _sample_box(spec, count, seed):
@@ -547,7 +517,7 @@ def _sample_box(spec, count, seed):
     hi = np.array([ab[1] for ab in spec.intervals])
     if n == 1:
         pts = np.linspace(lo[0], hi[0], count).astype(complex)[:, None]
-        return pts, (hi[0] - lo[0]) / (count - 1), float(np.max(np.abs(pts))), 1.0
+        return pts, (hi[0] - lo[0]) / (count - 1)
     nb = int(math.ceil(0.3 * count))
     ni = count - nb
     # boundary: walk the perimeter uniformly
@@ -573,9 +543,7 @@ def _sample_box(spec, count, seed):
     u = _kronecker(ni, n, seed)
     inner = lo[None, :] + u * (hi - lo)[None, :]
     pts = np.vstack([np.array(corners), np.array(edge_pts), inner]).astype(complex)
-    h = float(np.max(hi - lo)) / math.sqrt(max(ni, 1))
-    rad = float(np.max(np.linalg.norm(pts, axis=1)))
-    return pts, h, rad, (nb + 4) / (nb + 4 + ni)
+    return pts, float(np.max(hi - lo)) / math.sqrt(max(ni, 1))
 
 
 def _sample_hull(spec, count, seed):
@@ -596,9 +564,7 @@ def _sample_hull(spec, count, seed):
     w /= w.sum(axis=1, keepdims=True)
     inner = w @ V
     pts = np.vstack([V, edge, inner])
-    h = float(np.max(np.abs(V))) / math.sqrt(max(ni, 1))
-    rad = float(np.max(np.linalg.norm(pts, axis=1)))
-    return pts, h, rad, (len(edge) + k) / len(pts)
+    return pts, float(np.max(np.abs(V))) / math.sqrt(max(ni, 1))
 
 
 def _sample_cusp(spec, count, seed):
@@ -616,10 +582,7 @@ def _sample_cusp(spec, count, seed):
         r = spec.M * t ** spec.m
         chunks.append(ht[None, :] + r * mesh)
     pts = np.vstack(chunks).astype(complex)
-    h = 2 * spec.M / max(per_t - 1, 1)
-    rad = float(np.max(np.linalg.norm(pts, axis=1)))
-    # every t-slice boundary face counts as boundary; record the design value
-    return pts, h, rad, 0.3
+    return pts, 2 * spec.M / max(per_t - 1, 1)
 
 
 def _sample_ballcap(spec, count, seed):
@@ -627,18 +590,18 @@ def _sample_ballcap(spec, count, seed):
     r = spec.radius
     got = None
     for factor in (2, 4, 8, 16, 32, 64, 128):
-        pts, h, rad, bf = _sample_dispatch(spec.inner, count * factor, seed)
+        pts, h = _sample_dispatch(spec.inner, count * factor, seed)
         pts = _dedupe(pts)
         keep = np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL
         inside = pts[keep]
         if len(inside) >= count:
-            got = (inside, h, bf)
+            got = (inside, h)
             break
-        got = (inside, h, bf)
+        got = (inside, h)
     if got is None or len(got[0]) < 4:
         raise DegenerateSetError("BallIntersection retains too few points; "
                                  "set appears degenerate at this radius")
-    inside, h, bf = got
+    inside, h = got
     # densify the spherical cap boundary: ring/sphere points kept in the set
     n = spec.dim
     nb = max(16, int(0.3 * count))
@@ -648,20 +611,12 @@ def _sample_ballcap(spec, count, seed):
     else:
         shell = c[None, :] + r * _sphere3_points(nb, seed + 3)
     shell = shell[contains(spec.inner, shell)]
-    pts = np.vstack([inside, shell])
-    rad = float(np.max(np.linalg.norm(pts, axis=1)))
-    return pts, h, rad, bf
+    return np.vstack([inside, shell]), h
 
 
 # ---------------------------------------------------------------------------
 # closed-form extremal oracles
 # ---------------------------------------------------------------------------
-
-def _joukowski_log(x):
-    # log(x + sqrt(x^2 - 1)) for x >= 1, stable near 1
-    x = max(float(x), 1.0)
-    return math.log(x + math.sqrt(x * x - 1.0))
-
 
 def exact_extremal(spec, z):
     """Closed-form extremal function for balls and intervals.
@@ -669,23 +624,40 @@ def exact_extremal(spec, z):
     ComplexBall(a, r): max(log(|z-a|/r), 0).
     RealBall/Interval: (1/2) log h(|w|^2 + |<w,w> - 1|) with h(x) = x + sqrt(x^2-1)
     on the normalized point w = (z - center)/radius.
+
+    z is one point, answered with a float, or a (k, n) ndarray of points,
+    answered with a (k,) array.
     """
+    if isinstance(z, np.ndarray) and z.ndim == 2:
+        if z.shape[1] != spec.dim:
+            raise DimensionMismatchError(
+                f"points have dimension {z.shape[1]}, expected {spec.dim}")
+        return _exact(spec, np.asarray(z, dtype=complex))
+    return float(_exact(spec, as_point(z, spec.dim)[None, :])[0])
+
+
+def _exact(spec, Z):
+    """exact_extremal at each row of the (k, n) complex array Z."""
     if isinstance(spec, ComplexBall):
-        w = as_point(z, spec.dim)
-        return max(math.log(max(np.linalg.norm(w - spec.c), 1e-300) / spec.radius), 0.0)
-    if isinstance(spec, (RealBall, Interval)):
-        if isinstance(spec, Interval):
-            c = np.array([0.5 * (spec.a + spec.b)])
-            r = 0.5 * (spec.b - spec.a)
-            n = 1
-        else:
-            c = spec.c
-            r = spec.radius
-            n = spec.dim
-        w = (as_point(z, n) - c) / r
-        x = float(np.sum(np.abs(w) ** 2) + abs(np.sum(w * w) - 1.0))
-        return 0.5 * _joukowski_log(x)
-    raise ValueError("no closed form; use extremal_engine")
+        nrm = np.maximum(_row_norms(Z - spec.c), 1e-300)
+        return np.maximum(np.log(nrm / spec.radius), 0.0)
+    if isinstance(spec, Interval):
+        c, r = 0.5 * (spec.a + spec.b), 0.5 * (spec.b - spec.a)
+    elif isinstance(spec, RealBall):
+        c, r = spec.c, spec.radius
+    else:
+        raise ValueError(f"no closed form for {type(spec).__name__}; "
+                         "exact_extremal covers ComplexBall, RealBall and "
+                         "Interval")
+    W = (Z - c) / r
+    s = np.sum(W * W, axis=1) - 1.0
+    # |s| by hypot, as abs rounds one complex number: np.abs of a complex
+    # array can differ in the last bit, and the log below magnifies that
+    # near the set
+    x = np.sum(np.abs(W) ** 2, axis=1) + np.hypot(s.real, s.imag)
+    # log(x + sqrt(x^2 - 1)) for x >= 1, stable near 1
+    x = np.maximum(x, 1.0)
+    return 0.5 * np.log(x + np.sqrt(x * x - 1.0))
 
 
 def halfdisc_harmonic_measure(tau):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,30 +49,8 @@ class ExactEngine:
         self.spec = spec
 
     def bounds(self, points):
-        vals = np.array([exact_extremal(self.spec, p) for p in points])
+        vals = exact_extremal(self.spec, points)
         return vals, vals
-
-
-class SandwichEngine:
-    source = "sandwich"
-
-    def __init__(self, config, cloud):
-        self._ev = SandwichEvaluator(config, cloud)
-        self.degree = config.basis.d
-
-    def bounds(self, points):
-        return self._ev.bounds(points)
-
-
-class ProjectiveEngine:
-    source = "projective"
-
-    def __init__(self, config, cloud):
-        self._ev = ProjectiveEvaluator(config, cloud)
-        self.degree = config.basis.d
-
-    def bounds(self, points):
-        return self._ev.bounds(points)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +163,6 @@ class HcpReport:
     coefficient: float | None
     log_growth: bool
     dropped_radii: list
-    reports: list = field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -212,7 +189,7 @@ def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
     basis = BasisSpec(spec.dim, degree)
     target = cloud_target or max(4 * basis.size, 600)
     dirs = direction_mesh(spec.dim)
-    sups, mus, kept, dropped, reports = [], [], [], [], []
+    sups, mus, kept, dropped = [], [], [], []
     for r in radii:
         sub = BallIntersection(spec, tuple(av.tolist()), r)
         try:
@@ -222,18 +199,19 @@ def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
             warnings.warn(f"radius {r} dropped: {exc}")
             dropped.append(r)
             continue
-        engine = SandwichEngine(config, cloud)
+        engine = SandwichEvaluator(config, cloud)
         Zref = av[None, :] + reference_radius * dirs
         lo, _ = engine.bounds(Zref)
         sups.append(float(np.max(lo)))
         rep = modulus_fit(sub, av, delta_grid, engine)
         mus.append(rep.mu_hat)
-        reports.append(rep)
         kept.append(r)
+    if not kept:
+        raise DegenerateSetError("every radius was dropped")
     if len(kept) < 4:
         return HcpReport(anchor=tuple(av.tolist()), radii=kept, sup_values=sups,
                          mu_per_radius=mus, q_hat=None, coefficient=None,
-                         log_growth=False, dropped_radii=dropped, reports=reports)
+                         log_growth=False, dropped_radii=dropped)
     x = np.log(1.0 / np.array(kept))
     y = np.array(sups)
     q_hat, c_hat, r2_pow = _loglog_fit(1.0 / np.array(kept), y)
@@ -249,8 +227,7 @@ def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
         q_hat = 0.0
     return HcpReport(anchor=tuple(av.tolist()), radii=kept, sup_values=sups,
                      mu_per_radius=mus, q_hat=q_hat, coefficient=c_hat,
-                     log_growth=log_growth, dropped_radii=dropped,
-                     reports=reports)
+                     log_growth=log_growth, dropped_radii=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +300,13 @@ def localization_experiment(spec, a, r, degree, delta_grid=None,
     cloud_full = sample(spec, target, seed=seed)
     cfg_full = solve_fekete(cloud_full, basis, weight_factory())
     rep_full = modulus_fit(spec, av, delta_grid,
-                           ProjectiveEngine(cfg_full, cloud_full))
+                           ProjectiveEvaluator(cfg_full, cloud_full))
 
     sub = BallIntersection(spec, tuple(av.tolist()), r)
     cloud_loc = sample(sub, target, seed=seed)
     cfg_loc = solve_fekete(cloud_loc, basis, weight_factory())
     rep_loc = modulus_fit(sub, av, delta_grid,
-                          ProjectiveEngine(cfg_loc, cloud_loc))
+                          ProjectiveEvaluator(cfg_loc, cloud_loc))
 
     # the exponents are compared on the common surviving delta window, so
     # neither fit leans on scales where the other is below its noise floor

@@ -332,6 +332,7 @@ def test_scalar_degree_exits_schema(tmp_path, capsys, command, degree):
 
 
 SIX_DELTAS = [0.1, 0.07, 0.05, 0.035, 0.025, 0.017]
+GEOMETRIC_DELTAS = [0.1 * 0.7 ** k for k in range(6)]
 
 
 @pytest.mark.parametrize("command, field, value", [
@@ -364,14 +365,44 @@ SIX_DELTAS = [0.1, 0.07, 0.05, 0.035, 0.025, 0.017]
     ("localize", "radius", "0.3"),
     ("localize", "radius", float("inf")),
     ("localize", "radius", None),
+    # not geometric with ratio <= 0.7: 0.025 / 0.035 > 0.7
+    ("scan-regularity", "delta_grid", SIX_DELTAS),
+    ("scan-regularity", "delta_grid", GEOMETRIC_DELTAS[:5]
+     + [GEOMETRIC_DELTAS[4]]),
 ])
-def test_scan_and_localize_bad_field_exits_schema(tmp_path, capsys, command,
+def test_scan_and_localize_bad_field_exits_schema(tmp_path, capsys,
+                                                  monkeypatch, command,
                                                   field, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bad manifest reached the solver")
+
+    for mod in (pllab.regularity, pllab.cli):
+        monkeypatch.setattr(mod, "solve_fekete", no_solve)
     man = dict(SCALAR_DEGREE_MANIFESTS[command], **{field: value})
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "o"),
                  "--no-cache"]) == EXIT_SCHEMA
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii", [[1e-300], [5e-324]])
+def test_scan_every_radius_dropped_exits_numerical(tmp_path, capsys, radii):
+    man = dict(SCALAR_DEGREE_MANIFESTS["scan-regularity"], radii=radii)
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_NUMERICAL
+    assert "every radius was dropped" in capsys.readouterr().err
+    assert not (out / "hcp_scan.csv").exists()
+
+
+def test_scan_one_radius_kept_exits_ok(tmp_path):
+    man = dict(SCALAR_DEGREE_MANIFESTS["scan-regularity"], radii=[1e-300, 0.5])
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_OK
+    doc = json.loads((out / "hcp_report.json").read_text())
+    assert doc["radii"] == [0.5] and doc["dropped_radii"] == [1e-300]
+    assert (out / "hcp_scan.csv").read_text().count("\n") == 2
 
 
 def test_extremal_overflowing_point_exits_numerical(tmp_path):

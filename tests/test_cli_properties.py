@@ -2,7 +2,7 @@
 random `anchor`, `radii`, `delta_grid` and `radius` fields of
 `scan-regularity` and `localize`, either run (exit 0), are rejected naming
 the field (exit 2), or fail numerically (exit 3); none escapes as an
-exception."""
+exception, and no scan exits 0 with an empty report."""
 
 import json
 import os
@@ -39,13 +39,12 @@ def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("cache"))
 
 
-def _run(man, *cache_args):
-    with tempfile.TemporaryDirectory() as d:
-        mp = os.path.join(d, "man.json")
-        with open(mp, "w") as f:
-            json.dump(man, f)
-        return main(["--manifest", mp, "--out", os.path.join(d, "o"),
-                     *cache_args])
+def _run(d, man, *cache_args):
+    mp = os.path.join(d, "man.json")
+    with open(mp, "w") as f:
+        json.dump(man, f)
+    return main(["--manifest", mp, "--out", os.path.join(d, "o"),
+                 *cache_args])
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,8 +52,9 @@ def _run(man, *cache_args):
 def test_random_points_exit_cleanly(cache_dir, spec, points):
     man = {"command": "extremal", "spec": spec, "degree": 2,
            "cloud_target": 201, "points": points}
-    assert _run(man, "--cache", cache_dir) in (EXIT_OK, EXIT_SCHEMA,
-                                               EXIT_NUMERICAL)
+    with tempfile.TemporaryDirectory() as d:
+        assert _run(d, man, "--cache", cache_dir) in (EXIT_OK, EXIT_SCHEMA,
+                                                      EXIT_NUMERICAL)
 
 
 # scan-regularity and localize solve per radius and skip the cache, so they
@@ -63,13 +63,21 @@ C1_SPECS = [SPECS[0], {"kind": "ComplexBall", "center": [[0.0, 0.0]],
                        "radius": 1.0}]
 NEAR = st.floats(-1.5, 1.5)
 SIZES = st.floats(0.05, 1.5)
+# radii at which no point of the set survives: every such radius is dropped
+TINY = st.floats(5e-324, 1e-300)
 ANCHORS = st.one_of(
     st.lists(st.lists(NEAR, min_size=2, max_size=2), min_size=1, max_size=2),
     st.lists(PAIRS, max_size=2), LEAVES)
 RADII = st.one_of(st.lists(SIZES, min_size=1, max_size=4),
+                  st.lists(TINY, min_size=1, max_size=2),
+                  st.lists(st.one_of(SIZES, TINY), min_size=1, max_size=3),
                   st.lists(LEAVES, max_size=3), LEAVES)
 DELTAS = st.one_of(
     st.floats(0.05, 0.5).map(lambda d: [d * 0.7 ** k for k in range(6)]),
+    # geometric with a ratio above 0.7, or with a repeated value
+    st.tuples(st.floats(0.05, 0.5), st.floats(0.71, 1.0)).map(
+        lambda t: [t[0] * t[1] ** k for k in range(6)]),
+    st.lists(SIZES, min_size=6, max_size=7),
     st.lists(st.one_of(SIZES, LEAVES), min_size=5, max_size=7), LEAVES)
 SCAN_FIELDS = {
     "scan-regularity": {"anchor": ANCHORS, "radii": RADII,
@@ -85,4 +93,9 @@ SCAN_FIELDS = {
                {"command": st.just(cmd), **SCAN_FIELDS[cmd]})))
 def test_random_scan_and_localize_fields_exit_cleanly(spec, degree, doc):
     man = dict(doc, spec=spec, degree=degree)
-    assert _run(man, "--no-cache") in (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERICAL)
+    with tempfile.TemporaryDirectory() as d:
+        code = _run(d, man, "--no-cache")
+        assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERICAL)
+        if code == EXIT_OK and doc["command"] == "scan-regularity":
+            with open(os.path.join(d, "o", "hcp_report.json")) as f:
+                assert json.load(f)["radii"]

@@ -117,6 +117,8 @@ def test_projective_requires_fubini_study(disc_setup):
     cfg, cloud = disc_setup
     with pytest.raises(ValueError, match="Fubini-Study"):
         projective_extremal(cfg, cloud, 2.0)
+    with pytest.raises(ValueError, match="Fubini-Study"):
+        ProjectiveEvaluator(cfg, cloud)
 
 
 def test_projective_identity_cross_check():
@@ -137,7 +139,15 @@ def test_projective_evaluator_batch():
     ev = ProjectiveEvaluator(cfg, cloud)
     zs = np.array([[1.5 + 0j], [2.0 + 0j]])
     lo, up = ev.bounds(zs)
-    assert np.all(up - lo <= ev.ev.gap + 1e-12)
+    assert np.all(up - lo <= ev.gap + 1e-12)
+    # an engine of the sandwich's kind: its bounds minus rho, bit for bit
+    sw = SandwichEvaluator(cfg, cloud)
+    assert isinstance(ev, SandwichEvaluator)
+    assert (ev.source, sw.source) == ("projective", "sandwich")
+    lw, uw = sw.bounds(zs)
+    rho = cfg.weight.evaluate(zs)
+    assert lo.tobytes() == (lw - rho).tobytes()
+    assert up.tobytes() == (uw - rho).tobytes()
     single = projective_extremal(cfg, cloud, 1.5)
     assert lo[0] == pytest.approx(single.lower, abs=1e-12)
 

@@ -60,8 +60,7 @@ def test_solve_fekete_circle_equispaced():
     ang = 2 * math.pi * np.arange(m) / m
     pts = np.exp(1j * ang)[:, None]
     from pllab.geometry import SampleCloud
-    cloud = SampleCloud(points=pts, seed=0, density_parameter=2 * math.pi / m,
-                        bounding_radius=1.0, boundary_fraction=1.0)
+    cloud = SampleCloud(points=pts, seed=0, density_parameter=2 * math.pi / m)
     cfg = solve_fekete(cloud, BasisSpec(1, d))
     th = np.sort(np.angle(cfg.nodes[:, 0]))
     gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))

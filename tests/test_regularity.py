@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from pllab.basis import BasisSpec
+from pllab.extremal import SandwichEvaluator
 from pllab.fekete import solve_fekete
-from pllab.geometry import (Box, ComplexBall, Cusp, Interval, sample)
-from pllab.regularity import (CondPWitness, ExactEngine, SandwichEngine,
+from pllab.geometry import (Box, ComplexBall, Cusp, Interval,
+                            exact_extremal, sample)
+from pllab.regularity import (CondPWitness, ExactEngine,
                               capacity_density_from_supnorm, condition_p_bound,
                               direction_mesh, geometric_condition_m, hcp_scan,
                               localization_experiment, modulus_fit)
@@ -67,9 +69,20 @@ def test_modulus_fit_sandwich_engine_agrees_with_exact():
     cloud = sample(iv, 2001, seed=0)
     cfg = solve_fekete(cloud, BasisSpec(1, 40))
     rep = modulus_fit(iv, 1.0, [0.6 * 0.7 ** k for k in range(8)],
-                      SandwichEngine(cfg, cloud))
+                      SandwichEvaluator(cfg, cloud))
     assert not rep.inconclusive
     assert 0.35 <= rep.mu_hat <= 0.65
+
+
+@pytest.mark.parametrize("spec, a", [
+    (Interval(-1.0, 1.0), [1.0]),
+    (ComplexBall((0.0, 0.0), 1.0), [1.0, 0.0]),
+], ids=["Interval", "ComplexBall2"])
+def test_exact_engine_bounds_equal_per_point_loop(spec, a):
+    Z = np.asarray(a, dtype=complex)[None, :] + 0.3 * direction_mesh(spec.dim)
+    lo, up = ExactEngine(spec).bounds(Z)
+    want = np.array([exact_extremal(spec, z) for z in Z])
+    assert lo.tobytes() == want.tobytes() and up.tobytes() == want.tobytes()
 
 
 def test_mesh_halving_stability():
@@ -105,7 +118,7 @@ def test_condition_p_empirical_square():
     sq = Box(((0.0, 1.0), (0.0, 1.0)))
     cloud = sample(sq, 1600, seed=3)
     cfg = solve_fekete(cloud, BasisSpec(2, 8))
-    eng = SandwichEngine(cfg, cloud)
+    eng = SandwichEvaluator(cfg, cloud)
     witness = CondPWitness(segment_min_diameter=1.0, map_norm_bound=1.0,
                            set_diameter=math.sqrt(2.0))
     for delta in (1e-3, 1e-2, 1e-1):
