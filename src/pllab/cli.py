@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -118,6 +119,22 @@ def _positive_degree_list(man, field="degrees"):
     return ds
 
 
+# Cap on N*M, the basis size N = comb(n + d, n) times the cloud size M: a
+# solve holds a few N x M complex matrices (16 bytes an entry).
+MAX_BASIS_CLOUD = 10 ** 7
+
+
+def _check_basis_cloud(man, field, degree, dim):
+    """Exit 2 before sampling when N*M is over MAX_BASIS_CLOUD."""
+    n, m = math.comb(dim + degree, dim), man.get("cloud_target", 2001)
+    if n * m > MAX_BASIS_CLOUD:
+        fields = f"field '{field}'" + (" with field 'cloud_target'"
+                                       if "cloud_target" in man else "")
+        raise ManifestError(
+            f"{fields} is invalid: basis size {n} times cloud size {m} is "
+            f"over the cap of {MAX_BASIS_CLOUD} matrix entries")
+
+
 def validate_manifest(man):
     if not isinstance(man, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -129,11 +146,12 @@ def validate_manifest(man):
                  lambda t: not isinstance(t, bool) and t >= 1,
                  "must be an integer >= 1")
     if cmd in ("fekete", "capacity"):
-        _validate_spec_doc(man)
-        _positive_degree_list(man)
+        dim = _validate_spec_doc(man).dim
+        _check_basis_cloud(man, "degrees", max(_positive_degree_list(man)),
+                           dim)
     elif cmd == "extremal":
         dim = _validate_spec_doc(man).dim
-        _degree(man)
+        _check_basis_cloud(man, "degree", _degree(man), dim)
         _require(man, "points", list,
                  lambda p: len(p) >= 1 and _points_ok(p, dim),
                  f"must be a nonempty list of points, each a list of {dim} "
@@ -226,14 +244,18 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
 
     The cache stores the selected node indices; a hit re-samples the
     deterministic cloud and rebuilds the configuration without the solve.
+    The key holds a sha256 of the cloud's points, so a sampler that moves
+    the cloud misses instead of replaying indices onto other points.
     """
+    cloud = sample(spec, cloud_target, seed=seed)
     key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
                "weight": weight_tag or "zero", "seed": seed,
-               "cloud_target": cloud_target, "version": 2}
+               "cloud_target": cloud_target,
+               "cloud": hashlib.sha256(cloud.points.tobytes()).hexdigest(),
+               "version": 3}
     key = manifest_hash(key_doc)
     basis = BasisSpec(spec.dim, degree)
     weight = _weight_from_tag(weight_tag)
-    cloud = sample(spec, cloud_target, seed=seed)
     hit = cache.get(key)
     if hit is not None and "node_indices" in hit:
         try:
@@ -254,6 +276,10 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
+
+def _array_text(texts):
+    return "[" + ",".join(texts) + "]"
+
 
 def _coord_header(dim):
     return [f"{part}{k + 1}" for k in range(dim) for part in ("re", "im")]
@@ -289,13 +315,26 @@ def _run_extremal(man, outdir, cache):
     ev = SandwichEvaluator(config, cloud)
     xy = np.asarray(man["points"], dtype=float)     # (k, n, 2): re, im
     # each (re, im) pair read in place as one complex: signed zeros kept
-    lower, upper = (b.tolist() for b in ev.bounds(xy.view(complex)[..., 0]))
+    lower, upper = ev.bounds(xy.view(complex)[..., 0])
+    # repr of a finite float is also its JSON text; NaN is not
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError("a sandwich bound is not finite")
+    # format each float once, for extremal.csv and the JSON files alike
+    coords = [list(map(float.__repr__, c))
+              for c in xy.reshape(len(xy), -1).T.tolist()]
+    lo, up = (list(map(float.__repr__, b.tolist())) for b in (lower, upper))
     write_csv(os.path.join(outdir, "extremal.csv"),
-              _coord_header(spec.dim) + ["lower", "upper"],
-              xy.reshape(len(xy), -1).T.tolist() + [lower, upper])
+              _coord_header(spec.dim) + ["lower", "upper"], coords + [lo, up])
     write_json(os.path.join(outdir, "extremal.json"),
                {"degree": d, "gamma": config.gamma, "gap": ev.gap,
-                "lower": lower, "upper": upper})
+                "lower": lower, "upper": upper},
+               {"lower": _array_text(lo), "upper": _array_text(up)})
+    # an int leaf is written 2 in manifest.json but 2.0 in the CSV
+    if {float} == set(map(type, chain.from_iterable(
+            chain.from_iterable(man["points"])))):
+        point = _array_text(["[{},{}]"] * spec.dim)
+        return {"points": _array_text(map(point.format, *coords))}
+    return None
 
 
 def _run_relative(man, outdir, cache):
@@ -461,11 +500,12 @@ def run_manifest(man, outdir, cache_dir=None):
     """Execute one validated manifest; returns the manifest content hash."""
     validate_manifest(man)
     os.makedirs(outdir, exist_ok=True)
-    _RUNNERS[man["command"]](man, outdir, Cache(cache_dir))
+    # a runner may return the text of some manifest values it formatted
+    texts = _RUNNERS[man["command"]](man, outdir, Cache(cache_dir))
     # runners leave the manifest as it is: encode it once, after the run
     # (not held through it), for both the hash and
     # canonical_json({"hash": h, "manifest": man, "version": __version__})
-    text = canonical_json(man)
+    text = canonical_json(man, texts)
     h = hashlib.sha256(text.encode()).hexdigest()
     atomic_write_text(os.path.join(outdir, "manifest.json"),
                       f'{{"hash":"{h}","manifest":{text},'

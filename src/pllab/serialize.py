@@ -3,7 +3,12 @@
 Every float is written as its shortest round-trip decimal text (Python's
 repr), so identical inputs produce byte-identical files.  Canonical JSON
 takes dicts with ``str`` keys only, and writes numpy arrays and scalars as
-the Python values their ``tolist``/``item`` return.  CSV takes columns, not
+the Python values their ``tolist``/``item`` return.  A caller that already
+holds the text of some top-level values (an extremal run formats each
+float once, for its CSV and its JSON) hands that text to ``canonical_json``
+or ``write_json``, which splice it in as is; the result is the plain
+encode byte for byte, so this module stays the one place that knows the
+canonical format.  CSV takes columns, not
 rows: a column of exact Python floats is formatted in one pass, a column of
 ``str`` is written as is, and any other column goes cell by cell through
 ``format_float``/``str``.  Writes go through a temp file plus rename so
@@ -41,17 +46,31 @@ def _plain(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
-def canonical_json(obj):
-    """Sorted-keys JSON text with fixed float formatting, in one C encode.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=True, default=_plain).encode
+
+
+def canonical_json(obj, texts=None):
+    """Sorted-keys JSON text with fixed float formatting, in one C encode
+    (one per top-level key when ``texts`` is given).
 
     Dict keys must be ``str``.  Numpy arrays and scalars are written as the
     Python values their ``tolist``/``item`` return; anything else that JSON
     cannot encode raises TypeError.  Floats, float subclasses included, are
     written with ``float.__repr__``: shortest round-trip text, with NaN and
     Infinity for the non-finite values.
+
+    ``texts`` maps top-level keys of the dict ``obj`` to the text of their
+    values, which is spliced in as is.  The caller vouches that each
+    ``texts[k]`` equals ``canonical_json(obj[k])`` (a list of finite floats
+    is ``"[" + ",".join(map(float.__repr__, v)) + "]"``), so the result is
+    ``canonical_json(obj)`` byte for byte; every other key is encoded here.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True, default=_plain)
+    if not texts:
+        return _encode(obj)
+    return "{" + ",".join([
+        f"{_encode(k)}:{texts[k] if k in texts else _encode(obj[k])}"
+        for k in sorted(obj)]) + "}"
 
 
 def atomic_write_text(path, text):
@@ -68,8 +87,9 @@ def atomic_write_text(path, text):
             os.unlink(tmp)
 
 
-def write_json(path, obj):
-    atomic_write_text(path, canonical_json(obj) + "\n")
+def write_json(path, obj, texts=None):
+    """``canonical_json(obj, texts)`` and a newline, written atomically."""
+    atomic_write_text(path, canonical_json(obj, texts) + "\n")
 
 
 def _column_text(col):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -8,11 +10,13 @@ import numpy as np
 import pytest
 
 import pllab
-from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, Cache,
-                       ManifestError, cached_fekete, main, manifest_hash,
-                       validate_manifest)
+from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, MAX_BASIS_CLOUD,
+                       Cache, ManifestError, cached_fekete, main,
+                       manifest_hash, validate_manifest)
 from pllab.extremal import SandwichEvaluator
-from pllab.geometry import exact_extremal, spec_from_dict
+from pllab.geometry import (exact_extremal, sample, spec_from_dict,
+                            spec_to_dict)
+from pllab.serialize import canonical_json
 from test_serialize import canonical_json_reference
 
 DISC = {"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": 1.0}
@@ -255,6 +259,12 @@ EXTREMAL_REFERENCE_CASES = {
                       [[-0.0, 1.5], [0.5, -0.0]], [[0.3, 0.4], [1.1, -1.2]]]),
     "realball": (REALBALL, [[[2, 0], [-0.0, 0]], [[-1.5, -0.0], [1, 1]],
                             [[0.0, 0.0], [3, -0.0]]]),
+    # every leaf a float: manifest.json takes the spliced points text
+    "disc-float": (DISC, [[[2.0, -0.0]], [[-0.0, 1e16]], [[5e-324, 1.5]],
+                          [[1e-5, -1.0 / 3.0]], [[-1.25, 1.0 / 3.0]]]),
+    "ball2-float": (BALL2, [[[2.0, -0.0], [1e-5, 1.0 / 3.0]],
+                            [[-0.0, 5e-324], [1e16, -0.0]],
+                            [[0.3, 0.4], [-1.1, 1e-5]]]),
 }
 
 
@@ -269,6 +279,166 @@ def test_extremal_outputs_match_reference(tmp_path, case):
     for name, text in _extremal_reference(man).items():
         with open(os.path.join(out, name), encoding="utf-8") as f:
             assert f.read() == text, name
+
+
+ALL_FLOAT_EXTREMAL = {"command": "extremal", "spec": BALL2, "degree": 4,
+                      "points": EXTREMAL_REFERENCE_CASES["ball2-float"][1],
+                      "cloud_target": 401, "seed": 3}
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in pathlib.Path(root).rglob("*") if p.is_file()}
+
+
+def test_extremal_points_text_only_for_all_float_points(tmp_path,
+                                                         monkeypatch):
+    seen = []
+
+    def spy(obj, texts=None):
+        if "command" in obj:        # the manifest, not a cache key
+            seen.append(texts)
+        return canonical_json(obj, texts)
+
+    monkeypatch.setattr(pllab.cli, "canonical_json", spy)
+    for name, points in (("f", [[[2.0, 0.0]], [[-0.0, 1.5]]]),
+                         ("i", [[[2.0, 0.0]], [[-0.0, 1]]])):
+        man = {"command": "extremal", "spec": DISC, "degree": 4,
+               "points": points, "cloud_target": 401}
+        assert main(["--manifest", _write_manifest(tmp_path, man),
+                     "--out", str(tmp_path / name), "--no-cache"]) == EXIT_OK
+    assert seen == [{"points": "[[[2.0,0.0]],[[-0.0,1.5]]]"}, None]
+    # an int leaf: 1 in manifest.json, 1.0 in the CSV
+    assert '[[-0.0,1]]]' in (tmp_path / "i" / "manifest.json").read_text()
+    assert "-0.0,1.0," in (tmp_path / "i" / "extremal.csv").read_text()
+
+
+def test_extremal_all_float_miss_hit_no_cache_identical(tmp_path):
+    mp = _write_manifest(tmp_path, ALL_FLOAT_EXTREMAL)
+    cache = str(tmp_path / "cache")
+    outs = [str(tmp_path / o) for o in ("miss", "hit", "none")]
+    for out, flags in zip(outs, (["--cache", cache], ["--cache", cache],
+                                 ["--no-cache"])):
+        assert main(["--manifest", mp, "--out", out] + flags) == EXIT_OK
+    trees = [_tree_bytes(o) for o in outs]
+    assert sorted(trees[0]) == ["extremal.csv", "extremal.json",
+                                "manifest.json"]
+    assert trees[0] == trees[1] == trees[2]
+
+
+def test_extremal_non_finite_bound_exits_numerical(tmp_path, monkeypatch):
+    def nan_bounds(self, points):
+        nan = np.full(len(points), np.nan)
+        return nan, nan
+
+    monkeypatch.setattr(SandwichEvaluator, "bounds", nan_bounds)
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, ALL_FLOAT_EXTREMAL),
+                 "--out", str(out), "--no-cache"]) == EXIT_NUMERICAL
+    assert not out.exists() or os.listdir(out) == []
+
+
+# ---------------------------------------------------------------------------
+# cache soundness and the N*M cap
+# ---------------------------------------------------------------------------
+
+def _moved_sample(shift):
+    def moved(spec, target_count, seed=0):
+        cloud = sample(spec, target_count, seed=seed)
+        return dataclasses.replace(cloud, points=cloud.points + shift)
+    return moved
+
+
+def _recording_cached_fekete(monkeypatch):
+    hits = []
+
+    def recording(*args):
+        result = cached_fekete(*args)
+        hits.append(result[2])
+        return result
+
+    monkeypatch.setattr(pllab.cli, "cached_fekete", recording)
+    return hits
+
+
+def test_cache_misses_when_the_sampler_moves_the_cloud(tmp_path,
+                                                       monkeypatch):
+    mp = _write_manifest(tmp_path, ALL_FLOAT_EXTREMAL)
+    cache = str(tmp_path / "cache")
+    hits = _recording_cached_fekete(monkeypatch)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "before"),
+                 "--cache", cache]) == EXIT_OK
+    monkeypatch.setattr(pllab.cli, "sample", _moved_sample(1e-9))
+    assert main(["--manifest", mp, "--out", str(tmp_path / "moved"),
+                 "--cache", cache]) == EXIT_OK
+    assert main(["--manifest", mp, "--out", str(tmp_path / "none"),
+                 "--no-cache"]) == EXIT_OK
+    assert hits == [False, False, False]
+    moved = _tree_bytes(str(tmp_path / "moved"))
+    assert moved == _tree_bytes(str(tmp_path / "none"))
+    assert moved != _tree_bytes(str(tmp_path / "before"))
+    assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 2
+
+
+def test_version_2_cache_entry_is_never_replayed(tmp_path, monkeypatch):
+    man = {"command": "fekete", "spec": INTERVAL, "degrees": [3],
+           "cloud_target": 401}
+    # a parent-format key (no cloud fingerprint) holding wrong nodes
+    v2_key = manifest_hash({"op": "fekete",
+                            "spec": spec_to_dict(spec_from_dict(INTERVAL)),
+                            "degree": 3,
+                            "weight": "zero", "seed": 0, "cloud_target": 401,
+                            "version": 2})
+    cache = str(tmp_path / "cache")
+    Cache(cache).put(v2_key, {"node_indices": [0, 1, 2, 3],
+                              "provenance": {"cloud_seed": 0}})
+    hits = _recording_cached_fekete(monkeypatch)
+    mp = _write_manifest(tmp_path, man)
+    assert main(["--manifest", mp, "--out", str(tmp_path / "c"),
+                 "--cache", cache]) == EXIT_OK
+    assert main(["--manifest", mp, "--out", str(tmp_path / "n"),
+                 "--no-cache"]) == EXIT_OK
+    assert hits == [False, False]
+    assert _tree_bytes(str(tmp_path / "c")) == _tree_bytes(str(tmp_path / "n"))
+
+
+@pytest.mark.parametrize("command, fields, extra", [
+    ("fekete", ["degrees"], {"degrees": [5000]}),
+    ("capacity", ["degrees"], {"degrees": [2, 3, 5000]}),
+    ("extremal", ["degree"], {"degree": 5000}),
+    # comb(102, 2) = 5151 basis functions in C^2
+    ("extremal", ["degree"], {"spec": BALL2, "degree": 100,
+                              "points": [[[2.0, 0.0], [0.0, 0.0]]]}),
+    ("fekete", ["degrees", "cloud_target"],
+     {"degrees": [20], "cloud_target": 10 ** 7}),
+    ("extremal", ["degree", "cloud_target"], {"cloud_target": 4 * 10 ** 6}),
+    ("capacity", ["degrees", "cloud_target"], {"cloud_target": 3 * 10 ** 6}),
+])
+def test_basis_cloud_cap_exits_schema_before_sampling(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      fields, extra):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a manifest over the cap reached sample")
+
+    monkeypatch.setattr(pllab.cli, "sample", no_sample)
+    man = dict(SOLVE_MANIFESTS[command], **extra)
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    for field in fields:
+        assert f"field '{field}'" in err
+
+
+def test_basis_cloud_cap_boundary():
+    # N = 2 at degree 1 in C^1: M up to half the cap passes
+    at_cap = {"command": "fekete", "spec": INTERVAL, "degrees": [1],
+              "cloud_target": MAX_BASIS_CLOUD // 2}
+    validate_manifest(at_cap)
+    with pytest.raises(ManifestError, match="field 'cloud_target'"):
+        validate_manifest(dict(at_cap, cloud_target=MAX_BASIS_CLOUD // 2 + 1))
+    # a C^2 solve at degree 12 on 4000 points (3.6e5 entries) is far below
+    validate_manifest({"command": "extremal", "spec": BALL2, "degree": 12,
+                       "cloud_target": 4000, "points": [[[2.0, 0.0]] * 2]})
 
 
 def test_manifest_json_matches_two_encode_write(tmp_path):

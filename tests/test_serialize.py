@@ -341,3 +341,63 @@ def test_write_csv_unequal_columns_raise_before_writing(tmp_path, columns):
     with pytest.raises(ValueError):
         write_csv(str(p), ["a", "b"], columns)
     assert not (tmp_path / "sub").exists()
+
+
+# ---------------------------------------------------------------------------
+# canonical_json with spliced top-level texts against the plain encode
+# ---------------------------------------------------------------------------
+
+SPLICE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.0 / 3.0, 2.0, -1.25e-300]
+
+SPLICE_CASES = {
+    "extremal-doc": {"degree": 4, "gamma": 1.0000000000000002,
+                     "gap": 1e-5, "lower": SPLICE_FLOATS,
+                     "upper": SPLICE_FLOATS[::-1]},
+    "manifest": {"command": "extremal", "degree": 4, "seed": 3,
+                 "spec": {"kind": "ComplexBall", "center": [[0.0, -0.0]],
+                          "radius": 1.0},
+                 "points": [[[x, y]] for x, y in zip(SPLICE_FLOATS,
+                                                     SPLICE_FLOATS[1:])]},
+    "escapes": {"\"q\\": -0.0, "\u0000\n\t": "x ", "λ": [1e-5],
+                "ключ": {"b": [0.1, None], "a": {"𝔼": 1.0 / 3.0}},
+                "Z": [[1e16]], "a": True, "": []},
+    "nested": CANONICAL_CASES["nested"],
+    "non-ascii": CANONICAL_CASES["non-ascii"],
+    "arrays": CANONICAL_CASES["arrays"],
+    "numpy-scalars": CANONICAL_CASES["numpy-scalars"],
+}
+
+
+def _key_sets(obj):
+    keys = sorted(obj)
+    return [[k for i, k in enumerate(keys) if mask >> i & 1]
+            for mask in range(1 << len(keys))]
+
+
+@pytest.mark.parametrize("case", list(SPLICE_CASES))
+def test_canonical_json_splice_matches_plain_encode(case):
+    obj = SPLICE_CASES[case]
+    plain = canonical_json(obj)
+    assert canonical_json(obj, None) == canonical_json(obj, {}) == plain
+    # every top-level key alone, and every set of keys
+    for keys in _key_sets(obj):
+        texts = {k: canonical_json(obj[k]) for k in keys}
+        assert canonical_json(obj, texts) == plain, keys
+
+
+def test_canonical_json_splice_uses_the_given_text():
+    # the text is spliced as is, not re-encoded: the caller vouches for it
+    assert canonical_json({"b": [1.0], "a": 2}, {"b": "[1.0]"}) == \
+        '{"a":2,"b":[1.0]}'
+    assert canonical_json({"b": [1.0], "a": 2}, {"b": "TEXT"}) == \
+        '{"a":2,"b":TEXT}'
+
+
+def test_write_json_splice_matches_plain(tmp_path):
+    doc = SPLICE_CASES["extremal-doc"]
+    texts = {k: "[" + ",".join(map(float.__repr__, doc[k])) + "]"
+             for k in ("lower", "upper")}
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    write_json(str(p1), doc)
+    write_json(str(p2), doc, texts)
+    assert p1.read_bytes() == p2.read_bytes()
