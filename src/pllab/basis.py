@@ -146,7 +146,12 @@ class OrthoBasis:
         }
 
 
-def orthonormal_basis(cloud, basis, degeneracy_rtol=1e-15):
+# a cloud whose R factor has a diagonal ratio at or below this cannot
+# separate the basis
+DEGENERACY_RTOL = 1e-15
+
+
+def orthonormal_basis(cloud, basis):
     """Discrete orthonormalization of the monomial basis on a cloud.
 
     Raises DegenerateSetError when the cloud cannot separate degree-d
@@ -162,7 +167,7 @@ def orthonormal_basis(cloud, basis, degeneracy_rtol=1e-15):
     Phi = V.T / math.sqrt(M)                          # (M, N)
     R = qr(Phi, mode="r")[0][:N]                      # Q is never needed
     diag = np.abs(np.diag(R))
-    if np.min(diag) <= degeneracy_rtol * np.max(diag):
+    if np.min(diag) <= DEGENERACY_RTOL * np.max(diag):
         raise DegenerateSetError(
             f"set appears pluripolar at degree {basis.d}")
     if M < 2 * N:

@@ -4,6 +4,11 @@ One manifest per invocation; outputs (canonical JSON + CSV + SVG plot data)
 land in the output directory together with a copy of the manifest and the
 library version.  Fekete solves are cached by a content hash of their inputs,
 so reruns of an identical manifest are byte-identical and fast.
+
+``validate_manifest`` is the one parser: it checks every field the command's
+runner reads and returns the runner's arguments (spec objects, degrees,
+seed, anchor as complex numbers, query points as an array, ...) with each
+default applied there; the runners never read the manifest itself.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,10 +31,12 @@ from .equidist import (Arcsine, Polynomial, TabulatedLipschitz, UniformCircle,
 from .extremal import SandwichEvaluator, relative_extremal_1c
 from .fekete import (FeketeConfig, FubiniStudyWeight, ZeroWeight,
                      _scalar_provenance, solve_fekete, transfinite_diameter)
-from .geometry import (ComplexBall, Interval, exact_extremal, sample,
-                       spec_from_dict, spec_to_dict)
-from .regularity import (_check_delta_grid, capacity_density_from_supnorm,
-                         hcp_scan, localization_experiment)
+from .geometry import (_NUMBER, _NUMBERS, _PAIRS, ComplexBall, Interval,
+                       _nonempty, exact_extremal, finite_pair, finite_real,
+                       sample, spec_from_dict, spec_to_dict)
+from .regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
+                         _check_delta_grid, capacity_density_from_supnorm,
+                         hcp_scan, localization_experiment, scan_cloud_target)
 from .serialize import atomic_write_text, canonical_json, write_csv, write_json
 
 EXIT_OK = 0
@@ -47,76 +55,82 @@ class ManifestError(ValueError):
 # manifest validation
 # ---------------------------------------------------------------------------
 
-def _require(man, field, types, pred=None, what=""):
-    if field not in man:
-        raise ManifestError(f"missing field '{field}'")
-    v = man[field]
-    if not isinstance(v, types):
-        raise ManifestError(f"field '{field}' has invalid type")
-    if pred is not None and not pred(v):
-        raise ManifestError(f"field '{field}' is invalid: {what}")
-    return v
+_REQUIRED = object()
 
 
-def _validate_spec_doc(man, field="spec"):
-    doc = _require(man, field, dict)
-    try:
-        return spec_from_dict(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ManifestError(f"field '{field}' is invalid: {exc}")
-
-
-_FMAX = sys.float_info.max
-
-
-def _real(x):
-    """A finite int or float, not a bool; an int must convert to a float."""
-    return type(x) in (int, float) and -_FMAX <= x <= _FMAX
-
-
-def _pair(v):
-    return type(v) is list and len(v) == 2 and _real(v[0]) and _real(v[1])
+def _get(doc, key, check, default=_REQUIRED):
+    """doc[key] when check = (predicate, description) holds for it, default
+    when the key is absent and a default is given; else ManifestError."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ManifestError(f"missing field '{key}'")
+        return default
+    ok, what = check
+    if not ok(doc[key]):
+        raise ManifestError(f"field '{key}' is invalid: must be {what}")
+    return doc[key]
 
 
 def _positive(x):
-    return _real(x) and x > 0
+    return finite_real(x) and x > 0
 
 
-def _anchor_field(man, dim):
-    _require(man, "anchor", list,
-             lambda a: len(a) == dim and all(map(_pair, a)),
-             f"must be a list of {dim} [re, im] pairs of finite numbers")
+def _count(lo, hi=math.inf):
+    return lambda v: type(v) is int and lo <= v <= hi
 
 
-def _degree(man):
-    return _require(man, "degree", int,
-                    lambda d: not isinstance(d, bool) and d >= 1,
-                    "must be an integer >= 1")
+_OBJECT = (lambda v: type(v) is dict, "a JSON object")
+_COMMAND = (lambda v: v in COMMANDS, "one of " + ", ".join(COMMANDS))
+_COUNT = (_count(1), "an integer >= 1")
+_DEGREES = (_nonempty(_COUNT[0]), "a nonempty list of integers >= 1")
+_SEED = (lambda v: type(v) is int and finite_real(v),
+         "an integer within the float range")
+_WEIGHTS = {"zero": ZeroWeight, "fubini-study": FubiniStudyWeight}
+_WEIGHT = (lambda v: v is None or type(v) is str and v in _WEIGHTS,
+           '"zero", "fubini-study" or null')
+_POSITIVE = (_positive, "a finite positive number")
+_RADII = (_nonempty(_positive),
+          "a nonempty list of finite positive numbers")
+_DELTA_GRID = (lambda g: _RADII[0](g) and len(g) >= 6,
+               "a list of at least 6 finite positive numbers")
+_GRID_N = (_count(64, 1024), "an integer in [64, 1024]")
+_CENTER = (lambda v: type(v) is list and 1 <= len(v) <= 2
+           and all(map(finite_real, v)), "[re] or [re, im] of finite numbers")
+
+# the seeds of the commands that sample, when the manifest gives none
+_SEEDS = {"scan-regularity": 11, "localize": 5}
+
+_MEASURES = {
+    "arcsine": lambda doc: Arcsine(_get(doc, "a", _NUMBER),
+                                   _get(doc, "b", _NUMBER)),
+    "uniform-circle": lambda doc: UniformCircle(
+        complex(*_get(doc, "center", _CENTER)), _get(doc, "radius", _NUMBER)),
+}
+_TEST_FUNCTIONS = {
+    "polynomial": lambda doc: Polynomial(
+        [complex(a, b) for a, b in _get(doc, "coefficients", _PAIRS)]),
+    "tabulated": lambda doc: TabulatedLipschitz(
+        _get(doc, "grid", _NUMBERS), _get(doc, "values", _NUMBERS)),
+}
 
 
-def _points_ok(points, dim):
-    """Every point is a list of dim [re, im] pairs of finite numbers."""
-    # _pair and _real inlined: an extremal manifest can hold 10^4 points
-    for p in points:
-        if type(p) is not list or len(p) != dim:
-            return False
-        for z in p:
-            if type(z) is not list or len(z) != 2:
-                return False
-            a, b = z
-            if (type(a) not in (int, float) or type(b) not in (int, float)
-                    or not (-_FMAX <= a <= _FMAX and -_FMAX <= b <= _FMAX)):
-                return False
-    return True
+def _parse(man, field, build):
+    """build(man[field]) for an object field; its ValueError names field."""
+    doc = _get(man, field, _OBJECT)
+    try:
+        return build(doc)
+    except ValueError as exc:
+        raise ManifestError(f"field '{field}' is invalid: {exc}") from None
 
 
-def _positive_degree_list(man, field="degrees"):
-    ds = _require(man, field, list, lambda v: len(v) >= 1, "must be nonempty")
-    for d in ds:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ManifestError(f"field '{field}' is invalid: degree {d!r} "
-                                "must be an integer >= 1")
-    return ds
+def _of_kind(kinds):
+    """A builder that picks the constructor of doc["kind"] from kinds."""
+    def build(doc):
+        kind = doc.get("kind")
+        if type(kind) is not str or kind not in kinds:
+            raise ValueError(f"unknown kind {kind!r}")
+        return kinds[kind](doc)
+    return build
 
 
 # Cap on N*M, the basis size N = comb(n + d, n) times the cloud size M: a
@@ -124,76 +138,99 @@ def _positive_degree_list(man, field="degrees"):
 MAX_BASIS_CLOUD = 10 ** 7
 
 
-def _check_basis_cloud(man, field, degree, dim):
+def _check_basis_cloud(field, n, m, target_given):
     """Exit 2 before sampling when N*M is over MAX_BASIS_CLOUD."""
-    n, m = math.comb(dim + degree, dim), man.get("cloud_target", 2001)
     if n * m > MAX_BASIS_CLOUD:
         fields = f"field '{field}'" + (" with field 'cloud_target'"
-                                       if "cloud_target" in man else "")
+                                       if target_given else "")
         raise ManifestError(
             f"{fields} is invalid: basis size {n} times cloud size {m} is "
             f"over the cap of {MAX_BASIS_CLOUD} matrix entries")
 
 
+def _points(man, dim):
+    """extremal's points as a (k, dim, 2) float array of (re, im), and
+    whether every leaf is a float."""
+    what = (f"a nonempty list of points, each a list of {dim} [re, im] "
+            "pairs of finite numbers")
+    points = _get(man, "points", (lambda p: type(p) is list, what))
+    try:
+        leaves = set(map(type, chain.from_iterable(
+            chain.from_iterable(points))))
+        xy = np.asarray(points, dtype=float) if leaves <= {int, float} else None
+    except (TypeError, ValueError, OverflowError):    # ragged, or 10**400
+        xy = None
+    if (xy is None or len(xy) == 0 or xy.shape[1:] != (dim, 2)
+            or not np.isfinite(xy).all()):
+        raise ManifestError(f"field 'points' is invalid: must be {what}")
+    return xy, leaves == {float}
+
+
 def validate_manifest(man):
-    if not isinstance(man, dict):
+    """Check every field the command's runner reads, and return the runner's
+    arguments, with every default applied here."""
+    if type(man) is not dict:
         raise ManifestError("manifest must be a JSON object")
-    cmd = _require(man, "command", str)
-    if cmd not in COMMANDS:
-        raise ManifestError(f"field 'command' is invalid: unknown command {cmd!r}")
-    if cmd in ("fekete", "extremal", "capacity") and "cloud_target" in man:
-        _require(man, "cloud_target", int,
-                 lambda t: not isinstance(t, bool) and t >= 1,
-                 "must be an integer >= 1")
-    if cmd in ("fekete", "capacity"):
-        dim = _validate_spec_doc(man).dim
-        _check_basis_cloud(man, "degrees", max(_positive_degree_list(man)),
-                           dim)
-    elif cmd == "extremal":
-        dim = _validate_spec_doc(man).dim
-        _check_basis_cloud(man, "degree", _degree(man), dim)
-        _require(man, "points", list,
-                 lambda p: len(p) >= 1 and _points_ok(p, dim),
-                 f"must be a nonempty list of points, each a list of {dim} "
-                 "[re, im] pairs of finite numbers")
-    elif cmd == "relative":
-        if _validate_spec_doc(man, "set").dim != 1:
+    cmd = _get(man, "command", _COMMAND)
+    args = SimpleNamespace(command=cmd)
+    if cmd == "verify":
+        return args
+    if cmd == "relative":
+        args.set = _parse(man, "set", spec_from_dict)
+        if args.set.dim != 1:
             raise ManifestError("field 'set' is invalid: must be a set in C^1")
-        B = _validate_spec_doc(man, "disc")
-        if not isinstance(B, ComplexBall) or B.dim != 1:
-            raise ManifestError("field 'disc' is invalid: must be a ComplexBall in C^1")
-        if "grid_n" in man:
-            _require(man, "grid_n", int,
-                     lambda g: not isinstance(g, bool) and 64 <= g <= 1024,
-                     "must be an integer in [64, 1024]")
-    elif cmd == "scan-regularity":
-        _anchor_field(man, _validate_spec_doc(man).dim)
-        _require(man, "radii", list,
-                 lambda r: len(r) >= 1 and all(map(_positive, r)),
-                 "must be a nonempty list of finite positive numbers")
-        grid = _require(man, "delta_grid", list,
-                        lambda g: len(g) >= 6 and all(map(_positive, g)),
-                        "must be a list of at least 6 finite positive numbers")
-        try:
-            _check_delta_grid(grid)
-        except ValueError as exc:
-            raise ManifestError(f"field 'delta_grid' is invalid: {exc}")
-        _degree(man)
-    elif cmd == "localize":
-        _anchor_field(man, _validate_spec_doc(man).dim)
-        _require(man, "radius", (int, float), _positive,
-                 "must be a finite positive number")
-        _degree(man)
-    elif cmd == "equidist":
-        _validate_spec_doc(man)
-        _positive_degree_list(man)
-        _measure_from_doc(_require(man, "measure", dict))
-        _test_function_from_doc(_require(man, "test_function", dict))
-    return man
-
-
-def _anchor(man):
-    return [complex(a, b) for a, b in man["anchor"]]
+        args.disc = _parse(man, "disc", spec_from_dict)
+        if not isinstance(args.disc, ComplexBall) or args.disc.dim != 1:
+            raise ManifestError(
+                "field 'disc' is invalid: must be a ComplexBall in C^1")
+        args.grid_n = _get(man, "grid_n", _GRID_N, 256)
+        return args
+    args.spec = _parse(man, "spec", spec_from_dict)
+    args.seed = _get(man, "seed", _SEED, _SEEDS.get(cmd, 0))
+    dim = args.spec.dim
+    if cmd in ("fekete", "extremal", "capacity"):
+        args.cloud_target = _get(man, "cloud_target", _COUNT, 2001)
+        if cmd == "extremal":
+            args.degree = _get(man, "degree", _COUNT)
+            field, top = "degree", args.degree
+        else:
+            args.degrees = _get(man, "degrees", _DEGREES)
+            field, top = "degrees", max(args.degrees)
+        _check_basis_cloud(field, math.comb(dim + top, dim),
+                           args.cloud_target, "cloud_target" in man)
+        if cmd == "fekete":
+            args.spec_doc = man["spec"]         # fekete.json repeats it
+        if cmd != "capacity":                   # capacity solves unweighted
+            args.weight = _get(man, "weight", _WEIGHT, "zero") or "zero"
+        if cmd == "extremal":
+            args.xy, args.all_float = _points(man, dim)
+    elif cmd in ("scan-regularity", "localize"):
+        anchor = _get(man, "anchor", (
+            lambda a: type(a) is list and len(a) == dim
+            and all(map(finite_pair, a)),
+            f"a list of {dim} [re, im] pairs of finite numbers"))
+        args.anchor = [complex(a, b) for a, b in anchor]
+        if cmd == "scan-regularity":
+            args.radii = _get(man, "radii", _RADII)
+            args.delta_grid = _get(man, "delta_grid", _DELTA_GRID)
+            try:
+                _check_delta_grid(args.delta_grid)
+            except ValueError as exc:
+                raise ManifestError(f"field 'delta_grid' is invalid: {exc}")
+        else:
+            args.radius = _get(man, "radius", _POSITIVE)
+        args.degree = _get(man, "degree", _COUNT)
+        n = math.comb(dim + args.degree, dim)
+        floor = (HCP_CLOUD_FLOOR if cmd == "scan-regularity"
+                 else LOCALIZE_CLOUD_FLOOR)
+        _check_basis_cloud("degree", n, scan_cloud_target(n, floor), False)
+    else:                                               # equidist
+        args.degrees = _get(man, "degrees", _DEGREES)
+        args.measure = _parse(man, "measure", _of_kind(_MEASURES))
+        args.test_function = _parse(man, "test_function",
+                                    _of_kind(_TEST_FUNCTIONS))
+        args.alpha_prime = _get(man, "alpha_prime", _POSITIVE, 0.5)
+    return args
 
 
 def manifest_hash(man):
@@ -231,14 +268,6 @@ class Cache:
         atomic_write_text(self.path(key), canonical_json(doc) + "\n")
 
 
-def _weight_from_tag(tag):
-    if tag in (None, "zero"):
-        return ZeroWeight()
-    if tag == "fubini-study":
-        return FubiniStudyWeight()
-    raise ManifestError(f"field 'weight' is invalid: unknown tag {tag!r}")
-
-
 def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
     """Solve (or replay from cache) one Fekete configuration.
 
@@ -255,7 +284,7 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
                "version": 3}
     key = manifest_hash(key_doc)
     basis = BasisSpec(spec.dim, degree)
-    weight = _weight_from_tag(weight_tag)
+    weight = _WEIGHTS[weight_tag or "zero"]()
     hit = cache.get(key)
     if hit is not None and "node_indices" in hit:
         try:
@@ -285,35 +314,29 @@ def _coord_header(dim):
     return [f"{part}{k + 1}" for k in range(dim) for part in ("re", "im")]
 
 
-def _run_fekete(man, outdir, cache):
-    spec = spec_from_dict(man["spec"])
-    seed = man.get("seed", 0)
-    target = man.get("cloud_target", 2001)
-    weight_tag = man.get("weight", "zero")
+def _run_fekete(args, outdir, cache):
+    dim = args.spec.dim
     results = []
-    for d in man["degrees"]:
-        config, _, hit = cached_fekete(spec, d, weight_tag, seed, target, cache)
+    for d in args.degrees:
+        config, _, hit = cached_fekete(args.spec, d, args.weight, args.seed,
+                                       args.cloud_target, cache)
         if hit:
             print(f"cache hit: fekete degree {d}", file=sys.stderr)
         results.append(config.to_dict())
         z = config.nodes
         write_csv(os.path.join(outdir, f"fekete_nodes_d{d}.csv"),
-                  _coord_header(spec.dim),
-                  [c.tolist() for k in range(spec.dim)
+                  _coord_header(dim),
+                  [c.tolist() for k in range(dim)
                    for c in (z[:, k].real, z[:, k].imag)])
     write_json(os.path.join(outdir, "fekete.json"),
-               {"spec": man["spec"], "configs": results})
+               {"spec": args.spec_doc, "configs": results})
 
 
-def _run_extremal(man, outdir, cache):
-    spec = spec_from_dict(man["spec"])
-    d = man["degree"]
-    seed = man.get("seed", 0)
-    target = man.get("cloud_target", 2001)
-    weight_tag = man.get("weight", "zero")
-    config, cloud, _ = cached_fekete(spec, d, weight_tag, seed, target, cache)
+def _run_extremal(args, outdir, cache):
+    config, cloud, _ = cached_fekete(args.spec, args.degree, args.weight,
+                                     args.seed, args.cloud_target, cache)
     ev = SandwichEvaluator(config, cloud)
-    xy = np.asarray(man["points"], dtype=float)     # (k, n, 2): re, im
+    xy = args.xy                                    # (k, n, 2): re, im
     # each (re, im) pair read in place as one complex: signed zeros kept
     lower, upper = ev.bounds(xy.view(complex)[..., 0])
     # repr of a finite float is also its JSON text; NaN is not
@@ -324,23 +347,21 @@ def _run_extremal(man, outdir, cache):
               for c in xy.reshape(len(xy), -1).T.tolist()]
     lo, up = (list(map(float.__repr__, b.tolist())) for b in (lower, upper))
     write_csv(os.path.join(outdir, "extremal.csv"),
-              _coord_header(spec.dim) + ["lower", "upper"], coords + [lo, up])
+              _coord_header(args.spec.dim) + ["lower", "upper"],
+              coords + [lo, up])
     write_json(os.path.join(outdir, "extremal.json"),
-               {"degree": d, "gamma": config.gamma, "gap": ev.gap,
+               {"degree": args.degree, "gamma": config.gamma, "gap": ev.gap,
                 "lower": lower, "upper": upper},
                {"lower": _array_text(lo), "upper": _array_text(up)})
     # an int leaf is written 2 in manifest.json but 2.0 in the CSV
-    if {float} == set(map(type, chain.from_iterable(
-            chain.from_iterable(man["points"])))):
-        point = _array_text(["[{},{}]"] * spec.dim)
+    if args.all_float:
+        point = _array_text(["[{},{}]"] * args.spec.dim)
         return {"points": _array_text(map(point.format, *coords))}
     return None
 
 
-def _run_relative(man, outdir, cache):
-    E = spec_from_dict(man["set"])
-    B = spec_from_dict(man["disc"])
-    field = relative_extremal_1c(E, B, grid_n=man.get("grid_n", 256))
+def _run_relative(args, outdir, cache):
+    field = relative_extremal_1c(args.set, args.disc, grid_n=args.grid_n)
     field.to_csv(os.path.join(outdir, "relative_field.csv"))
     field.to_svg(os.path.join(outdir, "relative_field.svg"))
     write_json(os.path.join(outdir, "relative.json"),
@@ -348,10 +369,9 @@ def _run_relative(man, outdir, cache):
                 "grid_n": len(field.xs)})
 
 
-def _run_scan_regularity(man, outdir, cache):
-    spec = spec_from_dict(man["spec"])
-    report = hcp_scan(spec, _anchor(man), man["radii"], man["delta_grid"],
-                      man["degree"], seed=man.get("seed", 11))
+def _run_scan_regularity(args, outdir, cache):
+    report = hcp_scan(args.spec, args.anchor, args.radii, args.delta_grid,
+                      args.degree, seed=args.seed)
     write_json(os.path.join(outdir, "hcp_report.json"), report.to_dict())
     write_csv(os.path.join(outdir, "hcp_scan.csv"),
               ["r", "sup", "mu_hat"],
@@ -360,94 +380,40 @@ def _run_scan_regularity(man, outdir, cache):
                 for m in report.mu_per_radius]])
     if report.q_hat is not None:
         kappa, expo = capacity_density_from_supnorm(
-            max(report.coefficient, 1e-300), max(report.q_hat, 0.0), spec.dim)
+            max(report.coefficient, 1e-300), max(report.q_hat, 0.0),
+            args.spec.dim)
         write_json(os.path.join(outdir, "capacity_density.json"),
                    {"kappa": kappa, "exponent": expo})
 
 
-def _run_localize(man, outdir, cache):
-    spec = spec_from_dict(man["spec"])
-    res = localization_experiment(spec, _anchor(man), man["radius"],
-                                  man["degree"], seed=man.get("seed", 5))
+def _run_localize(args, outdir, cache):
+    res = localization_experiment(args.spec, args.anchor, args.radius,
+                                  args.degree, seed=args.seed)
     write_json(os.path.join(outdir, "localize.json"),
                {"full": res.report_full.to_dict(),
                 "local": res.report_local.to_dict(),
                 "mu_difference": res.mu_difference})
 
 
-def _run_capacity(man, outdir, cache):
-    spec = spec_from_dict(man["spec"])
-    seed = man.get("seed", 0)
-    target = man.get("cloud_target", 2001)
-    configs = []
-    for d in man["degrees"]:
-        config, _, _ = cached_fekete(spec, d, "zero", seed, target, cache)
-        configs.append(config)
-    cap = transfinite_diameter(configs)
+def _run_capacity(args, outdir, cache):
+    configs = [cached_fekete(args.spec, d, "zero", args.seed,
+                             args.cloud_target, cache)[0]
+               for d in args.degrees]
     write_json(os.path.join(outdir, "capacity.json"),
-               {"degrees": man["degrees"], "transfinite_diameter": cap})
+               {"degrees": args.degrees,
+                "transfinite_diameter": transfinite_diameter(configs)})
 
 
-_NUMBER = (_real, "a finite number")
-_CENTER = (lambda v: type(v) is list and 1 <= len(v) <= 2
-           and all(map(_real, v)), "[re] or [re, im] of finite numbers")
-_NUMBERS = (lambda v: type(v) is list and len(v) >= 1 and all(map(_real, v)),
-            "a nonempty list of finite numbers")
-_PAIRS = (lambda v: type(v) is list and len(v) >= 1 and all(map(_pair, v)),
-          "a nonempty list of [re, im] pairs of finite numbers")
-
-
-def _get(doc, key, check):
-    """doc[key], or ValueError when it is missing or fails check."""
-    ok, what = check
-    if key not in doc:
-        raise ValueError(f"missing '{key}'")
-    if not ok(doc[key]):
-        raise ValueError(f"'{key}' must be {what}")
-    return doc[key]
-
-
-def _measure_from_doc(doc):
-    kind = doc.get("kind")
-    try:
-        if kind == "arcsine":
-            return Arcsine(_get(doc, "a", _NUMBER), _get(doc, "b", _NUMBER))
-        if kind == "uniform-circle":
-            return UniformCircle(complex(*_get(doc, "center", _CENTER)),
-                                 _get(doc, "radius", _NUMBER))
-    except ValueError as exc:
-        raise ManifestError(f"field 'measure' is invalid: {exc}") from None
-    raise ManifestError(f"field 'measure' is invalid: unknown kind {kind!r}")
-
-
-def _test_function_from_doc(doc):
-    kind = doc.get("kind")
-    try:
-        if kind == "polynomial":
-            return Polynomial([complex(a, b) for a, b in
-                               _get(doc, "coefficients", _PAIRS)])
-        if kind == "tabulated":
-            return TabulatedLipschitz(_get(doc, "grid", _NUMBERS),
-                                      _get(doc, "values", _NUMBERS))
-    except ValueError as exc:
-        raise ManifestError(
-            f"field 'test_function' is invalid: {exc}") from None
-    raise ManifestError(f"field 'test_function' is invalid: unknown kind {kind!r}")
-
-
-def _run_equidist(man, outdir, cache):
-    spec = spec_from_dict(man["spec"])
-    measure = _measure_from_doc(man["measure"])
-    v = _test_function_from_doc(man["test_function"])
-    fit = rate_experiment(spec, v, man["degrees"], measure,
-                          alpha_prime=man.get("alpha_prime", 0.5),
-                          seed=man.get("seed", 0))
+def _run_equidist(args, outdir, cache):
+    fit = rate_experiment(args.spec, args.test_function, args.degrees,
+                          args.measure, alpha_prime=args.alpha_prime,
+                          seed=args.seed)
     write_json(os.path.join(outdir, "rate_fit.json"), fit.to_dict())
     write_csv(os.path.join(outdir, "rate.csv"), ["d", "e_d", "bound_line"],
               [fit.degrees, fit.errors, fit.bound_line])
 
 
-def _run_verify(man, outdir, cache):
+def _run_verify(args, outdir, cache):
     """Quick invariant suite; prints a pass/fail table."""
     checks = []
 
@@ -498,10 +464,10 @@ _RUNNERS = {"fekete": _run_fekete, "extremal": _run_extremal,
 
 def run_manifest(man, outdir, cache_dir=None):
     """Execute one validated manifest; returns the manifest content hash."""
-    validate_manifest(man)
+    args = validate_manifest(man)
     os.makedirs(outdir, exist_ok=True)
     # a runner may return the text of some manifest values it formatted
-    texts = _RUNNERS[man["command"]](man, outdir, Cache(cache_dir))
+    texts = _RUNNERS[args.command](args, outdir, Cache(cache_dir))
     # runners leave the manifest as it is: encode it once, after the run
     # (not held through it), for both the hash and
     # canonical_json({"hash": h, "manifest": man, "version": __version__})

@@ -148,7 +148,12 @@ def _holder_on_grid(v, xs, alpha):
     return sup, semi
 
 
-def holder_norm(v, alpha, box, grid_n=256, divergence_factor=1.3):
+# a seminorm that grows by more than this factor from the half grid to the
+# full grid is flagged divergent
+DIVERGENCE_FACTOR = 1.3
+
+
+def holder_norm(v, alpha, box, grid_n=256):
     """Discrete C^alpha norm sup|v| + sup |v(x)-v(y)| / |x-y|^alpha on a real
     interval box = (lo, hi); a seminorm still growing by more than 30% under
     grid refinement is flagged divergent (a true C^alpha violation grows by at
@@ -165,7 +170,7 @@ def holder_norm(v, alpha, box, grid_n=256, divergence_factor=1.3):
     norm_h = sup_h + semi_h
     norm_f = sup_f + semi_f
     gap = abs(norm_f - norm_h) / max(norm_h, 1e-300)
-    divergent = semi_h > 0 and semi_f > divergence_factor * semi_h
+    divergent = semi_h > 0 and semi_f > DIVERGENCE_FACTOR * semi_h
     return HolderNorm(value=norm_f, sup_part=sup_f, seminorm=semi_f,
                       alpha=alpha, divergent=divergent, refinement_gap=gap)
 

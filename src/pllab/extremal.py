@@ -142,6 +142,10 @@ def projective_extremal(config, cloud, z):
 # relative extremal function (1 complex dimension)
 # ---------------------------------------------------------------------------
 
+# contour levels of RelativeField.to_svg
+CONTOUR_LEVELS = [0.1 * k for k in range(1, 10)]
+
+
 @dataclass(frozen=True, eq=False)
 class RelativeField:
     xs: np.ndarray             # grid coordinates (real parts)
@@ -161,10 +165,9 @@ class RelativeField:
                   [re * len(im), [y for y in im for _ in re],
                    self.values.ravel().tolist()])
 
-    def to_svg(self, path, levels=None):
+    def to_svg(self, path):
         from .serialize import field_contour_svg
-        field_contour_svg(path, self.xs, self.ys, self.values,
-                          levels or [0.1 * k for k in range(1, 10)])
+        field_contour_svg(path, self.xs, self.ys, self.values, CONTOUR_LEVELS)
 
 
 def relative_extremal_1c(E, B, grid_n=256):
@@ -185,6 +188,10 @@ def relative_extremal_1c(E, B, grid_n=256):
     r = B.radius
     xs = np.linspace(c.real - r, c.real + r, grid_n)
     ys = np.linspace(c.imag - r, c.imag + r, grid_n)
+    # far from 0 for its size, or too large, B has no grid of distinct floats
+    if not all(np.isfinite(g).all() and (np.diff(g) > 0).all()
+               for g in (xs, ys)):
+        raise ValueError("the grid on B does not resolve in floating point")
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     outer = np.abs(Z - c) >= r

@@ -8,6 +8,7 @@ numpy complex vectors of length n.  All balls are closed and membership uses a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -675,7 +676,11 @@ def halfdisc_harmonic_measure(tau):
     return float(min(max(val, 0.0), 1.0))
 
 
-def diameter(spec, sample_count=4000):
+# cloud size for the diameter of a set without a closed form
+DIAMETER_SAMPLES = 4000
+
+
+def diameter(spec):
     """Euclidean diameter; exact for primitives, hull-of-samples otherwise."""
     if isinstance(spec, Interval):
         return spec.b - spec.a
@@ -689,7 +694,7 @@ def diameter(spec, sample_count=4000):
         for i in range(len(V)):
             d = max(d, float(np.max(np.linalg.norm(V - V[i][None, :], axis=1))))
         return d
-    cloud = sample(spec, min(sample_count, 4000), seed=0)
+    cloud = sample(spec, DIAMETER_SAMPLES, seed=0)
     pts = cloud.points
     if len(pts) > 1200:
         step = len(pts) // 1200 + 1
@@ -709,10 +714,6 @@ def _cplx_out(v):
     return [[float(x.real), float(x.imag)] for x in arr]
 
 
-def _cplx_in(lst):
-    return tuple(complex(a, b) for a, b in lst)
-
-
 def spec_to_dict(spec):
     if isinstance(spec, Interval):
         return {"kind": "Interval", "a": spec.a, "b": spec.b}
@@ -721,7 +722,7 @@ def spec_to_dict(spec):
                 "radius": spec.radius}
     if isinstance(spec, RealBall):
         return {"kind": "RealBall",
-                "center": list(np.atleast_1d(np.asarray(spec.center, dtype=float))),
+                "center": np.atleast_1d(np.asarray(spec.center, dtype=float)).tolist(),
                 "radius": spec.radius}
     if isinstance(spec, Box):
         return {"kind": "Box", "intervals": [list(ab) for ab in spec.intervals]}
@@ -742,29 +743,88 @@ def spec_to_dict(spec):
     raise TypeError(f"unknown SetSpec kind {type(spec).__name__}")
 
 
+_FMAX = sys.float_info.max
+
+
+def finite_real(x):
+    """An int or float, not a bool, that converts to a finite float."""
+    return type(x) in (int, float) and -_FMAX <= x <= _FMAX
+
+
+def finite_pair(v):
+    return type(v) is list and len(v) == 2 and all(map(finite_real, v))
+
+
+def _nonempty(ok):
+    return lambda v: type(v) is list and len(v) >= 1 and all(map(ok, v))
+
+
+# (predicate, description) for each kind of leaf a spec document holds
+_NUMBER = (finite_real, "a finite number")
+_INTEGER = (lambda v: type(v) is int and finite_real(v), "an integer")
+_NUMBERS = (_nonempty(finite_real), "a nonempty list of finite numbers")
+_PAIRS = (_nonempty(finite_pair),
+          "a nonempty list of [re, im] pairs of finite numbers")
+_VERTICES = (_nonempty(_PAIRS[0]), "a nonempty list of points, each "
+             "a nonempty list of [re, im] pairs of finite numbers")
+_COEFFS = (_nonempty(_NUMBERS[0]),
+           "a nonempty list of nonempty lists of finite numbers")
+_INTERVALS = (_PAIRS[0],
+              "a nonempty list of [a, b] pairs of finite numbers")
+_SPEC = (lambda v: type(v) is dict, "a set spec")
+_PARTS = (_nonempty(_SPEC[0]), "a nonempty list of set specs")
+
+
+def _get(doc, key, check):
+    """doc[key], or ValueError naming key when it is missing or fails check."""
+    ok, what = check
+    if key not in doc:
+        raise ValueError(f"missing '{key}'")
+    if not ok(doc[key]):
+        raise ValueError(f"'{key}' must be {what}")
+    return doc[key]
+
+
+def _complexes(doc, key):
+    return tuple(complex(a, b) for a, b in _get(doc, key, _PAIRS))
+
+
 def spec_from_dict(doc):
-    kind = doc["kind"]
+    """The SetSpec a JSON document describes; ValueError naming the key
+    when a leaf is not a finite number (or an integer where one is due)."""
+    if type(doc) is not dict:
+        raise ValueError("a set spec must be a JSON object")
+    kind = doc.get("kind")
     if kind == "Interval":
-        return Interval(doc["a"], doc["b"])
+        return Interval(_get(doc, "a", _NUMBER), _get(doc, "b", _NUMBER))
     if kind == "ComplexBall":
-        return ComplexBall(_cplx_in(doc["center"]), doc["radius"])
+        return ComplexBall(_complexes(doc, "center"),
+                           _get(doc, "radius", _NUMBER))
     if kind == "RealBall":
-        return RealBall(tuple(doc["center"]), doc["radius"])
+        return RealBall(tuple(_get(doc, "center", _NUMBERS)),
+                        _get(doc, "radius", _NUMBER))
     if kind == "Box":
-        return Box(tuple(tuple(ab) for ab in doc["intervals"]))
+        return Box(tuple(map(tuple, _get(doc, "intervals", _INTERVALS))))
     if kind == "ConvexHull":
-        return ConvexHull(tuple(_cplx_in(v) for v in doc["vertices"]))
+        return ConvexHull(tuple(tuple(complex(a, b) for a, b in v)
+                                for v in _get(doc, "vertices", _VERTICES)))
     if kind == "Cusp":
-        return Cusp(tuple(tuple(c) for c in doc["h_coeffs"]), doc["M"],
-                    int(doc["m"]), int(doc.get("degree_bound", 0)))
+        return Cusp(tuple(map(tuple, _get(doc, "h_coeffs", _COEFFS))),
+                    _get(doc, "M", _NUMBER), _get(doc, "m", _INTEGER),
+                    _get(doc, "degree_bound", _INTEGER)
+                    if "degree_bound" in doc else 0)
     if kind == "AffineImage":
-        inner = spec_from_dict(doc["inner"])
+        inner = spec_from_dict(_get(doc, "inner", _SPEC))
         n = inner.dim
-        mat = np.array(_cplx_in(doc["matrix"])).reshape(n, n)
-        return AffineImage(inner, tuple(map(tuple, mat)), _cplx_in(doc["shift"]))
+        mat = _complexes(doc, "matrix")
+        if len(mat) != n * n:
+            raise ValueError(f"'matrix' must hold {n * n} [re, im] pairs")
+        return AffineImage(inner, tuple(map(tuple, np.reshape(mat, (n, n)))),
+                           _complexes(doc, "shift"))
     if kind == "Union":
-        return Union(tuple(spec_from_dict(p) for p in doc["parts"]))
+        return Union(tuple(map(spec_from_dict, _get(doc, "parts", _PARTS))))
     if kind == "BallIntersection":
-        return BallIntersection(spec_from_dict(doc["inner"]),
-                                _cplx_in(doc["center"]), doc["radius"])
+        return BallIntersection(spec_from_dict(_get(doc, "inner", _SPEC)),
+                                _complexes(doc, "center"),
+                                _get(doc, "radius", _NUMBER))
     raise ValueError(f"unknown SetSpec kind tag {kind!r}")

@@ -21,6 +21,15 @@ from .geometry import (BallIntersection, DegenerateSetError, as_point, contains,
                        diameter, exact_extremal, sample)
 
 N_DIRECTIONS = 64
+# modulus fits keep the scales whose sandwich gap is at most this share of
+# the lower track, and need this many of them
+NOISE_FACTOR = 0.5
+MIN_FIT_POINTS = 5
+# hcp_scan reads the sup of the lower track on |z - a| = REFERENCE_RADIUS
+REFERENCE_RADIUS = 1.0
+# smallest clouds of hcp_scan and localization_experiment; see scan_cloud_target
+HCP_CLOUD_FLOOR = 600
+LOCALIZE_CLOUD_FLOOR = 800
 _PLASTIC = 1.3247179572447460
 
 
@@ -109,8 +118,13 @@ def _check_delta_grid(deltas):
     return d[::-1]              # ascending
 
 
-def modulus_fit(spec, a, delta_grid, engine, directions=N_DIRECTIONS,
-                noise_factor=0.5, min_fit_points=5):
+def scan_cloud_target(basis_size, floor):
+    """Cloud size of a scan given no cloud_target: 4 points per basis
+    function, and at least floor."""
+    return max(4 * basis_size, floor)
+
+
+def modulus_fit(spec, a, delta_grid, engine, directions=N_DIRECTIONS):
     """Scan w(a, delta) = sup_{|z-a|=delta} of the extremal estimate and fit
     log w against log delta on the lower track above the noise floor."""
     av = as_point(a, spec.dim)
@@ -133,15 +147,15 @@ def modulus_fit(spec, a, delta_grid, engine, directions=N_DIRECTIONS,
     gaps = upper - lower
     keep = lower > 0
     if engine.source != "exact":
-        keep &= gaps <= noise_factor * np.maximum(lower, 1e-300)
+        keep &= gaps <= NOISE_FACTOR * np.maximum(lower, 1e-300)
     used = int(np.sum(keep))
-    if used < min_fit_points:
+    if used < MIN_FIT_POINTS:
         return ModulusReport(anchor=tuple(av.tolist()), deltas=deltas,
                              lower=lower, upper=upper, source=engine.source,
                              mu_hat=None, c_hat=None, r_squared=None,
                              points_used=used, inconclusive=True,
                              notes="fewer than %d points above the noise floor"
-                                   % min_fit_points, kept=keep)
+                                   % MIN_FIT_POINTS, kept=keep)
     mu, c, r2 = _loglog_fit(deltas[keep], lower[keep])
     return ModulusReport(anchor=tuple(av.tolist()), deltas=deltas, lower=lower,
                          upper=upper, source=engine.source, mu_hat=mu, c_hat=c,
@@ -177,17 +191,16 @@ class HcpReport:
         }
 
 
-def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
-             reference_radius=1.0):
+def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11):
     """Per-radius Fekete solve on K cap B(a, r), modulus fit, and sup of the
-    lower track over the reference sphere |z - a| = reference_radius; fits the
+    lower track over the reference sphere |z - a| = REFERENCE_RADIUS; fits the
     order q as the slope of log sup against log(1/r)."""
     av = as_point(a, spec.dim)
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     radii = sorted(radii, reverse=True)
     basis = BasisSpec(spec.dim, degree)
-    target = cloud_target or max(4 * basis.size, 600)
+    target = cloud_target or scan_cloud_target(basis.size, HCP_CLOUD_FLOOR)
     dirs = direction_mesh(spec.dim)
     sups, mus, kept, dropped = [], [], [], []
     for r in radii:
@@ -200,7 +213,7 @@ def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
             dropped.append(r)
             continue
         engine = SandwichEvaluator(config, cloud)
-        Zref = av[None, :] + reference_radius * dirs
+        Zref = av[None, :] + REFERENCE_RADIUS * dirs
         lo, _ = engine.bounds(Zref)
         sups.append(float(np.max(lo)))
         rep = modulus_fit(sub, av, delta_grid, engine)
@@ -294,7 +307,8 @@ def localization_experiment(spec, a, r, degree, delta_grid=None,
     if delta_grid is None:
         delta_grid = [2.6 * 0.7 ** k for k in range(8)]
     basis = BasisSpec(spec.dim, degree)
-    target = cloud_target or max(4 * basis.size, 800)
+    target = cloud_target or scan_cloud_target(basis.size,
+                                               LOCALIZE_CLOUD_FLOOR)
     weight_factory = FubiniStudyWeight
 
     cloud_full = sample(spec, target, seed=seed)

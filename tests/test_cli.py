@@ -14,6 +14,8 @@ from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, MAX_BASIS_CLOUD,
                        Cache, ManifestError, cached_fekete, main,
                        manifest_hash, validate_manifest)
 from pllab.extremal import SandwichEvaluator
+from pllab.regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
+                              scan_cloud_target)
 from pllab.geometry import (exact_extremal, sample, spec_from_dict,
                             spec_to_dict)
 from pllab.serialize import canonical_json
@@ -176,6 +178,13 @@ def test_relative_command(tmp_path):
     ("grid_n", 4096), ("grid_n", 2048),
     ("set", {"kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
              "radius": 0.5}),
+    # spec leaves: "x" < "y", so Interval's own a < b check lets it pass
+    ("set", {"kind": "Interval", "a": "x", "b": "y"}),
+    ("set", {"kind": "Interval", "a": -0.5, "b": float("inf")}),
+    ("disc", {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+              "radius": float("inf")}),
+    ("disc", {"kind": "ComplexBall", "center": [[True, 0.0]],
+              "radius": 1.0}),
 ])
 def test_relative_manifest_bad_field_exits_schema(tmp_path, capsys, field,
                                                  value):
@@ -413,6 +422,11 @@ def test_version_2_cache_entry_is_never_replayed(tmp_path, monkeypatch):
      {"degrees": [20], "cloud_target": 10 ** 7}),
     ("extremal", ["degree", "cloud_target"], {"cloud_target": 4 * 10 ** 6}),
     ("capacity", ["degrees", "cloud_target"], {"cloud_target": 3 * 10 ** 6}),
+    # 5151 basis functions on max(4N, 600) and max(4N, 800) points
+    ("scan-regularity", ["degree"], {"spec": BALL2, "degree": 100,
+                                     "anchor": [[0.0, 0.0], [0.0, 0.0]]}),
+    ("localize", ["degree"], {"spec": BALL2, "degree": 100,
+                              "anchor": [[0.0, 0.0], [0.0, 0.0]]}),
 ])
 def test_basis_cloud_cap_exits_schema_before_sampling(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -420,8 +434,10 @@ def test_basis_cloud_cap_exits_schema_before_sampling(tmp_path, capsys,
     def no_sample(*args, **kwargs):
         raise AssertionError("a manifest over the cap reached sample")
 
-    monkeypatch.setattr(pllab.cli, "sample", no_sample)
-    man = dict(SOLVE_MANIFESTS[command], **extra)
+    for mod in (pllab.cli, pllab.regularity):
+        monkeypatch.setattr(mod, "sample", no_sample)
+    man = dict(SOLVE_MANIFESTS.get(command)
+               or SCALAR_DEGREE_MANIFESTS[command], **extra)
     assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
                  str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
     err = capsys.readouterr().err
@@ -633,7 +649,8 @@ EQUIDIST = {"command": "equidist", "spec": INTERVAL,
     ("test_function", {"kind": "tabulated", "grid": [-1.0, 0.0, 1.0],
                        "values": [0.0, 1.0]}),
     ("test_function", {}),
-])
+] + [("alpha_prime", v) for v in ("x", None, True, 0, -0.5, float("inf"),
+                                  float("nan"), [0.5])])
 def test_equidist_bad_doc_exits_schema(tmp_path, capsys, field, doc):
     man = dict(EQUIDIST, **{field: doc})
     mp = _write_manifest(tmp_path, man)
@@ -687,3 +704,137 @@ def test_console_script_help():
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "--manifest" in res.stdout
+
+
+# ---------------------------------------------------------------------------
+# spec leaves, seed, weight and alpha_prime are checked before any sample
+# ---------------------------------------------------------------------------
+
+def _no_sample(*args, **kwargs):
+    raise AssertionError("a bad manifest reached sample")
+
+
+@pytest.fixture
+def sample_fails(monkeypatch):
+    for mod in (pllab.cli, pllab.regularity, pllab.equidist):
+        monkeypatch.setattr(mod, "sample", _no_sample)
+    monkeypatch.setattr(pllab.cli, "relative_extremal_1c", _no_sample)
+
+
+# "x" < "y", [0] < [1] and False < True: Interval's a < b check passes them
+BAD_SPECS = [
+    {"kind": "Interval", "a": "x", "b": "y"},
+    {"kind": "Interval", "a": [0], "b": [1]},
+    {"kind": "Interval", "a": False, "b": True},
+    {"kind": "Interval", "a": float("-inf"), "b": 1.0},
+    {"kind": "Interval", "a": -1.0, "b": 10 ** 400},
+    {"kind": "Interval", "a": -1.0},
+    {"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": float("inf")},
+    {"kind": "ComplexBall", "center": [[0.0, "0"]], "radius": 1.0},
+    {"kind": "ComplexBall", "center": [[0.0]], "radius": 1.0},
+    {"kind": "RealBall", "center": ["x", 0], "radius": 1.0},
+    {"kind": "RealBall", "center": [], "radius": 1.0},
+    {"kind": "Box", "intervals": [["a", "b"]]},
+    {"kind": "Box", "intervals": [[0.0, 1.0], [0.0, float("nan")]]},
+    {"kind": "ConvexHull", "vertices": [[[0.0, 0.0]], [[1.0, None]]]},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2.5},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": True},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2,
+     "degree_bound": 1.5},
+    {"kind": "Cusp", "h_coeffs": [[0.0, "1"], [0.0]], "M": 0.5, "m": 2},
+    {"kind": "AffineImage", "inner": INTERVAL, "matrix": [[2.0, 0.0]],
+     "shift": [[float("inf"), 0.0]]},
+    {"kind": "AffineImage", "inner": INTERVAL,
+     "matrix": [[2.0, 0.0], [1.0, 0.0]], "shift": [[0.0, 0.0]]},
+    {"kind": "Union", "parts": [INTERVAL, {"kind": "Interval", "a": 2.0,
+                                           "b": "3"}]},
+    {"kind": "Union", "parts": [INTERVAL, 5]},
+    {"kind": "BallIntersection", "inner": "x", "center": [[0.0, 0.0]],
+     "radius": 0.5},
+    {"kind": "BallIntersection", "inner": INTERVAL, "center": [[0.0, 0.0]],
+     "radius": False},
+]
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
+def test_bad_spec_leaf_exits_schema(tmp_path, capsys, sample_fails, spec):
+    man = {"command": "fekete", "spec": spec, "degrees": [2]}
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
+    assert "field 'spec'" in capsys.readouterr().err
+
+
+SEEDED_MANIFESTS = dict(SOLVE_MANIFESTS, disc={
+    "command": "fekete", "spec": DISC, "degrees": [2]},
+    equidist=EQUIDIST, **SCALAR_DEGREE_MANIFESTS)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_MANIFESTS))
+@pytest.mark.parametrize("seed", ["x", None, [1], True, False, 1.0, 10 ** 400])
+def test_bad_seed_exits_schema(tmp_path, capsys, sample_fails, name, seed):
+    man = dict(SEEDED_MANIFESTS[name], seed=seed)
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
+    assert "field 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fekete", "extremal"])
+@pytest.mark.parametrize("weight", ["uniform", "", 0, True, ["zero"],
+                                    {"kind": "zero"}])
+def test_bad_weight_exits_schema_before_sampling(tmp_path, capsys,
+                                                 sample_fails, command,
+                                                 weight):
+    man = dict(SOLVE_MANIFESTS[command], weight=weight)
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
+    assert "field 'weight'" in capsys.readouterr().err
+
+
+def test_null_and_absent_weight_mean_zero(tmp_path):
+    trees = []
+    for name, extra in (("absent", {}), ("null", {"weight": None}),
+                        ("zero", {"weight": "zero"})):
+        man = dict(SOLVE_MANIFESTS["fekete"], cloud_target=401, **extra)
+        out = tmp_path / name
+        assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                     str(out), "--no-cache"]) == EXIT_OK
+        trees.append((out / "fekete.json").read_bytes())
+    assert trees[0] == trees[1] == trees[2]
+
+
+def test_validate_returns_runner_arguments():
+    args = validate_manifest({"command": "extremal", "spec": DISC,
+                              "degree": 3, "points": [[[2, -0.0]]]})
+    assert (args.degree, args.seed, args.cloud_target, args.weight) == (
+        3, 0, 2001, "zero")
+    assert args.xy.shape == (1, 1, 2) and not args.all_float
+    scan = validate_manifest(SCALAR_DEGREE_MANIFESTS["scan-regularity"])
+    assert scan.anchor == [1 + 0j] and scan.seed == 11
+    assert validate_manifest(SCALAR_DEGREE_MANIFESTS["localize"]).seed == 5
+    assert validate_manifest(EQUIDIST).alpha_prime == 0.5
+    rel = validate_manifest({"command": "relative", "set": INTERVAL,
+                             "disc": DISC})
+    assert rel.grid_n == 256 and not hasattr(rel, "seed")
+
+
+# ---------------------------------------------------------------------------
+# the N*M cap on scan-regularity and localize, at their own cloud sizes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["scan-regularity", "localize"])
+def test_scan_basis_cloud_cap_boundary(command):
+    floor = {"scan-regularity": HCP_CLOUD_FLOOR,
+             "localize": LOCALIZE_CLOUD_FLOOR}[command]
+    man = dict(SCALAR_DEGREE_MANIFESTS[command], spec=BALL2,
+               anchor=[[0.0, 0.0], [0.0, 0.0]])
+    # C^2 at degree 54: N = 1540, M = 4N = 6160, N*M = 9.49e6 passes
+    assert scan_cloud_target(1540, floor) == 6160
+    validate_manifest(dict(man, degree=54))
+    # degree 55: N = 1596, M = 6384, N*M = 1.02e7 is over
+    with pytest.raises(ManifestError, match="field 'degree' is invalid"):
+        validate_manifest(dict(man, degree=55))
+    # C^1 at degree 1580: N = 1581, 4N^2 = 9.998e6; degree 1581 is over
+    c1 = dict(man, spec=INTERVAL, anchor=[[0.0, 0.0]])
+    validate_manifest(dict(c1, degree=1580))
+    with pytest.raises(ManifestError, match="field 'degree' is invalid"):
+        validate_manifest(dict(c1, degree=1581))

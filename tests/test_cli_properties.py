@@ -1,9 +1,12 @@
-"""Property tests of the manifest boundary: random extremal `points`, and
+"""Property tests of the manifest boundary: random extremal `points`,
 random `anchor`, `radii`, `delta_grid` and `radius` fields of
-`scan-regularity` and `localize`, either run (exit 0), are rejected naming
+`scan-regularity` and `localize`, and one random field anywhere in a small
+valid manifest of each command, either run (exit 0), are rejected naming
 the field (exit 2), or fail numerically (exit 3); none escapes as an
 exception, and no scan exits 0 with an empty report."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -99,3 +102,103 @@ def test_random_scan_and_localize_fields_exit_cleanly(spec, degree, doc):
         if code == EXIT_OK and doc["command"] == "scan-regularity":
             with open(os.path.join(d, "o", "hcp_report.json")) as f:
                 assert json.load(f)["radii"]
+
+
+# one small valid manifest per command: degrees <= 2, clouds of 201 points
+SMALL = {
+    "fekete": {"command": "fekete", "spec": SPECS[0], "degrees": [2],
+               "cloud_target": 201, "seed": 0, "weight": "zero"},
+    "extremal": {"command": "extremal", "spec": C1_SPECS[1], "degree": 2,
+                 "cloud_target": 201, "seed": 1, "weight": "fubini-study",
+                 "points": [[[2.0, 0.0]], [[0.0, 1.5]]]},
+    "capacity": {"command": "capacity", "spec": SPECS[0],
+                 "degrees": [1, 2, 2], "cloud_target": 201, "seed": 0},
+    "relative": {"command": "relative",
+                 "set": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+                         "radius": 0.5},
+                 "disc": C1_SPECS[1], "grid_n": 64},
+    "scan-regularity": {"command": "scan-regularity", "spec": SPECS[0],
+                        "anchor": [[1.0, 0.0]], "radii": [0.5],
+                        "delta_grid": [0.1 * 0.7 ** k for k in range(6)],
+                        "degree": 2, "seed": 11},
+    "localize": {"command": "localize", "spec": C1_SPECS[1],
+                 "anchor": [[1.0, 0.0]], "radius": 0.3, "degree": 2,
+                 "seed": 5},
+    # equidist fits a rate, so it needs four degrees
+    "equidist": {"command": "equidist", "spec": SPECS[0],
+                 "degrees": [1, 2, 3, 4],
+                 "measure": {"kind": "arcsine", "a": -1.0, "b": 1.0},
+                 "test_function": {"kind": "tabulated", "grid": [-1.0, 1.0],
+                                   "values": [0.0, 1.0]},
+                 "alpha_prime": 0.5, "seed": 0},
+}
+# a set spec of every kind, each swapped in for a manifest's spec
+KIND_SPECS = [
+    {"kind": "RealBall", "center": [0.0], "radius": 1.0},
+    {"kind": "Box", "intervals": [[-1.0, 1.0]]},
+    {"kind": "ConvexHull", "vertices": [[[0.0, 0.0]], [[1.0, 0.0]],
+                                        [[0.0, 1.0]]]},
+    {"kind": "AffineImage", "inner": SPECS[0], "matrix": [[2.0, 0.0]],
+     "shift": [[1.0, 0.0]]},
+    {"kind": "Union", "parts": [{"kind": "Interval", "a": -1.0, "b": 0.0},
+                                {"kind": "Interval", "a": 0.5, "b": 1.0}]},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0]], "M": 0.5, "m": 2,
+     "degree_bound": 0},
+    {"kind": "BallIntersection", "inner": C1_SPECS[1],
+     "center": [[1.0, 0.0]], "radius": 0.5},
+]
+VALUES = st.one_of(LEAVES, st.sampled_from(
+    ["zero", "fubini-study", "Interval", "arcsine", [1.0, 0.0],
+     [[1.0, 0.0]], {"kind": "ComplexBall"}]))
+_DELETE = object()
+
+
+def _paths(node, prefix=()):
+    """The path of every value below node: dict keys and list indexes."""
+    items = (node.items() if type(node) is dict
+             else enumerate(node) if type(node) is list else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(man, path, value):
+    man = json.loads(json.dumps(man))
+    *parents, last = path
+    node = man
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return man
+
+
+@st.composite
+def mutated_manifests(draw):
+    man = draw(st.sampled_from(list(SMALL.values())))
+    if "spec" in man and draw(st.booleans()):
+        man = dict(man, spec=draw(st.sampled_from(KIND_SPECS)))
+    path = draw(st.sampled_from(list(_paths(man))))
+    value = draw(st.one_of(VALUES, st.just(_DELETE)))
+    return _mutated(man, path, value)
+
+
+@pytest.mark.parametrize("command", list(SMALL))
+def test_small_manifests_run(command):
+    with tempfile.TemporaryDirectory() as d:
+        assert _run(d, SMALL[command], "--no-cache") == EXIT_OK
+
+
+@settings(max_examples=80, deadline=None)
+@given(man=mutated_manifests())
+def test_mutated_manifest_exits_cleanly(man):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, \
+            contextlib.redirect_stderr(err):
+        code = _run(d, man, "--no-cache")
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_NUMERICAL)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_SCHEMA:
+        assert "field '" in err.getvalue() or "manifest" in err.getvalue()

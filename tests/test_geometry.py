@@ -541,3 +541,39 @@ def test_spec_json_round_trip(spec):
 def test_spec_from_dict_unknown_kind():
     with pytest.raises(ValueError, match="unknown"):
         spec_from_dict({"kind": "Torus"})
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"kind": "Interval", "a": "x", "b": 1.0}, "a"),
+    ({"kind": "Interval", "a": [0], "b": 1.0}, "a"),
+    ({"kind": "Interval", "a": -1.0, "b": True}, "b"),
+    ({"kind": "Interval", "a": float("-inf"), "b": 1.0}, "a"),
+    ({"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": math.inf},
+     "radius"),
+    ({"kind": "ComplexBall", "center": [[0.0, 0.0, 0.0]], "radius": 1.0},
+     "center"),
+    ({"kind": "RealBall", "center": ["x", 0], "radius": 1.0}, "center"),
+    ({"kind": "Box", "intervals": [["a", "b"]]}, "intervals"),
+    ({"kind": "ConvexHull", "vertices": [[[0.0, math.nan]]]}, "vertices"),
+    ({"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2.5},
+     "m"),
+    ({"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2,
+      "degree_bound": 2.0}, "degree_bound"),
+    ({"kind": "Cusp", "h_coeffs": [[]], "M": 0.5, "m": 2}, "h_coeffs"),
+    ({"kind": "AffineImage", "inner": {"kind": "Interval", "a": -1, "b": 1},
+      "matrix": [[1.0, 0.0], [0.0, 0.0]], "shift": [[0.0, 0.0]]}, "matrix"),
+    ({"kind": "Union", "parts": []}, "parts"),
+    ({"kind": "BallIntersection", "inner": [], "center": [[0.0, 0.0]],
+      "radius": 1.0}, "inner"),
+])
+def test_spec_from_dict_names_bad_leaf(doc, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        spec_from_dict(doc)
+
+
+def test_spec_from_dict_keeps_int_leaves():
+    # ints stay ints, so the cache key of a spec document is unchanged
+    assert spec_from_dict({"kind": "Interval", "a": -1, "b": 1}).a == -1
+    cusp = spec_from_dict({"kind": "Cusp", "h_coeffs": [[0, 1], [0]],
+                           "M": 1, "m": 2, "degree_bound": 3})
+    assert cusp == Cusp(((0, 1), (0,)), 1, 2, 3)
