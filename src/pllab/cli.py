@@ -26,8 +26,9 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisSpec
-from .equidist import (Arcsine, Polynomial, TabulatedLipschitz, UniformCircle,
-                       equilibrium_pairing, rate_experiment)
+from .equidist import (RATE_CLOUD_TARGET, Arcsine, Polynomial,
+                       TabulatedLipschitz, UniformCircle, equilibrium_pairing,
+                       rate_experiment)
 from .extremal import SandwichEvaluator, relative_extremal_1c
 from .fekete import (FeketeConfig, FubiniStudyWeight, ZeroWeight,
                      _scalar_provenance, solve_fekete, transfinite_diameter)
@@ -83,6 +84,9 @@ _OBJECT = (lambda v: type(v) is dict, "a JSON object")
 _COMMAND = (lambda v: v in COMMANDS, "one of " + ", ".join(COMMANDS))
 _COUNT = (_count(1), "an integer >= 1")
 _DEGREES = (_nonempty(_COUNT[0]), "a nonempty list of integers >= 1")
+_RATE_DEGREES = (lambda v: _DEGREES[0](v) and len(v) >= 4
+                 and all(a < b for a, b in zip(v, v[1:])),
+                 "a strictly increasing list of at least 4 integers >= 1")
 _SEED = (lambda v: type(v) is int and finite_real(v),
          "an integer within the float range")
 _WEIGHTS = {"zero": ZeroWeight, "fubini-study": FubiniStudyWeight}
@@ -225,7 +229,13 @@ def validate_manifest(man):
                  else LOCALIZE_CLOUD_FLOOR)
         _check_basis_cloud("degree", n, scan_cloud_target(n, floor), False)
     else:                                               # equidist
-        args.degrees = _get(man, "degrees", _DEGREES)
+        if dim != 1:
+            raise ManifestError(
+                "field 'spec' is invalid: must be a set in C^1")
+        args.degrees = _get(man, "degrees", _RATE_DEGREES)
+        n = args.degrees[-1] + 1            # the top degree's cloud is largest
+        _check_basis_cloud("degrees", n,
+                           scan_cloud_target(n, RATE_CLOUD_TARGET), False)
         args.measure = _parse(man, "measure", _of_kind(_MEASURES))
         args.test_function = _parse(man, "test_function",
                                     _of_kind(_TEST_FUNCTIONS))

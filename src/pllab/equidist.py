@@ -48,6 +48,9 @@ class UniformCircle:
 
 _CIRCLE_NODES = 2 ** 14
 
+# Each degree's cloud holds max(RATE_CLOUD_TARGET, 4 N) points by default.
+RATE_CLOUD_TARGET = 2001
+
 
 # ---------------------------------------------------------------------------
 # test functions
@@ -248,7 +251,7 @@ def _rate_cloud(spec, d, target, seed):
 
 
 def rate_experiment(spec, v, degrees, measure, alpha_prime=0.5, seed=0,
-                    cloud_target=2001):
+                    cloud_target=RATE_CLOUD_TARGET):
     """Fekete-measure pairing errors e_d = |<mu_d - mu_eq, v>| across degrees,
     with a log-log slope fit and a falsifiable bound line calibrated at the
     smallest degree."""

@@ -3,14 +3,16 @@
 Phase 1 is one pivoted-QR seeding: greedy column selection on the
 orthonormalized, weighted Vandermonde; phase 2 is exchange refinement over
 the whole cloud (the AFP-plus-exchange method of Sommariva-Vianello and
-Bos-De Marchi-Sommariva-Vianello).  Refinement keeps the Lagrange matrix
-C = B^{-1} A of the selected columns and carries it across each swap by a
-rank-one Sherman-Morrison update; a decision that the updated C cannot settle
-beyond rounding (a near tie, a gain near the tolerance, or the stop) is
-re-taken on a fresh solve, so the selections equal those of re-solving after
-every swap.  The quality factor gamma (sup of weighted Lagrange magnitudes
-over the cloud) certifies proximity to a true maximizer and feeds every
-downstream sandwich width.
+Bos-De Marchi-Sommariva-Vianello).  The seeding QR forms R only, never Q.
+Refinement keeps the Lagrange matrix C = B^{-1} A of the selected columns and
+carries it across each swap by a rank-one Sherman-Morrison update, done in
+place by one BLAS geru call on the Fortran-ordered view C.T; the best swap is
+found by a column max of |C| followed by an argmax down the winning column.
+A decision that the updated C cannot settle beyond rounding (a near tie, a
+gain near the tolerance, or the stop) is re-taken on a fresh solve, so the
+selections equal those of re-solving after every swap.  The quality factor
+gamma (sup of weighted Lagrange magnitudes over the cloud) certifies proximity
+to a true maximizer and feeds every downstream sandwich width.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr
+from scipy.linalg.blas import zgeru
 from scipy.spatial import cKDTree
 
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
@@ -196,7 +199,7 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
         raise DegenerateSetError(f"set appears pluripolar at degree {d}")
 
     A = U.T                                                      # (N, M)
-    _, _, piv = qr(A, pivoting=True, mode="economic")
+    _, piv = qr(A, pivoting=True, mode="r")
     sel, swaps = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
                                   max_sweep_factor * N)
     return FeketeConfig.from_indices(
@@ -210,21 +213,25 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
 def _exchange_refine(A, sel, tol, max_iters):
     """Swap one node for one cloud point while the log objective gains >= tol.
 
-    Returns the sorted selection and the number of swaps.  Gains come from C = B^{-1} A, the Lagrange matrix of the selected columns
-    B = A[:, sel]: replacing node j by cloud column m multiplies |det B| by
-    |C[j, m]|.  Ties break at the lowest cloud index, then the lowest node
-    slot.  After a swap C is carried forward by the Sherman-Morrison step
+    Returns the sorted selection and the number of swaps.  Gains come from
+    C = B^{-1} A, the Lagrange matrix of the selected columns B = A[:, sel]:
+    replacing node j by cloud column m multiplies |det B| by |C[j, m]|.  The
+    best column m is the argmax of the column maxima of |C|, and j the argmax
+    of |C[:, m]|, so ties break at the lowest cloud index, then the lowest
+    node slot.  After a swap C is carried forward by the Sherman-Morrison step
     C <- C - (C[:, m] - e_j) C[j, :] / C[j, m], O(N M) instead of the O(N^2 M)
-    of a fresh solve.  A decision is re-taken on a fresh solve
-    C = solve(A[:, sel], A), with sel in slot order, whenever the updated C
-    cannot settle it beyond rounding: the best gain lies within a relative
-    _FRESH_MARGIN of the runner-up anywhere in |C|, log(gain) lies within
-    _FRESH_MARGIN of tol, or the refinement would stop.  So every swap and the
-    stop match those of re-solving after every swap, tie-breaks included.
+    of a fresh solve; it is one in-place BLAS zgeru on C.T, which is
+    Fortran-ordered because np.linalg.solve returns C in C order.  A decision
+    is re-taken on a fresh solve C = solve(A[:, sel], A), with sel in slot
+    order, whenever the updated C cannot settle it beyond rounding: the best
+    gain lies within a relative _FRESH_MARGIN of the runner-up anywhere in
+    |C|, log(gain) lies within _FRESH_MARGIN of tol, or the refinement would
+    stop.  So every swap and the stop match those of re-solving after every
+    swap, tie-breaks included; an ulp-level difference in the BLAS update
+    cannot move a swap.
     """
     N, M = A.shape
     sel = np.array(sel, dtype=int)
-    cols = np.arange(M)
     G = np.empty((N, M))
     C = None
     swaps = 0
@@ -237,10 +244,9 @@ def _exchange_refine(A, sel, tol, max_iters):
                 break
         np.abs(C, out=G)
         G[:, sel] = 0.0
-        j_best = np.argmax(G, axis=0)                    # best slot per column
-        col_gain = G[j_best, cols]
+        col_gain = G.max(axis=0)                         # best gain per column
         m = int(np.argmax(col_gain))                     # lowest m wins ties
-        j = int(j_best[m])
+        j = int(np.argmax(G[:, m]))                      # then the lowest slot
         gain = float(col_gain[m])
         if not fresh and _unsettled(G, col_gain, j, m, gain, tol):
             C = None
@@ -249,7 +255,8 @@ def _exchange_refine(A, sel, tol, max_iters):
             break
         u = C[:, m].copy()
         u[j] -= 1.0
-        C -= np.outer(u, C[j] / C[j, m])
+        # the returned array, not C, holds the update if zgeru had to copy
+        C = zgeru(-1.0, C[j] / C[j, m], u, a=C.T, overwrite_a=True).T
         sel[j] = m
         swaps += 1
     return np.sort(sel), swaps

@@ -427,17 +427,13 @@ def test_version_2_cache_entry_is_never_replayed(tmp_path, monkeypatch):
                                      "anchor": [[0.0, 0.0], [0.0, 0.0]]}),
     ("localize", ["degree"], {"spec": BALL2, "degree": 100,
                               "anchor": [[0.0, 0.0], [0.0, 0.0]]}),
+    # N = 5001 on max(4N, 2001) points at the top degree
+    ("equidist", ["degrees"], {"degrees": [1, 2, 3, 5000]}),
 ])
 def test_basis_cloud_cap_exits_schema_before_sampling(tmp_path, capsys,
-                                                      monkeypatch, command,
+                                                      sample_fails, command,
                                                       fields, extra):
-    def no_sample(*args, **kwargs):
-        raise AssertionError("a manifest over the cap reached sample")
-
-    for mod in (pllab.cli, pllab.regularity):
-        monkeypatch.setattr(mod, "sample", no_sample)
-    man = dict(SOLVE_MANIFESTS.get(command)
-               or SCALAR_DEGREE_MANIFESTS[command], **extra)
+    man = dict(SEEDED_MANIFESTS[command], **extra)
     assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
                  str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
     err = capsys.readouterr().err
@@ -455,6 +451,10 @@ def test_basis_cloud_cap_boundary():
     # a C^2 solve at degree 12 on 4000 points (3.6e5 entries) is far below
     validate_manifest({"command": "extremal", "spec": BALL2, "degree": 12,
                        "cloud_target": 4000, "points": [[[2.0, 0.0]] * 2]})
+    # equidist: N = d + 1 on 4N points, and 4 * 1581**2 <= 10**7 < 4 * 1582**2
+    validate_manifest(dict(EQUIDIST, degrees=[1, 2, 3, 1580]))
+    with pytest.raises(ManifestError, match="field 'degrees'"):
+        validate_manifest(dict(EQUIDIST, degrees=[1, 2, 3, 1581]))
 
 
 def test_manifest_json_matches_two_encode_write(tmp_path):
@@ -650,8 +650,15 @@ EQUIDIST = {"command": "equidist", "spec": INTERVAL,
                        "values": [0.0, 1.0]}),
     ("test_function", {}),
 ] + [("alpha_prime", v) for v in ("x", None, True, 0, -0.5, float("inf"),
-                                  float("nan"), [0.5])])
-def test_equidist_bad_doc_exits_schema(tmp_path, capsys, field, doc):
+                                  float("nan"), [0.5])] + [
+    ("degrees", [2, 4, 6]),
+    ("degrees", [2, 4, 4, 8]),
+    ("degrees", [8, 6, 4, 2]),
+    ("spec", BALL2),
+    ("spec", REALBALL),
+])
+def test_equidist_bad_doc_exits_schema(tmp_path, capsys, sample_fails, field,
+                                       doc):
     man = dict(EQUIDIST, **{field: doc})
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA

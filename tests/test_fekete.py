@@ -11,7 +11,7 @@ from pllab.fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
                           quality_gamma, solve_fekete, transfinite_diameter,
                           weight_from_callable)
 from pllab.geometry import (AffineImage, Box, ComplexBall, DegenerateSetError,
-                            Interval, sample)
+                            Interval, RealBall, sample)
 
 
 @pytest.fixture(scope="module")
@@ -184,8 +184,12 @@ REFINE_SPECS = pytest.mark.parametrize("spec,d,count,weight", [
     (ComplexBall((0.0, 0.0), 1.0), 6, 1000, None),
     (Box(((-1.0, 1.0), (-1.0, 1.0))), 6, 1000, None),
     (Interval(-1.0, 1.0), 16, 2001, FubiniStudyWeight()),
+    # a symmetric linspace cloud: mirror-image swaps tie to rounding, so
+    # decisions fall back to the fresh solve
+    (Interval(-1.0, 1.0), 20, 2001, None),
+    (RealBall((0.0, 0.0), 1.0), 6, 1000, None),
 ], ids=["disc-d8", "disc-d16", "interval-d60", "ball2-d6", "box-d6",
-        "fubini-study-interval-d16"])
+        "fubini-study-interval-d16", "interval-d20", "realball-d6"])
 
 
 @REFINE_SPECS
@@ -198,6 +202,21 @@ def test_exchange_refine_matches_full_resolve(monkeypatch, spec, d, count,
         ref_sel, ref_swaps = _exchange_refine_resolve(*args)
         assert np.array_equal(sel, ref_sel)
         assert swaps == ref_swaps
+
+
+@pytest.mark.parametrize("layout", [
+    np.ascontiguousarray, np.asfortranarray,
+    lambda A: np.repeat(A, 2, axis=1)[:, ::2]], ids=["C", "F", "strided"])
+def test_exchange_refine_any_layout_matches_full_resolve(monkeypatch, layout):
+    cloud = sample(ComplexBall((0.0,), 1.0), 2001, seed=5)
+    (A, sel, tol, max_iters), _ = _refine_runs(
+        monkeypatch, cloud, BasisSpec(1, 16))[0]
+    A = layout(A)
+    out_sel, swaps = fekete._exchange_refine(A, sel, tol, max_iters)
+    ref_sel, ref_swaps = _exchange_refine_resolve(A, sel, tol, max_iters)
+    assert swaps > 0
+    assert np.array_equal(out_sel, ref_sel)
+    assert swaps == ref_swaps
 
 
 def test_exchange_refine_swap_cap_matches_full_resolve(monkeypatch):
