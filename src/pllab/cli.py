@@ -14,6 +14,8 @@ default applied there; the runners never read the manifest itself.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -23,6 +25,7 @@ from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .basis import BasisSpec
@@ -84,6 +87,8 @@ _OBJECT = (lambda v: type(v) is dict, "a JSON object")
 _COMMAND = (lambda v: v in COMMANDS, "one of " + ", ".join(COMMANDS))
 _COUNT = (_count(1), "an integer >= 1")
 _DEGREES = (_nonempty(_COUNT[0]), "a nonempty list of integers >= 1")
+_CAPACITY_DEGREES = (lambda v: _DEGREES[0](v) and len(v) >= 3,
+                     "a list of at least 3 integers >= 1")
 _RATE_DEGREES = (lambda v: _DEGREES[0](v) and len(v) >= 4
                  and all(a < b for a, b in zip(v, v[1:])),
                  "a strictly increasing list of at least 4 integers >= 1")
@@ -192,13 +197,16 @@ def validate_manifest(man):
     args.spec = _parse(man, "spec", spec_from_dict)
     args.seed = _get(man, "seed", _SEED, _SEEDS.get(cmd, 0))
     dim = args.spec.dim
+    if cmd in ("capacity", "equidist") and dim != 1:
+        raise ManifestError("field 'spec' is invalid: must be a set in C^1")
     if cmd in ("fekete", "extremal", "capacity"):
         args.cloud_target = _get(man, "cloud_target", _COUNT, 2001)
         if cmd == "extremal":
             args.degree = _get(man, "degree", _COUNT)
             field, top = "degree", args.degree
         else:
-            args.degrees = _get(man, "degrees", _DEGREES)
+            args.degrees = _get(man, "degrees", _CAPACITY_DEGREES
+                                if cmd == "capacity" else _DEGREES)
             field, top = "degrees", max(args.degrees)
         _check_basis_cloud(field, math.comb(dim + top, dim),
                            args.cloud_target, "cloud_target" in man)
@@ -229,9 +237,6 @@ def validate_manifest(man):
                  else LOCALIZE_CLOUD_FLOOR)
         _check_basis_cloud("degree", n, scan_cloud_target(n, floor), False)
     else:                                               # equidist
-        if dim != 1:
-            raise ManifestError(
-                "field 'spec' is invalid: must be a set in C^1")
         args.degrees = _get(man, "degrees", _RATE_DEGREES)
         n = args.degrees[-1] + 1            # the top degree's cloud is largest
         _check_basis_cloud("degrees", n,
@@ -472,6 +477,53 @@ _RUNNERS = {"fekete": _run_fekete, "extremal": _run_extremal,
 # entry point
 # ---------------------------------------------------------------------------
 
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS libraries bundled
+    with the numpy and scipy wheels; empty where there are none (another
+    BLAS, or a system OpenBLAS).  Loading a library that is already loaded
+    returns the instance in use."""
+    controls = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                            pkg.__name__ + ".libs")
+        if not os.path.isdir(libs):
+            continue
+        for name in sorted(os.listdir(libs)):
+            if "openblas" not in name:
+                continue
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            for suffix in ("64_", ""):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix,
+                              None)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix,
+                               None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+                    break
+    return controls
+
+
+# Outputs are byte-identical across BLAS thread counts only if the run uses
+# one thread: a threaded BLAS sums in another order (scipy's QR in the
+# orthonormal basis already moves the last bits of gamma).
+_BLAS_THREADS = _openblas_thread_controls()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every bundled OpenBLAS pool to one thread; restore on exit."""
+    before = [get() for get, _ in _BLAS_THREADS]
+    for _, set_ in _BLAS_THREADS:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(_BLAS_THREADS, before):
+            set_(n)
+
+
 def run_manifest(man, outdir, cache_dir=None):
     """Execute one validated manifest; returns the manifest content hash."""
     args = validate_manifest(man)
@@ -512,7 +564,8 @@ def main(argv=None):
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        run_manifest(man, args.out, cache_dir)
+        with _one_blas_thread():
+            run_manifest(man, args.out, cache_dir)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -8,11 +8,16 @@ Refinement keeps the Lagrange matrix C = B^{-1} A of the selected columns and
 carries it across each swap by a rank-one Sherman-Morrison update, done in
 place by one BLAS geru call on the Fortran-ordered view C.T; the best swap is
 found by a column max of |C| followed by an argmax down the winning column.
-A decision that the updated C cannot settle beyond rounding (a near tie, a
-gain near the tolerance, or the stop) is re-taken on a fresh solve, so the
-selections equal those of re-solving after every swap.  The quality factor
-gamma (sup of weighted Lagrange magnitudes over the cloud) certifies proximity
-to a true maximizer and feeds every downstream sandwich width.
+On a real-valued Vandermonde (a real set, with or without a weight) the
+seeding QR, the first solve and the updates run in float64 on its real part.
+A decision stands when no matrix within rounding of C would take another
+(the settled rule: no near tie, no gain near the tolerance); otherwise it is
+re-taken on the authoritative complex solve, so the selections equal those of
+re-solving after every swap.  At the stop the refinement solves once, in
+sorted order, for the Lagrange matrix of the final nodes; that matrix
+confirms the stop and is the one gamma is read off.  The quality factor
+gamma (sup of weighted Lagrange magnitudes over the cloud) certifies
+proximity to a true maximizer and feeds every downstream sandwich width.
 """
 
 from __future__ import annotations
@@ -22,15 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.linalg.blas import zgeru
+from scipy.linalg.blas import dger, zgeru
 from scipy.spatial import cKDTree
 
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
 from .geometry import DegenerateSetError
 
 # Exchange refinement swaps while a swap raises the log objective by at least
-# _SWAP_TOL.  Below a relative _FRESH_MARGIN, the rank-one-updated Lagrange
-# matrix defers a decision to a freshly solved one.
+# _SWAP_TOL.  Within a relative _FRESH_MARGIN (of a runner-up, or of the
+# tolerance), a Lagrange matrix other than the authoritative solve defers its
+# decision to that solve.
 _SWAP_TOL = 1e-10
 _FRESH_MARGIN = 1e-9
 
@@ -115,10 +121,12 @@ class FeketeConfig:
     ortho: object = field(default=None, repr=False)
 
     @classmethod
-    def from_indices(cls, cloud, basis, weight, sel, provenance, ortho=None):
+    def from_indices(cls, cloud, basis, weight, sel, provenance, ortho=None,
+                     lag=None):
         """The configuration on cloud.points[sel], with objective and gamma.
 
-        ortho is the cloud's orthonormal basis when the caller already has it.
+        ortho is the cloud's orthonormal basis and lag the Lagrange matrix of
+        sel on the cloud (see quality_gamma) when the caller already has them.
         """
         nodes = cloud.points[sel]
         obj = (log_abs_vdm(nodes, basis)
@@ -129,7 +137,7 @@ class FeketeConfig:
         config = cls(basis=basis, weight=weight, nodes=nodes,
                      node_indices=sel, objective=obj, gamma=None,
                      lebesgue=None, provenance=provenance, ortho=ortho)
-        quality_gamma(config, cloud)
+        quality_gamma(config, cloud, lag)
         return config
 
     @property
@@ -199,11 +207,11 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
         raise DegenerateSetError(f"set appears pluripolar at degree {d}")
 
     A = U.T                                                      # (N, M)
-    _, piv = qr(A, pivoting=True, mode="r")
-    sel, swaps = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
-                                  max_sweep_factor * N)
+    _, piv = qr(A if A.imag.any() else A.real, pivoting=True, mode="r")
+    sel, swaps, lag = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
+                                       max_sweep_factor * N)
     return FeketeConfig.from_indices(
-        cloud, basis, weight, sel, ortho=ortho,
+        cloud, basis, weight, sel, ortho=ortho, lag=lag,
         provenance={"cloud_seed": cloud.seed,
                     "density_parameter": cloud.density_parameter,
                     "restart": 0, "accepted_swaps": int(swaps),
@@ -213,91 +221,146 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
 def _exchange_refine(A, sel, tol, max_iters):
     """Swap one node for one cloud point while the log objective gains >= tol.
 
-    Returns the sorted selection and the number of swaps.  Gains come from
-    C = B^{-1} A, the Lagrange matrix of the selected columns B = A[:, sel]:
-    replacing node j by cloud column m multiplies |det B| by |C[j, m]|.  The
-    best column m is the argmax of the column maxima of |C|, and j the argmax
-    of |C[:, m]|, so ties break at the lowest cloud index, then the lowest
-    node slot.  After a swap C is carried forward by the Sherman-Morrison step
-    C <- C - (C[:, m] - e_j) C[j, :] / C[j, m], O(N M) instead of the O(N^2 M)
-    of a fresh solve; it is one in-place BLAS zgeru on C.T, which is
-    Fortran-ordered because np.linalg.solve returns C in C order.  A decision
-    is re-taken on a fresh solve C = solve(A[:, sel], A), with sel in slot
-    order, whenever the updated C cannot settle it beyond rounding: the best
-    gain lies within a relative _FRESH_MARGIN of the runner-up anywhere in
-    |C|, log(gain) lies within _FRESH_MARGIN of tol, or the refinement would
-    stop.  So every swap and the stop match those of re-solving after every
-    swap, tie-breaks included; an ulp-level difference in the BLAS update
+    Returns the sorted selection, the number of swaps and the Lagrange matrix
+    np.linalg.solve(A[:, sel], A) of the returned selection (None when the
+    swap cap or a singular node matrix ended the refinement).  Gains come
+    from C = B^{-1} A, the Lagrange matrix of the selected columns
+    B = A[:, sel]: replacing node j by cloud column m multiplies |det B| by
+    |C[j, m]|.  The best column m is the argmax of the column maxima of |C|,
+    and j the argmax of |C[:, m]|, so ties break at the lowest cloud index,
+    then the lowest node slot.  After a swap C is carried forward by the
+    Sherman-Morrison step C <- C - (C[:, m] - e_j) C[j, :] / C[j, m], O(N M)
+    instead of the O(N^2 M) of a fresh solve; it is one in-place BLAS geru
+    on C.T, which is Fortran-ordered because np.linalg.solve returns C in C
+    order.  On a real-valued A (every real set, unweighted or weighted) the
+    first solve and every update run in float64 (dger) on A.real; otherwise
+    in complex (zgeru).
+
+    The authoritative solve is the complex np.linalg.solve(A[:, sel], A),
+    with sel in slot order; a decision taken on it stands.  A decision taken
+    on any other C stands only when it is settled (see _settled); otherwise
+    it is re-taken on the authoritative solve, after which the loop carries
+    on from that solve (its real part, exactly, when A is real).  At a stop
+    the complex solve in sorted order, the matrix quality_gamma needs, is
+    formed once and returned; a stop not taken on the authoritative solve
+    stands only when that sorted-order matrix shows a settled stop too.  So
+    every swap and the stop match those of re-solving after every swap,
+    tie-breaks included: an ulp-level difference between the arithmetics
     cannot move a swap.
     """
     N, M = A.shape
     sel = np.array(sel, dtype=int)
+    real = not A.imag.any()
+    W, ger = (A.real, dger) if real else (A, zgeru)
     G = np.empty((N, M))
-    C = None
+    C = None            # B^{-1} A in slot order, in W's arithmetic
+    Cz = None           # the authoritative solve, while C is not updated
+    force = not real    # the next solve is the authoritative one
+    L = None            # the sorted-order solve of the current selection
     swaps = 0
     while swaps < max_iters:
-        fresh = C is None
-        if fresh:
+        if C is None:
             try:
-                C = np.linalg.solve(A[:, sel], A)        # (N, M)
+                if force:
+                    Cz = np.linalg.solve(A[:, sel], A)   # (N, M)
+                    C = np.ascontiguousarray(Cz.real) if real else Cz
+                else:
+                    C = np.linalg.solve(W[:, sel], W)
             except np.linalg.LinAlgError:
-                break
-        np.abs(C, out=G)
-        G[:, sel] = 0.0
-        col_gain = G.max(axis=0)                         # best gain per column
-        m = int(np.argmax(col_gain))                     # lowest m wins ties
-        j = int(np.argmax(G[:, m]))                      # then the lowest slot
-        gain = float(col_gain[m])
-        if not fresh and _unsettled(G, col_gain, j, m, gain, tol):
-            C = None
+                if force:
+                    break
+                force = True
+                continue
+        exact = Cz is not None
+        j, m, gain, settled = _best_swap(C, sel, G, tol)
+        if not (exact or settled):
+            C, force = None, True
             continue
         if gain <= 0 or math.log(gain) < tol:
-            break
+            C = None        # a stop returns or re-solves; L may take its room
+            srt = np.sort(sel)
+            if L is None:
+                try:
+                    L = (Cz if exact and np.array_equal(sel, srt)
+                         else np.linalg.solve(A[:, srt], A))
+                except np.linalg.LinAlgError:
+                    pass
+            if exact:
+                return srt, swaps, L
+            if L is not None:
+                _, _, gain, settled = _best_swap(L, srt, G, tol)
+                if settled and math.log(gain) < tol:
+                    return srt, swaps, L
+            force = True
+            continue
         u = C[:, m].copy()
         u[j] -= 1.0
-        # the returned array, not C, holds the update if zgeru had to copy
-        C = zgeru(-1.0, C[j] / C[j, m], u, a=C.T, overwrite_a=True).T
+        # the returned array, not C, holds the update if ger had to copy
+        C = ger(-1.0, C[j] / C[j, m], u, a=C.T, overwrite_a=True).T
         sel[j] = m
         swaps += 1
-    return np.sort(sel), swaps
+        Cz = L = None
+        force = not real
+    return np.sort(sel), swaps, None
 
 
-def _unsettled(G, col_gain, j, m, gain, tol):
-    """True when G's best entry (j, m) may not be the one a fresh solve picks.
+def _best_swap(C, sel, G, tol):
+    """The best swap (j, m) by |C| off the selected columns, its gain, and
+    whether the decision it implies is settled.  Overwrites G."""
+    np.abs(C, out=G)
+    G[:, sel] = 0.0
+    col_gain = G.max(axis=0)                             # best gain per column
+    m = int(np.argmax(col_gain))                         # lowest m wins ties
+    j = int(np.argmax(G[:, m]))                          # then the lowest slot
+    gain = float(col_gain[m])
+    return j, m, gain, _settled(G, col_gain, j, m, gain, tol)
 
-    Overwrites col_gain[m].
+
+def _settled(G, col_gain, j, m, gain, tol):
+    """True when every matrix within rounding of G = |C| takes G's decision.
+
+    The decision is to stop when log(gain) < tol, and else to swap at G's
+    best entry (j, m).  It is settled when log(gain) lies more than
+    _FRESH_MARGIN from tol and, for a swap, the gain beats the runner-up
+    anywhere in G by more than a relative _FRESH_MARGIN.  Overwrites
+    col_gain[m] and G[j, m].
     """
     if not (math.isfinite(gain) and gain > 0):
-        return True
-    if math.log(gain) < tol + _FRESH_MARGIN:
+        return False
+    log_gain = math.log(gain)
+    if abs(log_gain - tol) <= _FRESH_MARGIN:
+        return False
+    if log_gain < tol:
         return True
     col_gain[m] = 0.0
-    g_m = G[:, m].copy()
-    g_m[j] = 0.0
-    runner_up = max(float(np.max(col_gain)), float(np.max(g_m)))
-    return gain - runner_up <= _FRESH_MARGIN * gain
+    G[j, m] = 0.0
+    runner_up = max(float(np.max(col_gain)), float(np.max(G[:, m])))
+    return gain - runner_up > _FRESH_MARGIN * gain
 
 
-def quality_gamma(config, cloud):
+def quality_gamma(config, cloud, lag=None):
     """gamma = max_j sup_cloud |l_j(x)| exp(-d (phi(x) - phi(xi_j))).
 
     Equals 1 for exact Fekete nodes; stored into the config together with the
     measured Lebesgue function maximum (max over the cloud of sum_j |l_j(x)|,
-    weighted), which normalizes the signed-sum lower-bound candidate.
+    weighted), which normalizes the signed-sum lower-bound candidate.  Both
+    are read off the weighted Lagrange matrix lag = B^{-1} A (N, M), where A
+    holds the weighted orthonormal basis on the cloud and B its columns at
+    config.node_indices; it is solved here unless the caller passes it.
     """
-    ortho = config.ortho or orthonormal_basis(cloud, config.basis)
-    d = config.basis.d
-    W_cloud = _weighted_columns(ortho, config.weight, d, cloud.points)
-    W_nodes = _weighted_columns(ortho, config.weight, d, config.nodes)
-    try:
-        lag = np.linalg.solve(W_nodes.T, W_cloud.T)      # (N, M) weighted l_j(x)
-    except np.linalg.LinAlgError:
-        raise DegenerateSetError("Lagrange system singular")
+    if lag is None:
+        ortho = config.ortho or orthonormal_basis(cloud, config.basis)
+        A = _weighted_columns(ortho, config.weight, config.basis.d,
+                              cloud.points).T
+        try:
+            lag = np.linalg.solve(A[:, config.node_indices], A)
+        except np.linalg.LinAlgError:
+            raise DegenerateSetError("Lagrange system singular")
+        config.ortho = ortho
     absl = np.abs(lag)
     gamma = float(np.max(absl))
     config.gamma = gamma
     config.lebesgue = float(np.max(np.sum(absl, axis=0)))
-    config.ortho = ortho
     return gamma
 
 

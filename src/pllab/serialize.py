@@ -134,8 +134,10 @@ def _marching_segments(xs, ys, values, levels):
     The edges of cell (i, j) run 0..3 around its corners (xs[j], ys[i]),
     (xs[j+1], ys[i]), (xs[j+1], ys[i+1]), (xs[j], ys[i+1]); a cell with two or
     more crossing edges gives one segment, between the crossings of the first
-    two.  Returns, per level, the arrays (px, py, qx, qy) of segment ends,
-    cells in row-major order.
+    two.  Only cells with a corner on each side of a level can have a
+    crossing edge, so only those are tested at that level.  Returns, per
+    level, the arrays (px, py, qx, qy) of segment ends, cells in row-major
+    order.
     """
     X, Y = np.meshgrid(xs, ys)
 
@@ -146,11 +148,14 @@ def _marching_segments(xs, ys, values, levels):
         return c, c[:, [1, 2, 3, 0]]
 
     (x0, x1), (y0, y1), (v0, v1) = corners(X), corners(Y), corners(values)
+    # fmin/fmax pass over a NaN corner, whose two edges never cross
+    lo, hi = np.fmin.reduce(v0, axis=1), np.fmax.reduce(v0, axis=1)
     out = []
     for level in levels:
-        cross = (v0 - level) * (v1 - level) < 0
-        cells = np.flatnonzero(np.count_nonzero(cross, axis=1) >= 2)
-        cross = cross[cells]
+        near = np.flatnonzero((lo < level) & (level < hi))
+        cross = (v0[near] - level) * (v1[near] - level) < 0
+        two = np.count_nonzero(cross, axis=1) >= 2
+        cells, cross = near[two], cross[two]
         first = cross.argmax(axis=1)
         cross[np.arange(len(cells)), first] = False
         ends = []

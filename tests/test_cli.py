@@ -96,15 +96,32 @@ def test_main_unreadable_manifest(tmp_path):
                  str(tmp_path / "o")]) == EXIT_SCHEMA
 
 
-def test_main_numerical_failure_exit(tmp_path):
-    # collinear 2-d set is degenerate at degree 2: numerical exit, not schema
-    thin = {"kind": "Interval", "a": -1.0, "b": 1.0}
-    man = {"command": "capacity", "spec": thin, "degrees": [2, 3],
+def test_main_numerical_failure_exit(tmp_path, capsys):
+    # a segment in C^2 is pluripolar, so its degree-2 Vandermonde is
+    # singular: a numerical exit, not a schema one
+    segment = {"kind": "ConvexHull",
+               "vertices": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]}
+    man = {"command": "fekete", "spec": segment, "degrees": [2],
            "cloud_target": 401}
     mp = _write_manifest(tmp_path, man)
-    # transfinite_diameter requires >= 3 degrees: numerical error path
     assert main(["--manifest", mp, "--out",
                  str(tmp_path / "o")]) == EXIT_NUMERICAL
+    assert "pluripolar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, extra", [
+    ("degrees", {"degrees": [2, 3]}),
+    ("degrees", {"degrees": [4]}),
+    ("spec", {"spec": {"kind": "ComplexBall",
+                       "center": [[0.0, 0.0], [0.0, 0.0]], "radius": 1.0}}),
+], ids=["two-degrees", "one-degree", "c2-spec"])
+def test_capacity_shape_exits_schema_before_sampling(tmp_path, capsys,
+                                                     sample_fails, field,
+                                                     extra):
+    man = dict(SOLVE_MANIFESTS["capacity"], **extra)
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
+    assert f"field '{field}'" in capsys.readouterr().err
 
 
 def test_cache_corruption_recovers(tmp_path, capsys):
@@ -700,6 +717,28 @@ def test_verify_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "PASS" in printed and "FAIL" not in printed
     assert os.path.exists(os.path.join(out, "verify.csv"))
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a C^2 ball solve whose lebesgue moved in its last digit between one
+    # and two BLAS threads before the CLI pinned one
+    man = {"command": "fekete", "spec": {
+        "kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
+        "radius": 1.0}, "degrees": [6], "cloud_target": 1000, "seed": 653343}
+    mp = _write_manifest(tmp_path, man)
+    src = os.path.dirname(os.path.dirname(pllab.__file__))
+    trees = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = str(tmp_path / f"t{threads}")
+        res = subprocess.run([sys.executable, "-m", "pllab.cli", "--manifest",
+                              mp, "--out", out, "--no-cache"],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
 
 
 def test_console_script_help():

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from pllab.extremal import RelativeField
-from pllab.serialize import (atomic_write_text, canonical_json,
+from pllab.extremal import RelativeField, relative_extremal_1c
+from pllab.geometry import ComplexBall
+from pllab.serialize import (_marching_segments, atomic_write_text,
+                             canonical_json,
                              field_contour_svg, format_float, write_csv,
                              write_json)
 
@@ -254,6 +256,65 @@ def test_field_contour_svg_matches_per_cell_loop(tmp_path, case):
     p = tmp_path / "c.svg"
     field_contour_svg(str(p), xs, ys, values, levels)
     assert p.read_text() == _contour_svg_reference(xs, ys, values, levels)
+
+
+def _marching_segments_every_cell(xs, ys, values, levels):
+    """The vectorized marching squares that tested all four edges of every
+    cell at every level."""
+    X, Y = np.meshgrid(xs, ys)
+
+    def corners(a):
+        c = np.stack([a[:-1, :-1], a[:-1, 1:], a[1:, 1:], a[1:, :-1]],
+                     axis=-1).reshape(-1, 4)
+        return c, c[:, [1, 2, 3, 0]]
+
+    (x0, x1), (y0, y1), (v0, v1) = corners(X), corners(Y), corners(values)
+    out = []
+    for level in levels:
+        cross = (v0 - level) * (v1 - level) < 0
+        cells = np.flatnonzero(np.count_nonzero(cross, axis=1) >= 2)
+        cross = cross[cells]
+        first = cross.argmax(axis=1)
+        cross[np.arange(len(cells)), first] = False
+        ends = []
+        for e in ((cells, first), (cells, cross.argmax(axis=1))):
+            t = (level - v0[e]) / (v1[e] - v0[e])
+            ends += [x0[e] + t * (x1[e] - x0[e]), y0[e] + t * (y1[e] - y0[e])]
+        out.append(ends)
+    return out
+
+
+def _marching_cases():
+    rng = np.random.default_rng(11)
+    deciles = [0.1 * k for k in range(1, 10)]
+    g97 = np.linspace(-1.0, 1.0, 97)
+    with_nan = rng.random((40, 40))
+    with_nan[rng.random((40, 40)) < 0.05] = np.nan
+    with_inf = rng.standard_normal((40, 40))
+    with_inf.flat[::37] = np.inf
+    with_inf.flat[5::41] = -np.inf
+    g40 = np.linspace(-1.0, 1.0, 40)
+    half_disc = relative_extremal_1c(ComplexBall((0.0,), 0.5),
+                                     ComplexBall((0.0,), 1.0), grid_n=128)
+    return {
+        "half-disc-g128": (half_disc.xs, half_disc.ys, half_disc.values,
+                           deciles),
+        "random-97": (g97, g97, rng.random((97, 97)), deciles),
+        "nan-corners": (g40, g40, with_nan, deciles),
+        "inf-corners": (g40, g40, with_inf, [-1.0, 0.0, 0.5]),
+        "on-levels": (g40, g40, np.round(rng.random((40, 40)), 1), deciles),
+    }
+
+
+@pytest.mark.parametrize("case", list(_marching_cases()))
+def test_marching_segments_match_every_cell_search(case):
+    xs, ys, values, levels = _marching_cases()[case]
+    got = _marching_segments(xs, ys, values, levels)
+    ref = _marching_segments_every_cell(xs, ys, values, levels)
+    assert len(got) == len(ref) == len(levels)
+    for g, r in zip(got, ref):
+        for a, b in zip(g, r, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def _relative_field(xs, ys, values):
