@@ -33,15 +33,16 @@ from .equidist import (RATE_CLOUD_TARGET, Arcsine, Polynomial,
                        TabulatedLipschitz, UniformCircle, equilibrium_pairing,
                        rate_experiment)
 from .extremal import SandwichEvaluator, relative_extremal_1c
-from .fekete import (FeketeConfig, FubiniStudyWeight, ZeroWeight,
-                     _scalar_provenance, solve_fekete, transfinite_diameter)
+from .fekete import (_WEIGHTS, cached_fekete, manifest_hash, solve_fekete,
+                     transfinite_diameter)
 from .geometry import (_NUMBER, _NUMBERS, _PAIRS, ComplexBall, Interval,
                        _nonempty, exact_extremal, finite_pair, finite_real,
-                       sample, spec_from_dict, spec_to_dict)
+                       sample, spec_from_dict)
 from .regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                          _check_delta_grid, capacity_density_from_supnorm,
                          hcp_scan, localization_experiment, scan_cloud_target)
-from .serialize import atomic_write_text, canonical_json, write_csv, write_json
+from .serialize import (Cache, atomic_write_text, canonical_json, write_csv,
+                        write_json)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -94,7 +95,6 @@ _RATE_DEGREES = (lambda v: _DEGREES[0](v) and len(v) >= 4
                  "a strictly increasing list of at least 4 integers >= 1")
 _SEED = (lambda v: type(v) is int and finite_real(v),
          "an integer within the float range")
-_WEIGHTS = {"zero": ZeroWeight, "fubini-study": FubiniStudyWeight}
 _WEIGHT = (lambda v: v is None or type(v) is str and v in _WEIGHTS,
            '"zero", "fubini-study" or null')
 _POSITIVE = (_positive, "a finite positive number")
@@ -248,75 +248,6 @@ def validate_manifest(man):
     return args
 
 
-def manifest_hash(man):
-    return hashlib.sha256(canonical_json(man).encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-class Cache:
-    def __init__(self, root):
-        self.root = root
-
-    def path(self, key):
-        return os.path.join(self.root, key[:2], key + ".json")
-
-    def get(self, key):
-        if self.root is None:
-            return None
-        p = self.path(key)
-        if not os.path.exists(p):
-            return None
-        try:
-            with open(p) as f:
-                return json.load(f)
-        except (json.JSONDecodeError, OSError):
-            print(f"warning: cache entry {p} unreadable, recomputing",
-                  file=sys.stderr)
-            return None
-
-    def put(self, key, doc):
-        if self.root is None:
-            return
-        atomic_write_text(self.path(key), canonical_json(doc) + "\n")
-
-
-def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
-    """Solve (or replay from cache) one Fekete configuration.
-
-    The cache stores the selected node indices; a hit re-samples the
-    deterministic cloud and rebuilds the configuration without the solve.
-    The key holds a sha256 of the cloud's points, so a sampler that moves
-    the cloud misses instead of replaying indices onto other points.
-    """
-    cloud = sample(spec, cloud_target, seed=seed)
-    key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
-               "weight": weight_tag or "zero", "seed": seed,
-               "cloud_target": cloud_target,
-               "cloud": hashlib.sha256(cloud.points.tobytes()).hexdigest(),
-               "version": 3}
-    key = manifest_hash(key_doc)
-    basis = BasisSpec(spec.dim, degree)
-    weight = _WEIGHTS[weight_tag or "zero"]()
-    hit = cache.get(key)
-    if hit is not None and "node_indices" in hit:
-        try:
-            sel = np.asarray(hit["node_indices"], dtype=int)
-            config = FeketeConfig.from_indices(
-                cloud, basis, weight, sel,
-                provenance=hit.get("provenance", {"cloud_seed": seed}))
-            return config, cloud, True
-        except (IndexError, ValueError):
-            print("warning: cache entry inconsistent, recomputing",
-                  file=sys.stderr)
-    config = solve_fekete(cloud, basis, weight)
-    cache.put(key, {"node_indices": [int(i) for i in config.node_indices],
-                    "provenance": _scalar_provenance(config.provenance)})
-    return config, cloud, False
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -386,7 +317,7 @@ def _run_relative(args, outdir, cache):
 
 def _run_scan_regularity(args, outdir, cache):
     report = hcp_scan(args.spec, args.anchor, args.radii, args.delta_grid,
-                      args.degree, seed=args.seed)
+                      args.degree, seed=args.seed, cache=cache)
     write_json(os.path.join(outdir, "hcp_report.json"), report.to_dict())
     write_csv(os.path.join(outdir, "hcp_scan.csv"),
               ["r", "sup", "mu_hat"],
@@ -403,7 +334,7 @@ def _run_scan_regularity(args, outdir, cache):
 
 def _run_localize(args, outdir, cache):
     res = localization_experiment(args.spec, args.anchor, args.radius,
-                                  args.degree, seed=args.seed)
+                                  args.degree, seed=args.seed, cache=cache)
     write_json(os.path.join(outdir, "localize.json"),
                {"full": res.report_full.to_dict(),
                 "local": res.report_local.to_dict(),
@@ -553,9 +484,8 @@ def main(argv=None):
                         help="disable the Fekete cache")
     args = parser.parse_args(argv)
 
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = os.environ.get("PLLAB_CACHE") or args.cache
+    cache_dir = (None if args.no_cache
+                 else os.environ.get("PLLAB_CACHE") or args.cache)
 
     try:
         with open(args.manifest) as f:

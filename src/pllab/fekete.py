@@ -18,11 +18,14 @@ sorted order, for the Lagrange matrix of the final nodes; that matrix
 confirms the stop and is the one gamma is read off.  The quality factor
 gamma (sup of weighted Lagrange magnitudes over the cloud) certifies
 proximity to a true maximizer and feeds every downstream sandwich width.
+Commands obtain configurations through ``cached_fekete``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,8 @@ from scipy.linalg.blas import dger, zgeru
 from scipy.spatial import cKDTree
 
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
-from .geometry import DegenerateSetError
+from .geometry import DegenerateSetError, sample, spec_to_dict
+from .serialize import canonical_json
 
 # Exchange refinement swaps while a swap raises the log objective by at least
 # _SWAP_TOL.  Within a relative _FRESH_MARGIN (of a runner-up, or of the
@@ -362,6 +366,65 @@ def quality_gamma(config, cloud, lag=None):
     config.gamma = gamma
     config.lebesgue = float(np.max(np.sum(absl, axis=0)))
     return gamma
+
+
+# ---------------------------------------------------------------------------
+# cached solves
+# ---------------------------------------------------------------------------
+
+_WEIGHTS = {"zero": ZeroWeight, "fubini-study": FubiniStudyWeight}
+
+
+def manifest_hash(man):
+    return hashlib.sha256(canonical_json(man).encode()).hexdigest()
+
+
+def _replayable(entry, n, m):
+    """True when a cache entry is an object whose node_indices is a sorted
+    list of n distinct ints in [0, m) and whose provenance, if present, is
+    an object."""
+    sel = entry.get("node_indices") if type(entry) is dict else None
+    return (type(sel) is list and len(sel) == n
+            and all(type(i) is int for i in sel)
+            and sel == sorted(set(sel)) and 0 <= sel[0] and sel[-1] < m
+            and type(entry.get("provenance", {})) is dict)
+
+
+def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
+    """Solve (or replay from cache) one Fekete configuration; returns
+    (config, cloud, hit).
+
+    The cache stores the selected node indices; a hit re-samples the
+    deterministic cloud and rebuilds the configuration without the solve.
+    The key holds a sha256 of the cloud's points, so a sampler that moves
+    the cloud misses instead of replaying indices onto other points.
+    """
+    cloud = sample(spec, cloud_target, seed=seed)
+    key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
+               "weight": weight_tag, "seed": seed,
+               "cloud_target": cloud_target,
+               "cloud": hashlib.sha256(cloud.points.tobytes()).hexdigest(),
+               "version": 3}
+    key = manifest_hash(key_doc)
+    basis = BasisSpec(spec.dim, degree)
+    weight = _WEIGHTS[weight_tag]()
+    hit = cache.get(key)
+    if hit is not None:
+        if _replayable(hit, basis.size, cloud.size):
+            try:
+                config = FeketeConfig.from_indices(
+                    cloud, basis, weight,
+                    np.asarray(hit["node_indices"], dtype=int),
+                    provenance=hit.get("provenance", {"cloud_seed": seed}))
+                return config, cloud, True
+            except DegenerateSetError:      # a singular node set
+                pass
+        print("warning: cache entry inconsistent, recomputing",
+              file=sys.stderr)
+    config = solve_fekete(cloud, basis, weight)
+    cache.put(key, {"node_indices": [int(i) for i in config.node_indices],
+                    "provenance": _scalar_provenance(config.provenance)})
+    return config, cloud, False
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def _kronecker(count, dims, seed):
     for k in range(1, dims + 1):
         alphas.append(1.0 / g ** k)
     alphas = np.array(alphas)
-    offset = (seed * 0.6180339887498949) % 1.0
+    offset = (seed * _PHI1) % 1.0
     idx = np.arange(1, count + 1)[:, None]
     return (offset + idx * alphas[None, :]) % 1.0
 

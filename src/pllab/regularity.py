@@ -16,9 +16,10 @@ import numpy as np
 
 from .basis import BasisSpec
 from .extremal import ProjectiveEvaluator, SandwichEvaluator
-from .fekete import FubiniStudyWeight, solve_fekete
-from .geometry import (BallIntersection, DegenerateSetError, as_point, contains,
-                       diameter, exact_extremal, sample)
+from .fekete import cached_fekete
+from .geometry import (_PLASTIC, BallIntersection, DegenerateSetError,
+                       as_point, contains, diameter, exact_extremal)
+from .serialize import Cache
 
 N_DIRECTIONS = 64
 # modulus fits keep the scales whose sandwich gap is at most this share of
@@ -30,7 +31,6 @@ REFERENCE_RADIUS = 1.0
 # smallest clouds of hcp_scan and localization_experiment; see scan_cloud_target
 HCP_CLOUD_FLOOR = 600
 LOCALIZE_CLOUD_FLOOR = 800
-_PLASTIC = 1.3247179572447460
 
 
 def direction_mesh(n, count=N_DIRECTIONS):
@@ -97,14 +97,17 @@ class ModulusReport:
         }
 
 
+def _lstsq_r2(A, y):
+    """Least-squares coefficients of A c = y, and the R^2 of that fit."""
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss_res = float(np.sum((y - A @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return coef, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+
+
 def _loglog_fit(x, y):
-    lx, ly = np.log(x), np.log(y)
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    lx = np.log(x)
+    coef, r2 = _lstsq_r2(np.stack([lx, np.ones_like(lx)], axis=1), np.log(y))
     return float(coef[0]), float(math.exp(coef[1])), r2
 
 
@@ -191,7 +194,8 @@ class HcpReport:
         }
 
 
-def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11):
+def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
+             cache=Cache(None)):
     """Per-radius Fekete solve on K cap B(a, r), modulus fit, and sup of the
     lower track over the reference sphere |z - a| = REFERENCE_RADIUS; fits the
     order q as the slope of log sup against log(1/r)."""
@@ -199,15 +203,15 @@ def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11):
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     radii = sorted(radii, reverse=True)
-    basis = BasisSpec(spec.dim, degree)
-    target = cloud_target or scan_cloud_target(basis.size, HCP_CLOUD_FLOOR)
+    target = cloud_target or scan_cloud_target(
+        BasisSpec(spec.dim, degree).size, HCP_CLOUD_FLOOR)
     dirs = direction_mesh(spec.dim)
     sups, mus, kept, dropped = [], [], [], []
     for r in radii:
         sub = BallIntersection(spec, tuple(av.tolist()), r)
         try:
-            cloud = sample(sub, target, seed=seed)
-            config = solve_fekete(cloud, basis)
+            config, cloud, _ = cached_fekete(sub, degree, "zero", seed,
+                                             target, cache)
         except (DegenerateSetError, ValueError) as exc:
             warnings.warn(f"radius {r} dropped: {exc}")
             dropped.append(r)
@@ -229,12 +233,7 @@ def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11):
     y = np.array(sups)
     q_hat, c_hat, r2_pow = _loglog_fit(1.0 / np.array(kept), y)
     # logarithmic-growth alternative: sup = b0 + b1 log(1/r)
-    A = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2_log = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    _, r2_log = _lstsq_r2(np.stack([np.ones_like(x), x], axis=1), y)
     log_growth = (r2_log >= 0.99) and (r2_log > r2_pow)
     if log_growth:
         q_hat = 0.0
@@ -297,7 +296,7 @@ class LocalizationResult:
 
 
 def localization_experiment(spec, a, r, degree, delta_grid=None,
-                            cloud_target=None, seed=5):
+                            cloud_target=None, seed=5, cache=Cache(None)):
     """Paired modulus fits (projective engine) for K and K cap B(a, r)."""
     av = as_point(a, spec.dim)
     if not contains(spec, av):
@@ -306,21 +305,15 @@ def localization_experiment(spec, a, r, degree, delta_grid=None,
         raise ValueError("radius must lie in (0, diameter)")
     if delta_grid is None:
         delta_grid = [2.6 * 0.7 ** k for k in range(8)]
-    basis = BasisSpec(spec.dim, degree)
-    target = cloud_target or scan_cloud_target(basis.size,
-                                               LOCALIZE_CLOUD_FLOOR)
-    weight_factory = FubiniStudyWeight
-
-    cloud_full = sample(spec, target, seed=seed)
-    cfg_full = solve_fekete(cloud_full, basis, weight_factory())
-    rep_full = modulus_fit(spec, av, delta_grid,
-                           ProjectiveEvaluator(cfg_full, cloud_full))
-
-    sub = BallIntersection(spec, tuple(av.tolist()), r)
-    cloud_loc = sample(sub, target, seed=seed)
-    cfg_loc = solve_fekete(cloud_loc, basis, weight_factory())
-    rep_loc = modulus_fit(sub, av, delta_grid,
-                          ProjectiveEvaluator(cfg_loc, cloud_loc))
+    target = cloud_target or scan_cloud_target(
+        BasisSpec(spec.dim, degree).size, LOCALIZE_CLOUD_FLOOR)
+    reports = []
+    for s in (spec, BallIntersection(spec, tuple(av.tolist()), r)):
+        config, cloud, _ = cached_fekete(s, degree, "fubini-study", seed,
+                                         target, cache)
+        reports.append(modulus_fit(s, av, delta_grid,
+                                   ProjectiveEvaluator(config, cloud)))
+    rep_full, rep_loc = reports
 
     # the exponents are compared on the common surviving delta window, so
     # neither fit leans on scales where the other is below its noise floor

@@ -11,14 +11,15 @@ encode byte for byte, so this module stays the one place that knows the
 canonical format.  CSV takes columns, not
 rows: a column of exact Python floats is formatted in one pass, a column of
 ``str`` is written as is, and any other column goes cell by cell through
-``format_float``/``str``.  Writes go through a temp file plus rename so
-concurrent writers never expose partial content.
+``format_float``/``str``.  Writes (``Cache`` entries too) go through a temp
+file plus rename so concurrent writers never expose partial content.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -90,6 +91,32 @@ def atomic_write_text(path, text):
 def write_json(path, obj, texts=None):
     """``canonical_json(obj, texts)`` and a newline, written atomically."""
     atomic_write_text(path, canonical_json(obj, texts) + "\n")
+
+
+class Cache:
+    """Canonical JSON documents by key, one file each under root;
+    Cache(None) keeps none.  An entry that is not JSON reads as absent."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def path(self, key):
+        return os.path.join(self.root, key[:2], key + ".json")
+
+    def get(self, key):
+        if self.root is None or not os.path.exists(p := self.path(key)):
+            return None
+        try:
+            with open(p) as f:
+                return json.load(f)
+        except (ValueError, OSError):       # not UTF-8, or not JSON
+            print(f"warning: cache entry {p} unreadable, recomputing",
+                  file=sys.stderr)
+            return None
+
+    def put(self, key, doc):
+        if self.root is not None:
+            atomic_write_text(self.path(key), canonical_json(doc) + "\n")
 
 
 def _column_text(col):

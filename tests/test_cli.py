@@ -14,6 +14,7 @@ from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, MAX_BASIS_CLOUD,
                        Cache, ManifestError, cached_fekete, main,
                        manifest_hash, validate_manifest)
 from pllab.extremal import SandwichEvaluator
+from pllab.fekete import solve_fekete
 from pllab.regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                               scan_cloud_target)
 from pllab.geometry import (exact_extremal, sample, spec_from_dict,
@@ -124,24 +125,46 @@ def test_capacity_shape_exits_schema_before_sampling(tmp_path, capsys,
     assert f"field '{field}'" in capsys.readouterr().err
 
 
+# an entry's new bytes, or a dict of keys to overwrite in the stored entry
+CORRUPT_ENTRIES = [
+    (b"{broken", "unreadable"),
+    (b"\xff\xfe{}", "unreadable"),                 # not UTF-8
+    (b"5", "inconsistent"),
+    (b'{"node_indices": [1e400]}', "inconsistent"),
+    ({"provenance": 7}, "inconsistent"),
+    ({"node_indices": [-100, 10, 50, 89, 99]}, "inconsistent"),
+]
+
+
 def test_cache_corruption_recovers(tmp_path, capsys):
-    man = {"command": "fekete", "spec": INTERVAL, "degrees": [2],
+    man = {"command": "fekete", "spec": INTERVAL, "degrees": [4],
            "cloud_target": 401}
     mp = _write_manifest(tmp_path, man)
     cache = str(tmp_path / "cache")
     assert main(["--manifest", mp, "--out", str(tmp_path / "o1"),
                  "--cache", cache]) == EXIT_OK
-    # corrupt every cache entry
-    for root, _, files in os.walk(cache):
-        for f in files:
-            with open(os.path.join(root, f), "w") as fh:
-                fh.write("{broken")
-    assert main(["--manifest", mp, "--out", str(tmp_path / "o2"),
+    expected = (tmp_path / "o1" / "fekete.json").read_bytes()
+    for content, warning in CORRUPT_ENTRIES:
+        # corrupt every cache entry; each recovery writes it afresh
+        for root, _, files in os.walk(cache):
+            for f in files:
+                path = os.path.join(root, f)
+                data = content
+                if isinstance(content, dict):
+                    with open(path) as fh:
+                        data = json.dumps(dict(json.load(fh),
+                                               **content)).encode()
+                with open(path, "wb") as fh:
+                    fh.write(data)
+        capsys.readouterr()
+        assert main(["--manifest", mp, "--out", str(tmp_path / "o2"),
+                     "--cache", cache]) == EXIT_OK, content
+        err = capsys.readouterr().err
+        assert warning in err and "cache hit" not in err, content
+        assert (tmp_path / "o2" / "fekete.json").read_bytes() == expected
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o3"),
                  "--cache", cache]) == EXIT_OK
-    assert "unreadable" in capsys.readouterr().err
-    with open(os.path.join(str(tmp_path / "o1"), "fekete.json"), "rb") as f1, \
-            open(os.path.join(str(tmp_path / "o2"), "fekete.json"), "rb") as f2:
-        assert f1.read() == f2.read()
+    assert "cache hit" in capsys.readouterr().err
 
 
 def test_no_cache_flag(tmp_path):
@@ -394,7 +417,7 @@ def test_cache_misses_when_the_sampler_moves_the_cloud(tmp_path,
     hits = _recording_cached_fekete(monkeypatch)
     assert main(["--manifest", mp, "--out", str(tmp_path / "before"),
                  "--cache", cache]) == EXIT_OK
-    monkeypatch.setattr(pllab.cli, "sample", _moved_sample(1e-9))
+    monkeypatch.setattr(pllab.fekete, "sample", _moved_sample(1e-9))
     assert main(["--manifest", mp, "--out", str(tmp_path / "moved"),
                  "--cache", cache]) == EXIT_OK
     assert main(["--manifest", mp, "--out", str(tmp_path / "none"),
@@ -579,13 +602,41 @@ def test_scan_and_localize_bad_field_exits_schema(tmp_path, capsys,
     def no_solve(*args, **kwargs):
         raise AssertionError("a bad manifest reached the solver")
 
-    for mod in (pllab.regularity, pllab.cli):
+    for mod in (pllab.fekete, pllab.cli):
         monkeypatch.setattr(mod, "solve_fekete", no_solve)
     man = dict(SCALAR_DEGREE_MANIFESTS[command], **{field: value})
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "o"),
                  "--no-cache"]) == EXIT_SCHEMA
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scan-regularity", "localize"])
+def test_scan_and_localize_replay_from_the_cache(tmp_path, monkeypatch,
+                                                 command):
+    solves = []
+
+    def counting(*args):
+        solves.append(args)
+        return solve_fekete(*args)
+
+    monkeypatch.setattr(pllab.fekete, "solve_fekete", counting)
+    mp = _write_manifest(tmp_path, SCALAR_DEGREE_MANIFESTS[command])
+    cache = str(tmp_path / "cache")
+    trees, counts = [], []
+    for mode, flags in (("none", ["--no-cache"]), ("miss", ["--cache", cache]),
+                        ("hit", ["--cache", cache])):
+        before = len(solves)
+        assert main(["--manifest", mp, "--out", str(tmp_path / mode)]
+                    + flags) == EXIT_OK
+        trees.append(_tree_bytes(str(tmp_path / mode)))
+        counts.append(len(solves) - before)
+    assert trees[0] == trees[1] == trees[2]
+    # one configuration per kept radius; the full set and K cap B(a, r)
+    configs = (len(json.loads(trees[0]["hcp_report.json"])["radii"])
+               if command == "scan-regularity" else 2)
+    assert len([f for _, _, fs in os.walk(cache) for f in fs]) == configs
+    assert counts == [configs, configs, 0]
 
 
 @pytest.mark.parametrize("radii", [[1e-300], [5e-324]])
@@ -762,7 +813,7 @@ def _no_sample(*args, **kwargs):
 
 @pytest.fixture
 def sample_fails(monkeypatch):
-    for mod in (pllab.cli, pllab.regularity, pllab.equidist):
+    for mod in (pllab.cli, pllab.fekete, pllab.equidist):
         monkeypatch.setattr(mod, "sample", _no_sample)
     monkeypatch.setattr(pllab.cli, "relative_extremal_1c", _no_sample)
 
