@@ -88,8 +88,8 @@ _OBJECT = (lambda v: type(v) is dict, "a JSON object")
 _COMMAND = (lambda v: v in COMMANDS, "one of " + ", ".join(COMMANDS))
 _COUNT = (_count(1), "an integer >= 1")
 _DEGREES = (_nonempty(_COUNT[0]), "a nonempty list of integers >= 1")
-_CAPACITY_DEGREES = (lambda v: _DEGREES[0](v) and len(v) >= 3,
-                     "a list of at least 3 integers >= 1")
+_CAPACITY_DEGREES = (lambda v: _DEGREES[0](v) and len(set(v)) >= 3,
+                     "a list of at least 3 distinct integers >= 1")
 _RATE_DEGREES = (lambda v: _DEGREES[0](v) and len(v) >= 4
                  and all(a < b for a, b in zip(v, v[1:])),
                  "a strictly increasing list of at least 4 integers >= 1")
@@ -498,6 +498,9 @@ def main(argv=None):
             run_manifest(man, args.out, cache_dir)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (ValueError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .fekete import FubiniStudyWeight, ZeroWeight
+from .fekete import FubiniStudyWeight, ZeroWeight, quality_gamma
 from .geometry import ComplexBall, as_point, contains
 
 
@@ -38,12 +38,17 @@ class SandwichEvaluator:
 
     Solves the N x N node system once; per-z evaluations are vectorized.
     An evaluator is an engine for `regularity.modulus_fit`: a `source`
-    label and array `bounds(points)`.
+    label and array `bounds(points)`.  A configuration replayed from the
+    cache comes without its orthonormal basis; the evaluator builds it
+    through quality_gamma, which also recomputes gamma and the Lebesgue
+    constant, so the bracket never rests on values read from a file.
     """
 
     source = "sandwich"
 
     def __init__(self, config, cloud):
+        if config.ortho is None:
+            quality_gamma(config, cloud)
         self.config = config
         self.ortho = config.ortho
         self.d = config.basis.d

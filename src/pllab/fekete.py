@@ -43,6 +43,9 @@ from .serialize import canonical_json
 # decision to that solve.
 _SWAP_TOL = 1e-10
 _FRESH_MARGIN = 1e-9
+# A replayed gamma may fall this far below 1, its lower bound in exact
+# arithmetic, by rounding in the Lagrange solve.
+_GAMMA_SLACK = 1e-9
 
 # ---------------------------------------------------------------------------
 # weights
@@ -126,11 +129,16 @@ class FeketeConfig:
 
     @classmethod
     def from_indices(cls, cloud, basis, weight, sel, provenance, ortho=None,
-                     lag=None):
+                     lag=None, quality=None):
         """The configuration on cloud.points[sel], with objective and gamma.
 
-        ortho is the cloud's orthonormal basis and lag the Lagrange matrix of
-        sel on the cloud (see quality_gamma) when the caller already has them.
+        The objective is always computed here (a singular node set raises
+        DegenerateSetError).  ortho is the cloud's orthonormal basis and lag
+        the Lagrange matrix of sel on the cloud (see quality_gamma) when the
+        caller already has them.  quality = (gamma, lebesgue) replays the
+        values of an earlier solve of the same selection on the same cloud
+        (a cache hit): then no basis is built and ortho stays None, which
+        tells SandwichEvaluator to recompute gamma before it certifies.
         """
         nodes = cloud.points[sel]
         obj = (log_abs_vdm(nodes, basis)
@@ -141,7 +149,10 @@ class FeketeConfig:
         config = cls(basis=basis, weight=weight, nodes=nodes,
                      node_indices=sel, objective=obj, gamma=None,
                      lebesgue=None, provenance=provenance, ortho=ortho)
-        quality_gamma(config, cloud, lag)
+        if quality is None:
+            quality_gamma(config, cloud, lag)
+        else:
+            config.gamma, config.lebesgue = quality
         return config
 
     @property
@@ -381,30 +392,46 @@ def manifest_hash(man):
 
 def _replayable(entry, n, m):
     """True when a cache entry is an object whose node_indices is a sorted
-    list of n distinct ints in [0, m) and whose provenance, if present, is
-    an object."""
-    sel = entry.get("node_indices") if type(entry) is dict else None
+    list of n distinct ints in [0, m), whose provenance, if present, is an
+    object, and whose gamma and lebesgue are finite floats with
+    1 <= gamma <= lebesgue, up to rounding on the 1: a Lagrange matrix is
+    the identity at its nodes, and a column sum of its magnitudes is at
+    least the largest of them."""
+    if type(entry) is not dict:
+        return False
+    sel, g, leb = map(entry.get, ("node_indices", "gamma", "lebesgue"))
     return (type(sel) is list and len(sel) == n
             and all(type(i) is int for i in sel)
             and sel == sorted(set(sel)) and 0 <= sel[0] and sel[-1] < m
-            and type(entry.get("provenance", {})) is dict)
+            and type(entry.get("provenance", {})) is dict
+            and type(g) is float and type(leb) is float
+            and 1.0 - _GAMMA_SLACK <= g <= leb < math.inf)
 
 
 def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
     """Solve (or replay from cache) one Fekete configuration; returns
     (config, cloud, hit).
 
-    The cache stores the selected node indices; a hit re-samples the
-    deterministic cloud and rebuilds the configuration without the solve.
-    The key holds a sha256 of the cloud's points, so a sampler that moves
-    the cloud misses instead of replaying indices onto other points.
+    An entry holds the selected node indices, the solve's scalar
+    provenance, and its gamma and Lebesgue constant.  A hit re-samples the
+    deterministic cloud, takes the nodes from it and recomputes the
+    objective (log_abs_vdm, which rejects a singular node set), but replays
+    gamma and lebesgue as stored: no orthonormal basis, no Lagrange solve.
+    So a hit writes the miss's fekete and capacity outputs by construction.
+    A hit's config has ortho None; SandwichEvaluator then recomputes gamma
+    and lebesgue with the basis it needs anyway, so a certified bracket
+    never rests on a stored gamma.  The key holds a sha256 of the cloud's
+    points, so a sampler that moves the cloud misses instead of replaying
+    indices onto other points.
     """
     cloud = sample(spec, cloud_target, seed=seed)
+    # Bump the version whenever the node selection or the computation of
+    # gamma or lebesgue changes, so entries of the old code miss.
     key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
                "weight": weight_tag, "seed": seed,
                "cloud_target": cloud_target,
                "cloud": hashlib.sha256(cloud.points.tobytes()).hexdigest(),
-               "version": 3}
+               "version": 4}
     key = manifest_hash(key_doc)
     basis = BasisSpec(spec.dim, degree)
     weight = _WEIGHTS[weight_tag]()
@@ -415,7 +442,8 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
                 config = FeketeConfig.from_indices(
                     cloud, basis, weight,
                     np.asarray(hit["node_indices"], dtype=int),
-                    provenance=hit.get("provenance", {"cloud_seed": seed}))
+                    provenance=hit.get("provenance", {"cloud_seed": seed}),
+                    quality=(hit["gamma"], hit["lebesgue"]))
                 return config, cloud, True
             except DegenerateSetError:      # a singular node set
                 pass
@@ -423,7 +451,8 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
               file=sys.stderr)
     config = solve_fekete(cloud, basis, weight)
     cache.put(key, {"node_indices": [int(i) for i in config.node_indices],
-                    "provenance": _scalar_provenance(config.provenance)})
+                    "provenance": _scalar_provenance(config.provenance),
+                    "gamma": config.gamma, "lebesgue": config.lebesgue})
     return config, cloud, False
 
 
@@ -435,10 +464,11 @@ def transfinite_diameter(configs):
     """Capacity estimate from a degree family (n = 1, unweighted).
 
     delta_d = exp(2 log|VDM| / (N (N-1))) with N = d + 1; the return value is
-    the intercept of the least-squares line delta_d = c0 + c1 / d.
+    the intercept of the least-squares line delta_d = c0 + c1 / d, which
+    needs at least 3 distinct degrees.
     """
-    if len(configs) < 3:
-        raise ValueError("need at least 3 degrees")
+    if len({cfg.degree for cfg in configs}) < 3:
+        raise ValueError("need at least 3 distinct degrees")
     ds, deltas = [], []
     for cfg in configs:
         if cfg.basis.n != 1:

@@ -95,7 +95,9 @@ def write_json(path, obj, texts=None):
 
 class Cache:
     """Canonical JSON documents by key, one file each under root;
-    Cache(None) keeps none.  An entry that is not JSON reads as absent."""
+    Cache(None) keeps none.  An entry that is not JSON reads as absent, and
+    one that cannot be written (root is a file, say) is skipped, with a
+    warning either way."""
 
     def __init__(self, root):
         self.root = root
@@ -115,8 +117,14 @@ class Cache:
             return None
 
     def put(self, key, doc):
-        if self.root is not None:
-            atomic_write_text(self.path(key), canonical_json(doc) + "\n")
+        """Store doc under key; a failed write warns and is skipped."""
+        if self.root is None:
+            return
+        try:
+            atomic_write_text(p := self.path(key), canonical_json(doc) + "\n")
+        except OSError as exc:              # root is a file, or read-only
+            print(f"warning: cache entry {p} not written: {exc}",
+                  file=sys.stderr)
 
 
 def _column_text(col):

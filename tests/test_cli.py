@@ -113,9 +113,12 @@ def test_main_numerical_failure_exit(tmp_path, capsys):
 @pytest.mark.parametrize("field, extra", [
     ("degrees", {"degrees": [2, 3]}),
     ("degrees", {"degrees": [4]}),
+    ("degrees", {"degrees": [4, 4, 4]}),
+    ("degrees", {"degrees": [2, 3, 3, 2]}),
     ("spec", {"spec": {"kind": "ComplexBall",
                        "center": [[0.0, 0.0], [0.0, 0.0]], "radius": 1.0}}),
-], ids=["two-degrees", "one-degree", "c2-spec"])
+], ids=["two-degrees", "one-degree", "one-degree-thrice",
+        "two-distinct-degrees", "c2-spec"])
 def test_capacity_shape_exits_schema_before_sampling(tmp_path, capsys,
                                                      sample_fails, field,
                                                      extra):
@@ -133,6 +136,11 @@ CORRUPT_ENTRIES = [
     (b'{"node_indices": [1e400]}', "inconsistent"),
     ({"provenance": 7}, "inconsistent"),
     ({"node_indices": [-100, 10, 50, 89, 99]}, "inconsistent"),
+] + [
+    # gamma is at least 1 and lebesgue at least gamma, both finite floats;
+    # a missing value (None) is deleted from the entry
+    ({key: value}, "inconsistent") for key in ("gamma", "lebesgue")
+    for value in (None, "1.0", float("nan"), float("inf"), True, 0.5)
 ]
 
 
@@ -152,8 +160,9 @@ def test_cache_corruption_recovers(tmp_path, capsys):
                 data = content
                 if isinstance(content, dict):
                     with open(path) as fh:
-                        data = json.dumps(dict(json.load(fh),
-                                               **content)).encode()
+                        entry = dict(json.load(fh), **content)
+                    data = json.dumps({k: v for k, v in entry.items()
+                                       if v is not None}).encode()
                 with open(path, "wb") as fh:
                     fh.write(data)
         capsys.readouterr()
@@ -165,6 +174,27 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert main(["--manifest", mp, "--out", str(tmp_path / "o3"),
                  "--cache", cache]) == EXIT_OK
     assert "cache hit" in capsys.readouterr().err
+
+
+def test_unwritable_cache_warns_and_runs(tmp_path, capsys):
+    mp = _write_manifest(tmp_path, SOLVE_MANIFESTS["fekete"])
+    cache = tmp_path / "cache"
+    cache.write_text("a regular file, not a directory")
+    assert main(["--manifest", mp, "--out", str(tmp_path / "c"),
+                 "--cache", str(cache)]) == EXIT_OK
+    assert "not written" in capsys.readouterr().err
+    assert main(["--manifest", mp, "--out", str(tmp_path / "n"),
+                 "--no-cache"]) == EXIT_OK
+    assert _tree_bytes(str(tmp_path / "c")) == _tree_bytes(str(tmp_path / "n"))
+
+
+def test_out_is_a_file_exits_schema(tmp_path, capsys):
+    mp = _write_manifest(tmp_path, SOLVE_MANIFESTS["fekete"])
+    out = tmp_path / "o"
+    out.write_text("a regular file, not a directory")
+    assert main(["--manifest", mp, "--out", str(out),
+                 "--no-cache"]) == EXIT_SCHEMA
+    assert "error: cannot write output" in capsys.readouterr().err
 
 
 def test_no_cache_flag(tmp_path):
@@ -429,18 +459,24 @@ def test_cache_misses_when_the_sampler_moves_the_cloud(tmp_path,
     assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 2
 
 
-def test_version_2_cache_entry_is_never_replayed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("version", [2, 3])
+def test_old_version_cache_entry_is_never_replayed(tmp_path, monkeypatch,
+                                                   version):
     man = {"command": "fekete", "spec": INTERVAL, "degrees": [3],
            "cloud_target": 401}
-    # a parent-format key (no cloud fingerprint) holding wrong nodes
-    v2_key = manifest_hash({"op": "fekete",
-                            "spec": spec_to_dict(spec_from_dict(INTERVAL)),
-                            "degree": 3,
-                            "weight": "zero", "seed": 0, "cloud_target": 401,
-                            "version": 2})
+    # an older-format key (version 2 had no cloud fingerprint, version 3
+    # kept no gamma) holding wrong nodes and a well-formed gamma
+    spec = spec_from_dict(INTERVAL)
+    key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": 3,
+               "weight": "zero", "seed": 0, "cloud_target": 401,
+               "version": version}
+    if version == 3:
+        key_doc["cloud"] = hashlib.sha256(
+            sample(spec, 401, seed=0).points.tobytes()).hexdigest()
     cache = str(tmp_path / "cache")
-    Cache(cache).put(v2_key, {"node_indices": [0, 1, 2, 3],
-                              "provenance": {"cloud_seed": 0}})
+    Cache(cache).put(manifest_hash(key_doc), {
+        "node_indices": [0, 1, 2, 3], "provenance": {"cloud_seed": 0},
+        "gamma": 1.0, "lebesgue": 1.0})
     hits = _recording_cached_fekete(monkeypatch)
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "c"),
@@ -449,6 +485,39 @@ def test_version_2_cache_entry_is_never_replayed(tmp_path, monkeypatch):
                  "--no-cache"]) == EXIT_OK
     assert hits == [False, False]
     assert _tree_bytes(str(tmp_path / "c")) == _tree_bytes(str(tmp_path / "n"))
+
+
+@pytest.mark.parametrize("command, rebuilds", [
+    ("fekete", 0), ("capacity", 0), ("extremal", 1)])
+def test_cache_hit_replays_gamma_and_rebuilds_only_to_certify(
+        tmp_path, monkeypatch, command, rebuilds):
+    # a fekete or capacity hit replays the stored gamma and lebesgue; an
+    # extremal hit recomputes them once, with the basis its bracket needs
+    calls = {"orthonormal_basis": 0, "quality_gamma": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(pllab.fekete, name))
+        monkeypatch.setattr(pllab.fekete, name, wrapped)
+        if name == "quality_gamma":
+            monkeypatch.setattr(pllab.extremal, name, wrapped)
+    mp = _write_manifest(tmp_path, SOLVE_MANIFESTS[command])
+    cache = str(tmp_path / "cache")
+    assert main(["--manifest", mp, "--out", str(tmp_path / "miss"),
+                 "--cache", cache]) == EXIT_OK
+    hits = _recording_cached_fekete(monkeypatch)
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["--manifest", mp, "--out", str(tmp_path / "hit"),
+                 "--cache", cache]) == EXIT_OK
+    assert hits and all(hits)
+    assert calls == {"orthonormal_basis": rebuilds, "quality_gamma": rebuilds}
+    assert (_tree_bytes(str(tmp_path / "hit"))
+            == _tree_bytes(str(tmp_path / "miss")))
 
 
 @pytest.mark.parametrize("command, fields, extra", [

@@ -104,7 +104,8 @@ def test_random_scan_and_localize_fields_exit_cleanly(spec, degree, doc):
                 assert json.load(f)["radii"]
 
 
-# one small valid manifest per command: degrees <= 2, clouds of 201 points
+# one small valid manifest per command: degrees <= 2 (capacity's line needs a
+# third degree), clouds of 201 points
 SMALL = {
     "fekete": {"command": "fekete", "spec": SPECS[0], "degrees": [2],
                "cloud_target": 201, "seed": 0, "weight": "zero"},
@@ -112,7 +113,7 @@ SMALL = {
                  "cloud_target": 201, "seed": 1, "weight": "fubini-study",
                  "points": [[[2.0, 0.0]], [[0.0, 1.5]]]},
     "capacity": {"command": "capacity", "spec": SPECS[0],
-                 "degrees": [1, 2, 2], "cloud_target": 201, "seed": 0},
+                 "degrees": [1, 2, 3], "cloud_target": 201, "seed": 0},
     "relative": {"command": "relative",
                  "set": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
                          "radius": 0.5},

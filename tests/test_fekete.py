@@ -128,8 +128,11 @@ def test_affine_objective_shift():
 
 def test_transfinite_diameter_validation(interval_cloud):
     cfg = solve_fekete(interval_cloud, BasisSpec(1, 4))
-    with pytest.raises(ValueError, match="3 degrees"):
-        transfinite_diameter([cfg, cfg])
+    cfg5 = solve_fekete(interval_cloud, BasisSpec(1, 5))
+    # the least-squares line needs three abscissas 1/d, not three configs
+    for configs in ([cfg, cfg], [cfg, cfg, cfg], [cfg, cfg5, cfg, cfg5]):
+        with pytest.raises(ValueError, match="3 distinct degrees"):
+            transfinite_diameter(configs)
 
 
 def test_weighted_solve_runs(interval_cloud):

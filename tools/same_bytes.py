@@ -8,8 +8,10 @@ this checkout, drawn at the given seed: every solve-cold variant, replay-warm
 and relative-field.  Each tree runs every manifest through ``pllab.cli.main``
 three times, at one BLAS thread: once with ``--no-cache``, then twice on a
 fresh cache of its own (a miss, then a hit).  The sha256 of every output file
-and the exit code of every run are compared between the trees.  Prints each
-difference and exits 1 if there is any, else 0.
+and the exit code of every run are compared between the trees, and inside
+each tree the miss and the hit are compared with the ``--no-cache`` run of
+the same manifest.  Prints each difference and exits 1 if there is any,
+else 0.
 
 Each tree runs in its own Python process (the two at once), which imports
 pllab from that tree only.
@@ -91,20 +93,38 @@ def _worker(seed, result_path):
         json.dump(results, f)
 
 
+def _differences(label, ra, rb):
+    """Lines naming the exit code and each output file two runs differ in."""
+    lines = []
+    if ra["rc"] != rb["rc"]:
+        lines.append(f"{label}: exit {ra['rc']} vs {rb['rc']}")
+    fa, fb = ra["files"], rb["files"]
+    for name in sorted(set(fa) | set(fb)):
+        if fa.get(name) != fb.get(name):
+            lines.append(f"{label}: {name} differs")
+    return lines
+
+
 def _compare(a, b):
     """Lines naming every run whose exit code or output files differ."""
     lines = []
     for run in sorted(set(a) | set(b)):
         if run not in a or run not in b:
             lines.append(f"{run}: run by one tree only")
-            continue
-        ra, rb = a[run], b[run]
-        if ra["rc"] != rb["rc"]:
-            lines.append(f"{run}: exit {ra['rc']} vs {rb['rc']}")
-        fa, fb = ra["files"], rb["files"]
-        for name in sorted(set(fa) | set(fb)):
-            if fa.get(name) != fb.get(name):
-                lines.append(f"{run}: {name} differs")
+        else:
+            lines += _differences(run, a[run], b[run])
+    return lines
+
+
+def _cached_vs_uncached(tree, results):
+    """Lines naming every miss or hit run of a tree whose exit code or
+    output files differ from the tree's --no-cache run of that manifest."""
+    lines = []
+    for run in sorted(results):
+        name, mode = run.rsplit(" ", 1)
+        if mode != MODES[0]:
+            lines += _differences(f"{tree}: {run} vs {MODES[0]}",
+                                  results[f"{name} {MODES[0]}"], results[run])
     return lines
 
 
@@ -136,6 +156,8 @@ def main(argv=None):
             with open(result) as f:
                 results.append(json.load(f))
     lines = _compare(*results)
+    for tree, result in zip((args.parent, args.change), results):
+        lines += _cached_vs_uncached(tree, result)
     for line in lines:
         print(line)
     manifests = len(results[0]) // len(MODES)
