@@ -24,6 +24,9 @@ import sys
 from itertools import chain
 from types import SimpleNamespace
 
+# A process loads only what its command uses: numpy and scipy.linalg, which
+# every solve needs, at module level; every other scipy subpackage (special,
+# optimize, spatial, sparse) inside the one function that calls it.
 import numpy as np
 import scipy
 
@@ -488,9 +491,11 @@ def main(argv=None):
                  else os.environ.get("PLLAB_CACHE") or args.cache)
 
     try:
-        with open(args.manifest) as f:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale
+        with open(args.manifest, encoding="utf-8") as f:
             man = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, not JSON, or nested too deep to parse
         print(f"error: cannot read manifest: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

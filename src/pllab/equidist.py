@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .basis import BasisSpec
 from .fekete import fekete_measure, solve_fekete
@@ -210,6 +209,8 @@ def chained_holder_exponent(mu, q):
 def _interval_cloud(spec, d, target, seed):
     """Interval cloud enriched with the degree-d Gauss-Lobatto nodes so the
     discrete Fekete optimum coincides with the continuum one."""
+    from scipy.special import roots_jacobi
+
     base = sample(spec, target, seed=seed)
     if d >= 2:
         x_int, _ = roots_jacobi(d - 1, 1.0, 1.0)

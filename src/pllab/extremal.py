@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .fekete import FubiniStudyWeight, ZeroWeight, quality_gamma
 from .geometry import ComplexBall, as_point, contains
@@ -185,6 +183,9 @@ def relative_extremal_1c(E, B, grid_n=256):
     is the largest 5-point residual on the free cells; `iterations` counts
     linear solves (1, or 0 when no cell is free).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     if not isinstance(B, ComplexBall) or B.dim != 1:
         raise ValueError("B must be a ComplexBall in C^1")
     if grid_n < 64:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import qr
 from scipy.linalg.blas import dger, zgeru
-from scipy.spatial import cKDTree
 
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
 from .geometry import DegenerateSetError, sample, spec_to_dict
@@ -81,6 +80,8 @@ class TabulatedWeight:
     kind = "tabulated"
 
     def __init__(self, points, values, holder_alpha=1.0, holder_const=1.0):
+        from scipy.spatial import cKDTree
+
         self.points = np.atleast_2d(np.asarray(points, dtype=complex))
         self.values = np.asarray(values, dtype=float)
         self.holder_alpha = holder_alpha

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 TOL = 1e-12
 
@@ -284,7 +283,7 @@ def _member(spec, Z, tol):
         return _real_rows(Z, tol) & np.all((lo <= Z.real) & (Z.real <= hi),
                                            axis=1)
     if isinstance(spec, ConvexHull):
-        return np.array([_hull_contains(spec, z, tol) for z in Z], dtype=bool)
+        return _hull_contains(spec, Z, tol)
     if isinstance(spec, Cusp):
         inside = _real_rows(Z, tol)
         inside[inside] = [_cusp_gap(spec, z.real) <= tol for z in Z[inside]]
@@ -307,19 +306,23 @@ def _member(spec, Z, tol):
     raise TypeError(f"unknown SetSpec kind {type(spec).__name__}")
 
 
-def _hull_contains(spec, z, tol):
+def _hull_contains(spec, Z, tol):
     # feasibility of p = sum lambda_i v_i, sum lambda = 1, lambda >= 0,
-    # in the real 2n embedding
+    # in the real 2n embedding: one LP per row of Z
+    from scipy.optimize import linprog
+
     V = spec.v
     k = V.shape[0]
-    target = np.concatenate([z.real, z.imag, [1.0]])
     A_eq = np.vstack([V.real.T, V.imag.T, np.ones((1, k))])
-    res = linprog(np.zeros(k), A_eq=A_eq, b_eq=target, bounds=[(0, 1)] * k,
-                  method="highs")
-    if not res.success:
-        return False
-    resid = float(np.max(np.abs(A_eq @ res.x - target)))
-    return resid <= max(tol, 1e-9)
+    inside = np.zeros(len(Z), dtype=bool)
+    for i, z in enumerate(Z):
+        target = np.concatenate([z.real, z.imag, [1.0]])
+        res = linprog(np.zeros(k), A_eq=A_eq, b_eq=target,
+                      bounds=[(0, 1)] * k, method="highs")
+        if res.success:
+            resid = float(np.max(np.abs(A_eq @ res.x - target)))
+            inside[i] = resid <= max(tol, 1e-9)
+    return inside
 
 
 def _cusp_gap(spec, x):

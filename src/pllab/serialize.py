@@ -109,9 +109,10 @@ class Cache:
         if self.root is None or not os.path.exists(p := self.path(key)):
             return None
         try:
-            with open(p) as f:
+            with open(p, encoding="utf-8") as f:
                 return json.load(f)
-        except (ValueError, OSError):       # not UTF-8, or not JSON
+        # not UTF-8, not JSON, or nested too deep to parse
+        except (ValueError, OSError, RecursionError):
             print(f"warning: cache entry {p} unreadable, recomputing",
                   file=sys.stderr)
             return None

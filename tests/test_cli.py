@@ -32,6 +32,14 @@ def _write_manifest(tmp_path, man, name="man.json"):
     return str(p)
 
 
+def _child_env(**extra):
+    """os.environ plus extra, with the pllab under test (installed or not)
+    first on the child's PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(pllab.__file__))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -97,6 +105,35 @@ def test_main_unreadable_manifest(tmp_path):
                  str(tmp_path / "o")]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("data", [b"\xff", b"[" * 200000],
+                         ids=["not-utf8", "nested-200000-deep"])
+def test_manifest_that_does_not_parse_exits_schema(tmp_path, capsys, data):
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    assert main(["--manifest", str(p), "--out",
+                 str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert "error: cannot read manifest" in capsys.readouterr().err
+
+
+def test_non_ascii_manifest_reads_as_utf8_in_any_locale(tmp_path):
+    man = dict(SOLVE_MANIFESTS["fekete"], note="caf\u00e9")
+    mp = tmp_path / "man.json"
+    mp.write_bytes(json.dumps(man, ensure_ascii=False).encode("utf-8"))
+    assert b"caf\xc3\xa9" in mp.read_bytes()
+    trees = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}),
+                      ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                             "PYTHONUTF8": "0"})):
+        out = str(tmp_path / name)
+        res = subprocess.run([sys.executable, "-m", "pllab.cli", "--manifest",
+                              mp, "--out", out, "--no-cache"],
+                             capture_output=True, text=True,
+                             env=_child_env(**env))
+        assert res.returncode == 0, res.stderr
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
 def test_main_numerical_failure_exit(tmp_path, capsys):
     # a segment in C^2 is pluripolar, so its degree-2 Vandermonde is
     # singular: a numerical exit, not a schema one
@@ -132,6 +169,7 @@ def test_capacity_shape_exits_schema_before_sampling(tmp_path, capsys,
 CORRUPT_ENTRIES = [
     (b"{broken", "unreadable"),
     (b"\xff\xfe{}", "unreadable"),                 # not UTF-8
+    (b"[" * 200000, "unreadable"),                 # too deep to parse
     (b"5", "inconsistent"),
     (b'{"node_indices": [1e400]}', "inconsistent"),
     ({"provenance": 7}, "inconsistent"),
@@ -846,28 +884,21 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         "kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
         "radius": 1.0}, "degrees": [6], "cloud_target": 1000, "seed": 653343}
     mp = _write_manifest(tmp_path, man)
-    src = os.path.dirname(os.path.dirname(pllab.__file__))
     trees = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = str(tmp_path / f"t{threads}")
         res = subprocess.run([sys.executable, "-m", "pllab.cli", "--manifest",
                               mp, "--out", out, "--no-cache"],
-                             capture_output=True, text=True, env=env)
+                             capture_output=True, text=True,
+                             env=_child_env(OPENBLAS_NUM_THREADS=threads))
         assert res.returncode == 0, res.stderr
         trees.append(_tree_bytes(out))
     assert trees[0] == trees[1]
 
 
 def test_console_script_help():
-    # the child imports the pllab under test, installed or not
-    src = os.path.dirname(os.path.dirname(pllab.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run([sys.executable, "-m", "pllab.cli", "--help"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=_child_env())
     assert res.returncode == 0
     assert "--manifest" in res.stdout
 
@@ -1004,3 +1035,64 @@ def test_scan_basis_cloud_cap_boundary(command):
     validate_manifest(dict(c1, degree=1580))
     with pytest.raises(ManifestError, match="field 'degree' is invalid"):
         validate_manifest(dict(c1, degree=1581))
+
+
+# ---------------------------------------------------------------------------
+# start-up: a process loads only the scipy subpackages its command uses
+# ---------------------------------------------------------------------------
+
+LAZY = ("scipy.special", "scipy.optimize", "scipy.spatial", "scipy.sparse")
+
+
+def _lazy_loaded(code):
+    """The subpackages in LAZY that a fresh interpreter holds after code."""
+    probe = (f"{code}\nimport sys\n"
+             f"print(*[m for m in {LAZY!r} if m in sys.modules])\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=_child_env())
+    assert res.returncode == 0, res.stderr
+    return set(res.stdout.split())
+
+
+def _cli_run(tmp_path, man):
+    """Code that runs man through cli.main, with a check that it exits 0."""
+    mp = _write_manifest(tmp_path, man)
+    out = str(tmp_path / "o")
+    return ("from pllab import cli\n"
+            f"assert cli.main(['--manifest', {mp!r}, '--out', {out!r}, "
+            "'--no-cache']) == 0\n")
+
+
+def test_cli_loads_no_lazy_subpackage(tmp_path):
+    assert _lazy_loaded("import pllab.cli") == set()
+    assert _lazy_loaded(_cli_run(tmp_path, SOLVE_MANIFESTS["fekete"])) == set()
+
+
+# the one code path that needs each subpackage, as a manifest for cli.main
+# or as code that checks its own result
+LAZY_PATHS = {
+    "scipy.sparse": {"command": "relative", "set": {
+        "kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": 0.5},
+        "disc": DISC, "grid_n": 64},
+    "scipy.special": EQUIDIST,
+    "scipy.optimize": (
+        "from pllab.geometry import ConvexHull, contains\n"
+        "hull = ConvexHull(((0j,), (1 + 0j,), (1j,)))\n"
+        "assert contains(hull, [0.25 + 0.25j])\n"
+        "assert not contains(hull, [1 + 1j])\n"),
+    "scipy.spatial": (
+        "from pllab.fekete import TabulatedWeight\n"
+        "w = TabulatedWeight([[0j], [1 + 0j]], [0.0, 1.0])\n"
+        "assert list(w.evaluate([[0.1 + 0j], [0.8 + 0j]])) == [0.0, 1.0]\n"),
+}
+
+
+@pytest.mark.parametrize("subpackage", sorted(LAZY_PATHS))
+def test_lazy_path_loads_only_its_subpackage(tmp_path, subpackage):
+    code = LAZY_PATHS[subpackage]
+    if isinstance(code, dict):
+        code = _cli_run(tmp_path, code)
+    loaded = _lazy_loaded(code)
+    assert subpackage in loaded
+    # scipy.optimize itself imports special, spatial and sparse
+    assert loaded == _lazy_loaded(f"import {subpackage}")

@@ -100,7 +100,7 @@ def _contains_loop(spec, p, tol=TOL):
         return real and all(a - tol <= x <= b + tol
                             for x, (a, b) in zip(z.real, spec.intervals))
     if isinstance(spec, ConvexHull):
-        return _hull_contains(spec, z, tol)
+        return bool(_hull_contains(spec, z[None], tol)[0])
     if isinstance(spec, Cusp):
         return real and _cusp_gap(spec, z.real) <= tol
     if isinstance(spec, AffineImage):
