@@ -266,9 +266,11 @@ def _coord_header(dim):
 def _run_fekete(args, outdir, cache):
     dim = args.spec.dim
     results = []
+    cloud = None                    # sampled by the first degree's call
     for d in args.degrees:
-        config, _, hit = cached_fekete(args.spec, d, args.weight, args.seed,
-                                       args.cloud_target, cache)
+        config, cloud, hit = cached_fekete(args.spec, d, args.weight,
+                                           args.seed, args.cloud_target,
+                                           cache, cloud)
         if hit:
             print(f"cache hit: fekete degree {d}", file=sys.stderr)
         results.append(config.to_dict())
@@ -345,9 +347,11 @@ def _run_localize(args, outdir, cache):
 
 
 def _run_capacity(args, outdir, cache):
-    configs = [cached_fekete(args.spec, d, "zero", args.seed,
-                             args.cloud_target, cache)[0]
-               for d in args.degrees]
+    configs, cloud = [], None       # sampled by the first degree's call
+    for d in args.degrees:
+        config, cloud, _ = cached_fekete(args.spec, d, "zero", args.seed,
+                                         args.cloud_target, cache, cloud)
+        configs.append(config)
     write_json(os.path.join(outdir, "capacity.json"),
                {"degrees": args.degrees,
                 "transfinite_diameter": transfinite_diameter(configs)})
@@ -475,7 +479,7 @@ def run_manifest(man, outdir, cache_dir=None):
     return h
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="pllab",
         description="numerical laboratory for extremal functions, Fekete "
@@ -485,7 +489,15 @@ def main(argv=None):
     parser.add_argument("--cache", default=None, help="cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the Fekete cache")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: main runs many times in one process (tests, benchmarks)
+_PARSER = _parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
 
     cache_dir = (None if args.no_cache
                  else os.environ.get("PLLAB_CACHE") or args.cache)

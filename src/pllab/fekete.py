@@ -4,21 +4,27 @@ Phase 1 is one pivoted-QR seeding: greedy column selection on the
 orthonormalized, weighted Vandermonde; phase 2 is exchange refinement over
 the whole cloud (the AFP-plus-exchange method of Sommariva-Vianello and
 Bos-De Marchi-Sommariva-Vianello).  The seeding QR forms R only, never Q.
-Refinement keeps the Lagrange matrix C = B^{-1} A of the selected columns and
-carries it across each swap by a rank-one Sherman-Morrison update, done in
-place by one BLAS geru call on the Fortran-ordered view C.T; the best swap is
-found by a column max of |C| followed by an argmax down the winning column.
-On a real-valued Vandermonde (a real set, with or without a weight) the
-seeding QR, the first solve and the updates run in float64 on its real part.
-A decision stands when no matrix within rounding of C would take another
-(the settled rule: no near tie, no gain near the tolerance); otherwise it is
-re-taken on the authoritative complex solve, so the selections equal those of
-re-solving after every swap.  At the stop the refinement solves once, in
-sorted order, for the Lagrange matrix of the final nodes; that matrix
-confirms the stop and is the one gamma is read off.  The quality factor
-gamma (sup of weighted Lagrange magnitudes over the cloud) certifies
-proximity to a true maximizer and feeds every downstream sandwich width.
-Commands obtain configurations through ``cached_fekete``.
+Refinement keeps an approximate Lagrange matrix C = B^{-1} A of the selected
+columns, formed once as inv(B) @ A and carried across each swap by a
+rank-one Sherman-Morrison update, done in place by one BLAS geru call on
+the Fortran-ordered view C.T; the best swap is found by a column max of |C|
+followed by an argmax down the winning column.  On a real-valued
+Vandermonde (a real set, with or without a weight) the seeding QR, the
+inverse and the updates run in float64 on its real part.  A decision stands
+when no matrix within rounding of C would take another (the settled rule:
+no near tie, no gain near the tolerance).  Otherwise it is taken on the
+authoritative complex solve, but only on its contender columns, the few
+that can win: np.linalg.solve(B, A[:, cols]) equals those columns of the
+full solve bit for bit.  The stop, gamma and the Lebesgue constant are read
+off the contender columns of the solve in sorted node order in the same
+way.  So the selections equal those of re-solving after every swap, and
+gamma and the Lebesgue constant those of the full sorted-order solve,
+without any full N x M solve.  When the node matrix is too ill-conditioned
+for C to settle that much, or C drifts, the refinement falls back to full
+solves.  The quality factor gamma (sup of weighted Lagrange magnitudes over
+the cloud) certifies proximity to a true maximizer and feeds every
+downstream sandwich width.  Commands obtain configurations through
+``cached_fekete``.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ from .serialize import canonical_json
 # decision to that solve.
 _SWAP_TOL = 1e-10
 _FRESH_MARGIN = 1e-9
+# An approximate Lagrange matrix is trusted where its error, times N, is
+# within _TRUST of its best entry.  Then the exact best column trails the
+# approximate best by at most twice _TRUST, so it is among the contenders,
+# the columns within _FRESH_MARGIN of the approximate best.
+_TRUST = 0.1 * _FRESH_MARGIN
+_EPS = float(np.finfo(float).eps)
 # A replayed gamma may fall this far below 1, its lower bound in exact
 # arithmetic, by rounding in the Lagrange solve.
 _GAMMA_SLACK = 1e-9
@@ -130,16 +142,17 @@ class FeketeConfig:
 
     @classmethod
     def from_indices(cls, cloud, basis, weight, sel, provenance, ortho=None,
-                     lag=None, quality=None):
+                     quality=None):
         """The configuration on cloud.points[sel], with objective and gamma.
 
         The objective is always computed here (a singular node set raises
-        DegenerateSetError).  ortho is the cloud's orthonormal basis and lag
-        the Lagrange matrix of sel on the cloud (see quality_gamma) when the
-        caller already has them.  quality = (gamma, lebesgue) replays the
-        values of an earlier solve of the same selection on the same cloud
-        (a cache hit): then no basis is built and ortho stays None, which
-        tells SandwichEvaluator to recompute gamma before it certifies.
+        DegenerateSetError).  ortho is the cloud's orthonormal basis when the
+        caller already has it, and quality = (gamma, lebesgue) of sel on the
+        cloud when the caller has them (see quality_gamma).  A solve passes
+        both.  A cache hit passes the quality of an earlier solve and no
+        ortho: those values are replayed, no basis is built and ortho stays
+        None, which tells SandwichEvaluator to recompute gamma before it
+        certifies.
         """
         nodes = cloud.points[sel]
         obj = (log_abs_vdm(nodes, basis)
@@ -150,10 +163,10 @@ class FeketeConfig:
         config = cls(basis=basis, weight=weight, nodes=nodes,
                      node_indices=sel, objective=obj, gamma=None,
                      lebesgue=None, provenance=provenance, ortho=ortho)
-        if quality is None:
-            quality_gamma(config, cloud, lag)
-        else:
+        if ortho is None and quality is not None:
             config.gamma, config.lebesgue = quality
+        else:
+            quality_gamma(config, cloud, quality)
         return config
 
     @property
@@ -224,10 +237,10 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
 
     A = U.T                                                      # (N, M)
     _, piv = qr(A if A.imag.any() else A.real, pivoting=True, mode="r")
-    sel, swaps, lag = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
-                                       max_sweep_factor * N)
+    sel, swaps, quality = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
+                                           max_sweep_factor * N)
     return FeketeConfig.from_indices(
-        cloud, basis, weight, sel, ortho=ortho, lag=lag,
+        cloud, basis, weight, sel, ortho=ortho, quality=quality,
         provenance={"cloud_seed": cloud.seed,
                     "density_parameter": cloud.density_parameter,
                     "restart": 0, "accepted_swaps": int(swaps),
@@ -237,41 +250,52 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
 def _exchange_refine(A, sel, tol, max_iters):
     """Swap one node for one cloud point while the log objective gains >= tol.
 
-    Returns the sorted selection, the number of swaps and the Lagrange matrix
-    np.linalg.solve(A[:, sel], A) of the returned selection (None when the
-    swap cap or a singular node matrix ended the refinement).  Gains come
-    from C = B^{-1} A, the Lagrange matrix of the selected columns
-    B = A[:, sel]: replacing node j by cloud column m multiplies |det B| by
-    |C[j, m]|.  The best column m is the argmax of the column maxima of |C|,
-    and j the argmax of |C[:, m]|, so ties break at the lowest cloud index,
-    then the lowest node slot.  After a swap C is carried forward by the
-    Sherman-Morrison step C <- C - (C[:, m] - e_j) C[j, :] / C[j, m], O(N M)
-    instead of the O(N^2 M) of a fresh solve; it is one in-place BLAS geru
-    on C.T, which is Fortran-ordered because np.linalg.solve returns C in C
-    order.  On a real-valued A (every real set, unweighted or weighted) the
-    first solve and every update run in float64 (dger) on A.real; otherwise
-    in complex (zgeru).
+    Returns the sorted selection srt, the number of swaps and (gamma,
+    lebesgue) of its Lagrange matrix np.linalg.solve(A[:, srt], A), or None
+    in their place when the swap cap or a singular node matrix ended the
+    refinement.  Gains come from C = B^{-1} A, the Lagrange matrix of the
+    selected columns B = A[:, sel]: replacing node j by cloud column m
+    multiplies |det B| by |C[j, m]|.  The best column m is the argmax of the
+    column maxima of |C|, and j the argmax of |C[:, m]|, so ties break at
+    the lowest cloud index, then the lowest node slot.  After a swap C is
+    carried forward by the Sherman-Morrison step
+    C <- C - (C[:, m] - e_j) C[j, :] / C[j, m], O(N M) instead of the
+    O(N^2 M) of a fresh solve; it is one in-place BLAS geru on C.T, which is
+    Fortran-ordered because C is C-ordered.
 
-    The authoritative solve is the complex np.linalg.solve(A[:, sel], A),
-    with sel in slot order; a decision taken on it stands.  A decision taken
-    on any other C stands only when it is settled (see _settled); otherwise
-    it is re-taken on the authoritative solve, after which the loop carries
-    on from that solve (its real part, exactly, when A is real).  At a stop
-    the complex solve in sorted order, the matrix quality_gamma needs, is
-    formed once and returned; a stop not taken on the authoritative solve
-    stands only when that sorted-order matrix shows a settled stop too.  So
-    every swap and the stop match those of re-solving after every swap,
-    tie-breaks included: an ulp-level difference between the arithmetics
-    cannot move a swap.
+    The reference is the complex np.linalg.solve(A[:, sel], A), with sel in
+    slot order.  The loop never forms it whole.  It starts from the
+    approximate C = inv(B) @ W, where W is A.real on a real-valued A (every
+    real set, unweighted or weighted; the inverse and the updates then run
+    in float64, dger) and A otherwise (zgeru), and carries inv(B) forward
+    by the same update.  A decision taken on C stands when it is settled
+    (see _settled).  An unsettled one is taken on the reference values of
+    its contender columns (see _exact_swap); np.linalg.solve(B, A[:, cols])
+    equals those columns of the full solve bit for bit.  A stop is
+    confirmed on the contender columns of the sorted-order solve, which also
+    give gamma and the Lebesgue constant (see _lagrange_quality); a stop
+    they do not show settled is re-taken in slot order.  So every swap and
+    the stop match those of re-solving after every swap, tie-breaks
+    included: an ulp-level difference between the arithmetics cannot move a
+    swap.
+
+    C is trusted only while N cond_1(B) eps, read off the carried inverse,
+    and the error of C on every set of contender columns stay within _TRUST
+    of the best entry.  Otherwise the loop drops the inverse and goes on
+    with full solves: an unsettled decision is re-taken on the reference
+    solve and the loop carries on from it (its real part, exactly, when A
+    is real), and a stop not taken on the reference solve stands only when
+    the full sorted-order solve shows a settled stop too.
     """
     N, M = A.shape
     sel = np.array(sel, dtype=int)
     real = not A.imag.any()
     W, ger = (A.real, dger) if real else (A, zgeru)
     G = np.empty((N, M))
-    C = None            # B^{-1} A in slot order, in W's arithmetic
-    Cz = None           # the authoritative solve, while C is not updated
-    force = not real    # the next solve is the authoritative one
+    Binv = _inverse(W[:, sel])      # None once C is not trusted
+    C = None if Binv is None else Binv @ W
+    Cz = None           # the reference solve, while C is not updated
+    force = not real    # the next solve is the reference one
     L = None            # the sorted-order solve of the current selection
     swaps = 0
     while swaps < max_iters:
@@ -288,11 +312,18 @@ def _exchange_refine(A, sel, tol, max_iters):
                 force = True
                 continue
         exact = Cz is not None
-        j, m, gain, settled = _best_swap(C, sel, G, tol)
+        j, m, gain, settled, col_gain = _best_swap(C, sel, G, tol)
+        stop = gain <= 0 or math.log(gain) < tol
+        if (stop or not settled) and not _conditioned(W[:, sel], Binv):
+            Binv = None
         if not (exact or settled):
-            C, force = None, True
-            continue
-        if gain <= 0 or math.log(gain) < tol:
+            swap = Binv is not None and _exact_swap(A, sel, C, col_gain)
+            if not swap:
+                Binv, C, force = None, None, True
+                continue
+            (j, m, gain), exact = swap, True
+            stop = gain <= 0 or math.log(gain) < tol
+        if stop and Binv is None:
             C = None        # a stop returns or re-solves; L may take its room
             srt = np.sort(sel)
             if L is None:
@@ -301,18 +332,37 @@ def _exchange_refine(A, sel, tol, max_iters):
                          else np.linalg.solve(A[:, srt], A))
                 except np.linalg.LinAlgError:
                     pass
-            if exact:
-                return srt, swaps, L
-            if L is not None:
-                _, _, gain, settled = _best_swap(L, srt, G, tol)
-                if settled and math.log(gain) < tol:
-                    return srt, swaps, L
+            confirmed = exact
+            if L is not None and not exact:
+                _, _, gain, settled, _ = _best_swap(L, srt, G, tol)
+                confirmed = settled and math.log(gain) < tol
+            if confirmed:
+                return srt, swaps, (None if L is None
+                                    else _quality_of(np.abs(L)))
             force = True
             continue
+        if stop:
+            found = _lagrange_quality(A, sel, np.argsort(sel), C, G, col_gain)
+            if not found:
+                Binv = None
+                continue    # take this stop again with full solves
+            off_max, quality = found
+            if not (exact or _clear_of_tol(off_max, tol)
+                    and math.log(off_max) < tol):
+                swap = _exact_swap(A, sel, C, col_gain)
+                if not swap:
+                    Binv = None
+                    continue
+                j, m, gain = swap
+            if gain <= 0 or math.log(gain) < tol:
+                return np.sort(sel), swaps, quality
+        piv = C[j, m]
         u = C[:, m].copy()
         u[j] -= 1.0
         # the returned array, not C, holds the update if ger had to copy
-        C = ger(-1.0, C[j] / C[j, m], u, a=C.T, overwrite_a=True).T
+        if Binv is not None:
+            Binv = ger(-1.0, Binv[j] / piv, u, a=Binv.T, overwrite_a=True).T
+        C = ger(-1.0, C[j] / piv, u, a=C.T, overwrite_a=True).T
         sel[j] = m
         swaps += 1
         Cz = L = None
@@ -321,15 +371,23 @@ def _exchange_refine(A, sel, tol, max_iters):
 
 
 def _best_swap(C, sel, G, tol):
-    """The best swap (j, m) by |C| off the selected columns, its gain, and
-    whether the decision it implies is settled.  Overwrites G."""
+    """The best swap (j, m) by |C| off the selected columns, its gain,
+    whether the decision it implies is settled, and the column maxima
+    col_gain.  Leaves |C|, with the selected columns zeroed, in G."""
     np.abs(C, out=G)
     G[:, sel] = 0.0
     col_gain = G.max(axis=0)                             # best gain per column
     m = int(np.argmax(col_gain))                         # lowest m wins ties
     j = int(np.argmax(G[:, m]))                          # then the lowest slot
     gain = float(col_gain[m])
-    return j, m, gain, _settled(G, col_gain, j, m, gain, tol)
+    return j, m, gain, _settled(G, col_gain, j, m, gain, tol), col_gain
+
+
+def _clear_of_tol(gain, tol):
+    """True when gain is finite and positive and log(gain) lies more than
+    _FRESH_MARGIN from tol."""
+    return (math.isfinite(gain) and gain > 0
+            and abs(math.log(gain) - tol) > _FRESH_MARGIN)
 
 
 def _settled(G, col_gain, j, m, gain, tol):
@@ -338,46 +396,152 @@ def _settled(G, col_gain, j, m, gain, tol):
     The decision is to stop when log(gain) < tol, and else to swap at G's
     best entry (j, m).  It is settled when log(gain) lies more than
     _FRESH_MARGIN from tol and, for a swap, the gain beats the runner-up
-    anywhere in G by more than a relative _FRESH_MARGIN.  Overwrites
-    col_gain[m] and G[j, m].
+    anywhere in G by more than a relative _FRESH_MARGIN.
     """
-    if not (math.isfinite(gain) and gain > 0):
+    if not _clear_of_tol(gain, tol):
         return False
-    log_gain = math.log(gain)
-    if abs(log_gain - tol) <= _FRESH_MARGIN:
-        return False
-    if log_gain < tol:
+    if math.log(gain) < tol:
         return True
-    col_gain[m] = 0.0
-    G[j, m] = 0.0
+    col_gain[m] = G[j, m] = 0.0
     runner_up = max(float(np.max(col_gain)), float(np.max(G[:, m])))
+    col_gain[m] = G[j, m] = gain
     return gain - runner_up > _FRESH_MARGIN * gain
 
 
-def quality_gamma(config, cloud, lag=None):
+def _near(best, values):
+    """The values within a relative _FRESH_MARGIN of best."""
+    return values >= best - _FRESH_MARGIN * best
+
+
+def _inverse(B):
+    """inv(B), or None when B is singular or not _conditioned."""
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    return Binv if _conditioned(B, Binv) else None
+
+
+def _conditioned(B, Binv):
+    """True when N cond_1(B) eps, the rounding of inv(B) @ A relative to its
+    largest entry, is within _TRUST (False when Binv is None)."""
+    return Binv is not None and (
+        len(B) * np.linalg.norm(B, 1) * np.linalg.norm(Binv, 1) * _EPS
+        <= _TRUST)
+
+
+def _exact_abs(A, order, approx, cols, scale):
+    """|np.linalg.solve(A[:, order], A[:, cols])|, which equals those columns
+    of the full solve bit for bit.  None when the system is singular, or
+    when approx, the approximate values of the same entries, is off by more
+    than _TRUST * scale / N."""
+    try:
+        L = np.linalg.solve(A[:, order], A[:, cols])
+    except np.linalg.LinAlgError:
+        return None
+    err = float(np.max(np.abs(L - approx), initial=0.0))
+    return np.abs(L) if len(order) * err <= _TRUST * scale else None
+
+
+def _exact_swap(A, sel, C, col_gain):
+    """The decision (j, m, gain) of _best_swap on the reference solve
+    np.linalg.solve(A[:, sel], A), taken on its contender columns: those
+    whose largest |C| off the selection, col_gain, lies within a relative
+    _FRESH_MARGIN of the best.  C approximates the reference within _TRUST,
+    so the reference's best column is among them.  None when C is off by
+    more than that there."""
+    gain = float(col_gain.max())
+    if not 0 < gain < math.inf:
+        return None
+    cols = np.flatnonzero(_near(gain, col_gain))
+    absL = _exact_abs(A, sel, C[:, cols], cols, gain)
+    if absL is None:
+        return None
+    best = absL.max(axis=0)
+    k = int(np.argmax(best))                      # lowest cloud index wins
+    return int(np.argmax(absL[:, k])), int(cols[k]), float(best[k])
+
+
+def _lagrange_quality(A, sel, rows, C, G, col_gain):
+    """The largest entry off the selection, and (gamma, lebesgue), of the
+    Lagrange matrix L = np.linalg.solve(A[:, sel[rows]], A), bit for bit.
+
+    C approximates L with its rows in sel's order (C[rows] in L's), G is
+    |C| with the selected columns zeroed and col_gain = G.max(axis=0).
+    Only the contender columns of L are solved for: those whose largest
+    |entry|, whose largest |entry| off the selection, or whose sum of
+    |entries| lies within a relative _FRESH_MARGIN of the best such value
+    in C.  None when C is off by more than _TRUST there.
+    """
+    sel_abs = np.abs(C[:, sel])
+    col_max = col_gain.copy()
+    col_max[sel] = sel_abs.max(axis=0)
+    sums = G.sum(axis=0)
+    sums[sel] = sel_abs.sum(axis=0)
+    gain, gamma = float(col_gain.max()), float(col_max.max())
+    if not 0 < gain < math.inf:
+        return None
+    off = _near(gain, col_gain)
+    cols = np.flatnonzero(off | _near(gamma, col_max)
+                          | _near(sums.max(), sums))
+    absL = _exact_abs(A, sel[rows], C[:, cols][rows], cols, gain)
+    if absL is None:
+        return None
+    return float(absL[:, off[cols]].max()), _quality_of(absL)
+
+
+def _quality_of(absL):
+    """(gamma, lebesgue) of |L|: its largest entry and its largest column
+    sum.  The rows are added one after another, the order in which
+    np.sum(axis=0) adds the rows of a C-ordered matrix of many columns (on
+    a single column numpy sums pairwise instead)."""
+    sums = absL[0].copy()
+    for row in absL[1:]:
+        sums += row
+    return float(absL.max()), float(sums.max())
+
+
+def _gamma_lebesgue(A, idx):
+    """(gamma, lebesgue) of np.linalg.solve(A[:, idx], A), bit for bit: from
+    the contender columns of the approximate inv(B) @ W (W = A.real on a
+    real-valued A) when B = W[:, idx] is _conditioned, else from the full
+    solve."""
+    W = A if A.imag.any() else A.real
+    Binv = _inverse(W[:, idx])
+    if Binv is not None:
+        C = Binv @ W
+        G = np.abs(C)
+        G[:, idx] = 0.0
+        found = _lagrange_quality(A, idx, slice(None), C, G, G.max(axis=0))
+        if found:
+            return found[1]
+    try:
+        L = np.linalg.solve(A[:, idx], A)
+    except np.linalg.LinAlgError:
+        raise DegenerateSetError("Lagrange system singular")
+    return _quality_of(np.abs(L))
+
+
+def quality_gamma(config, cloud, quality=None):
     """gamma = max_j sup_cloud |l_j(x)| exp(-d (phi(x) - phi(xi_j))).
 
     Equals 1 for exact Fekete nodes; stored into the config together with the
     measured Lebesgue function maximum (max over the cloud of sum_j |l_j(x)|,
     weighted), which normalizes the signed-sum lower-bound candidate.  Both
-    are read off the weighted Lagrange matrix lag = B^{-1} A (N, M), where A
-    holds the weighted orthonormal basis on the cloud and B its columns at
-    config.node_indices; it is solved here unless the caller passes it.
+    are those of the weighted Lagrange matrix np.linalg.solve(B, A) (N, M),
+    where A holds the weighted orthonormal basis on the cloud and B its
+    columns at config.node_indices, and are computed by _gamma_lebesgue
+    unless the caller passes them as quality = (gamma, lebesgue), as
+    solve_fekete does with those the refinement computes at its stop.
     """
-    if lag is None:
+    if quality is None:
         ortho = config.ortho or orthonormal_basis(cloud, config.basis)
         A = _weighted_columns(ortho, config.weight, config.basis.d,
                               cloud.points).T
-        try:
-            lag = np.linalg.solve(A[:, config.node_indices], A)
-        except np.linalg.LinAlgError:
-            raise DegenerateSetError("Lagrange system singular")
+        quality = _gamma_lebesgue(A, config.node_indices)
         config.ortho = ortho
-    absl = np.abs(lag)
-    gamma = float(np.max(absl))
-    config.gamma = gamma
-    config.lebesgue = float(np.max(np.sum(absl, axis=0)))
-    return gamma
+    config.gamma, config.lebesgue = quality
+    return config.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +573,14 @@ def _replayable(entry, n, m):
             and 1.0 - _GAMMA_SLACK <= g <= leb < math.inf)
 
 
-def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
+def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache,
+                  cloud=None):
     """Solve (or replay from cache) one Fekete configuration; returns
     (config, cloud, hit).
 
     An entry holds the selected node indices, the solve's scalar
-    provenance, and its gamma and Lebesgue constant.  A hit re-samples the
-    deterministic cloud, takes the nodes from it and recomputes the
+    provenance, and its gamma and Lebesgue constant.  A hit samples the
+    deterministic cloud again, takes the nodes from it and recomputes the
     objective (log_abs_vdm, which rejects a singular node set), but replays
     gamma and lebesgue as stored: no orthonormal basis, no Lagrange solve.
     So a hit writes the miss's fekete and capacity outputs by construction.
@@ -423,16 +588,18 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache):
     and lebesgue with the basis it needs anyway, so a certified bracket
     never rests on a stored gamma.  The key holds a sha256 of the cloud's
     points, so a sampler that moves the cloud misses instead of replaying
-    indices onto other points.
+    indices onto other points.  cloud, when given, is the cloud that an
+    earlier call drew for the same spec, cloud_target and seed; it is used
+    instead of sampling again.
     """
-    cloud = sample(spec, cloud_target, seed=seed)
+    if cloud is None:
+        cloud = sample(spec, cloud_target, seed=seed)
     # Bump the version whenever the node selection or the computation of
     # gamma or lebesgue changes, so entries of the old code miss.
     key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
                "weight": weight_tag, "seed": seed,
                "cloud_target": cloud_target,
-               "cloud": hashlib.sha256(cloud.points.tobytes()).hexdigest(),
-               "version": 4}
+               "cloud": cloud.fingerprint, "version": 5}
     key = manifest_hash(key_doc)
     basis = BasisSpec(spec.dim, degree)
     weight = _WEIGHTS[weight_tag]()

@@ -7,9 +7,11 @@ numpy complex vectors of length n.  All balls are closed and membership uses a
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -286,7 +288,7 @@ def _member(spec, Z, tol):
         return _hull_contains(spec, Z, tol)
     if isinstance(spec, Cusp):
         inside = _real_rows(Z, tol)
-        inside[inside] = [_cusp_gap(spec, z.real) <= tol for z in Z[inside]]
+        inside[inside] = _cusp_gap(spec, Z[inside].real) <= tol
         return inside
     if isinstance(spec, AffineImage):
         W = np.linalg.solve(spec.A, (Z - spec.b)[:, :, None])[:, :, 0]
@@ -325,25 +327,47 @@ def _hull_contains(spec, Z, tol):
     return inside
 
 
-def _cusp_gap(spec, x):
-    """min over t in [0,1] of (sup-norm distance to cube at t); <= 0 means inside."""
+def _cusp_gap(spec, X):
+    """For each row x of the real (k, n) array X: min over t in [0,1] of the
+    sup-norm distance from x to the cube at t; <= 0 means inside.
+
+    A grid of t gives each row its best cell, and a 60-step golden-section
+    search polishes it, on all rows at once.  Every row's arithmetic is that
+    of a search on the row alone, t ** m included: it is taken on Python
+    floats, since numpy's array power may round otherwise than its scalar
+    power.
+    """
+    if not len(X):
+        return np.zeros(0)
     ts = np.linspace(0.0, 1.0, 2049)
-    H = spec.h(ts)                               # (T, n)
-    gap = np.max(np.abs(x[None, :] - H), axis=1) - spec.M * ts ** spec.m
-    i = int(np.argmin(gap))
-    # golden-section polish around the best grid cell
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-    f = lambda t: float(np.max(np.abs(x - spec.h(t))) - spec.M * t ** spec.m)
-    a, b = lo, hi
+    H = spec.h(ts)                                        # (T, n)
+    radius = spec.M * ts ** spec.m
+
+    def f(t, Y):
+        power = np.array([s ** spec.m for s in t.tolist()])
+        return np.max(np.abs(Y - spec.h(t)), axis=1) - spec.M * power
+
+    # the grid's best cell of each row, a block of rows at a time: the
+    # differences take rows x T x n floats
+    i = np.zeros(len(X), dtype=int)
+    best = np.zeros(len(X))
+    step = max(1, 2 ** 20 // H.size)
+    for r in range(0, len(X), step):
+        gap = np.max(np.abs(X[r:r + step, None, :] - H), axis=2) - radius
+        i[r:r + step] = np.argmin(gap, axis=1)
+        best[r:r + step] = gap[np.arange(len(gap)), i[r:r + step]]
+    a = ts[np.maximum(i - 1, 0)]
+    b = ts[np.minimum(i + 1, len(ts) - 1)]
+    XX = np.concatenate([X, X])     # both probes of a step in one call
     for _ in range(60):
         m1 = a + 0.382 * (b - a)
         m2 = a + 0.618 * (b - a)
-        if f(m1) <= f(m2):
-            b = m2
-        else:
-            a = m1
-    return min(float(gap[i]), f(0.5 * (a + b)))
+        f1, f2 = np.split(f(np.concatenate([m1, m2]), XX), 2)
+        left = f1 <= f2
+        b = np.where(left, m2, b)
+        a = np.where(left, a, m1)
+    polished = f(0.5 * (a + b), X)
+    return np.where(polished < best, polished, best)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +391,11 @@ class SampleCloud:
     @property
     def dim(self):
         return self.points.shape[1]
+
+    @cached_property
+    def fingerprint(self):
+        """sha256 hex digest of the points' bytes."""
+        return hashlib.sha256(self.points.tobytes()).hexdigest()
 
 
 def _dedupe(pts):

@@ -497,18 +497,19 @@ def test_cache_misses_when_the_sampler_moves_the_cloud(tmp_path,
     assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 2
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_old_version_cache_entry_is_never_replayed(tmp_path, monkeypatch,
                                                    version):
     man = {"command": "fekete", "spec": INTERVAL, "degrees": [3],
            "cloud_target": 401}
     # an older-format key (version 2 had no cloud fingerprint, version 3
-    # kept no gamma) holding wrong nodes and a well-formed gamma
+    # kept no gamma, version 4 read gamma off a full Lagrange solve)
+    # holding wrong nodes and a well-formed gamma
     spec = spec_from_dict(INTERVAL)
     key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": 3,
                "weight": "zero", "seed": 0, "cloud_target": 401,
                "version": version}
-    if version == 3:
+    if version >= 3:
         key_doc["cloud"] = hashlib.sha256(
             sample(spec, 401, seed=0).points.tobytes()).hexdigest()
     cache = str(tmp_path / "cache")

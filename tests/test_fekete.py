@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import qr
 
-from pllab import fekete
+from pllab import cli, fekete
 from pllab.basis import BasisSpec, log_abs_vdm
 from pllab.fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
                           TabulatedWeight, ZeroWeight, fekete_measure,
@@ -244,14 +244,93 @@ def test_exchange_refine_swap_cap_matches_full_resolve(monkeypatch):
         assert swaps == ref_swaps
 
 
-@REFINE_SPECS
+def _full_quality(A, sel):
+    """(gamma, lebesgue) read off the full Lagrange matrix of sel."""
+    absl = np.abs(np.linalg.solve(A[:, sel], A))
+    return float(np.max(absl)), float(np.max(np.sum(absl, axis=0)))
+
+
+@pytest.mark.parametrize(
+    "spec,d,count,weight,seed",
+    [case + (5,) for case in REFINE_CASES]
+    + [(RealBall((0.0, 0.0), 1.0), 6, 2001, None, s) for s in TIE_SEEDS],
+    ids=REFINE_IDS + [f"realball-d6-2001-seed{s}" for s in TIE_SEEDS])
 def test_exchange_refine_returns_lagrange_matrix(monkeypatch, spec, d, count,
-                                                 weight):
+                                                 weight, seed):
+    """The refinement returns gamma and the Lebesgue constant of the Lagrange
+    matrix np.linalg.solve(A[:, sel], A) of its selection, bit for bit,
+    though it solves only for their contender columns."""
+    cloud = sample(spec, count, seed=seed)
+    with cli._one_blas_thread():
+        [((A, _, _, _), (sel, _, quality))] = _refine_runs(
+            monkeypatch, cloud, BasisSpec(spec.dim, d), weight)
+        assert quality == _full_quality(A, sel)
+
+
+@REFINE_SPECS
+def test_solve_on_some_columns_equals_those_of_the_full_solve(
+        monkeypatch, spec, d, count, weight):
+    """np.linalg.solve(B, A)[:, cols] equals np.linalg.solve(B, A[:, cols])
+    bit for bit at one BLAS thread.  The refinement's selections, gamma and
+    Lebesgue constant equal those of full solves only because of this; a
+    BLAS build without it must fail here."""
     cloud = sample(spec, count, seed=5)
-    [((A, _, _, _), (sel, _, lag))] = _refine_runs(
-        monkeypatch, cloud, BasisSpec(spec.dim, d), weight)
-    assert lag.dtype == complex
-    assert np.array_equal(lag, np.linalg.solve(A[:, sel], A))
+    rng = np.random.default_rng(0)
+    with cli._one_blas_thread():
+        [((A, start, _, _), (sel, _, _))] = _refine_runs(
+            monkeypatch, cloud, BasisSpec(spec.dim, d), weight)
+        for order in (start, sel, rng.permutation(sel)):
+            full = np.linalg.solve(A[:, order], A)
+            for k in (1, 2, 5, 40):
+                cols = np.sort(rng.choice(A.shape[1], k, replace=False))
+                assert np.array_equal(
+                    full[:, cols], np.linalg.solve(A[:, order], A[:, cols]))
+
+
+def _counting_full_solves(monkeypatch, width):
+    """Record, per np.linalg.solve call, whether it solves for width
+    columns."""
+    full = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        full.append(b.ndim == 2 and b.shape[1] == width)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return full
+
+
+@REFINE_SPECS
+def test_well_conditioned_solve_makes_no_full_solve(monkeypatch, spec, d,
+                                                    count, weight):
+    cloud = sample(spec, count, seed=5)
+    full = _counting_full_solves(monkeypatch, cloud.size)
+    with cli._one_blas_thread():
+        solve_fekete(cloud, BasisSpec(spec.dim, d), weight)
+    assert full and not any(full)
+
+
+def test_ill_conditioned_solve_falls_back_to_full_solves(monkeypatch):
+    """The Hoelder weight |x - 1| on the interval at d = 20 makes the node
+    matrix numerically singular (cond about 1e16): the approximate Lagrange
+    matrix is not trusted, so the refinement decides on full solves, and
+    gamma and the Lebesgue constant, from the solve or from a cache hit,
+    are still those of the full sorted-order solve."""
+    cloud = sample(Interval(-1.0, 1.0), 4001, seed=0)
+    basis = BasisSpec(1, 20)
+    weight = weight_from_callable(lambda p: abs(p[0].real - 1.0), cloud)
+    with cli._one_blas_thread():
+        full = _counting_full_solves(monkeypatch, cloud.size)
+        [((A, _, _, _), (sel, _, quality))] = _refine_runs(
+            monkeypatch, cloud, basis, weight)
+        assert sum(full) > 1
+        assert np.linalg.cond(A[:, sel], 1) > 1e12
+        assert quality == _full_quality(A, sel)
+        full.clear()
+        hit = FeketeConfig.from_indices(cloud, basis, weight, sel, {})
+        assert full == [True]
+        assert (hit.gamma, hit.lebesgue) == quality
 
 
 @pytest.mark.parametrize("A", [np.ones((3, 12)), np.ones((3, 12)) * 1j],

@@ -85,6 +85,25 @@ def test_union_and_ball_intersection():
     assert not contains(cap, 1.2)
 
 
+def _cusp_gap_loop(spec, x):
+    """Per-point reference for _cusp_gap: grid, then a scalar 60-step
+    golden-section search on the one point x."""
+    ts = np.linspace(0.0, 1.0, 2049)
+    H = spec.h(ts)
+    gap = np.max(np.abs(x[None, :] - H), axis=1) - spec.M * ts ** spec.m
+    i = int(np.argmin(gap))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    f = lambda t: float(np.max(np.abs(x - spec.h(t))) - spec.M * t ** spec.m)
+    for _ in range(60):
+        m1 = a + 0.382 * (b - a)
+        m2 = a + 0.618 * (b - a)
+        if f(m1) <= f(m2):
+            b = m2
+        else:
+            a = m1
+    return min(float(gap[i]), f(0.5 * (a + b)))
+
+
 def _contains_loop(spec, p, tol=TOL):
     """Per-point reference: the scalar membership test, one point at a time."""
     z = as_point(p, spec.dim)
@@ -102,7 +121,7 @@ def _contains_loop(spec, p, tol=TOL):
     if isinstance(spec, ConvexHull):
         return bool(_hull_contains(spec, z[None], tol)[0])
     if isinstance(spec, Cusp):
-        return real and _cusp_gap(spec, z.real) <= tol
+        return real and _cusp_gap_loop(spec, z.real) <= tol
     if isinstance(spec, AffineImage):
         w = np.linalg.solve(spec.A, z - spec.b)
         if np.all(np.abs(w.imag) <= 1e-9):
@@ -182,6 +201,22 @@ def _probe(spec, rng):
     for eps in (-2e-12, 0.5e-12, 2e-12):
         pts.append(off + 1j * eps * lift)
     return np.vstack(pts)
+
+
+@pytest.mark.parametrize("spec", [
+    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
+    Cusp(((0.0, 1.0), (0.0, 0.0, 0.7)), 0.3, 3),
+    Cusp(((0.2, -1.0), (0.0, 0.5), (0.1, 0.0, 1.0)), 1.0, 1)],
+    ids=["m2", "m3-curved", "m1-3d"])
+def test_cusp_gap_matches_the_per_point_search_bit_for_bit(spec):
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 1.0, 20)
+    X = np.vstack([spec.h(t) + rng.uniform(-1, 1, (20, spec.dim))
+                   * (spec.M * t ** spec.m)[:, None],
+                   rng.uniform(-1.5, 1.5, (20, spec.dim))])
+    gaps = _cusp_gap(spec, X)
+    assert np.array_equal(gaps, [_cusp_gap_loop(spec, x) for x in X])
+    assert np.array_equal(_cusp_gap(spec, X[:0]), [])
 
 
 MEMBERSHIP_SPECS = [
