@@ -13,7 +13,7 @@ from .extremal import (CompositionGap, ExtremalEstimate, PolyMap,
                        composition_gap, projective_extremal,
                        relative_extremal_1c, sandwich)
 from .fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
-                     TabulatedWeight, ZeroWeight, fekete_measure,
+                     FunctionWeight, ZeroWeight, fekete_measure,
                      quality_gamma, solve_fekete, transfinite_diameter,
                      weight_from_callable)
 from .geometry import (AffineImage, BallIntersection, Box, ComplexBall,

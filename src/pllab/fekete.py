@@ -10,21 +10,22 @@ rank-one Sherman-Morrison update, done in place by one BLAS geru call on
 the Fortran-ordered view C.T; the best swap is found by a column max of |C|
 followed by an argmax down the winning column.  On a real-valued
 Vandermonde (a real set, with or without a weight) the seeding QR, the
-inverse and the updates run in float64 on its real part.  A decision stands
-when no matrix within rounding of C would take another (the settled rule:
-no near tie, no gain near the tolerance).  Otherwise it is taken on the
-authoritative complex solve, but only on its contender columns, the few
-that can win: np.linalg.solve(B, A[:, cols]) equals those columns of the
-full solve bit for bit.  The stop, gamma and the Lebesgue constant are read
-off the contender columns of the solve in sorted node order in the same
-way.  So the selections equal those of re-solving after every swap, and
-gamma and the Lebesgue constant those of the full sorted-order solve,
-without any full N x M solve.  When the node matrix is too ill-conditioned
-for C to settle that much, or C drifts, the refinement falls back to full
-solves.  The quality factor gamma (sup of weighted Lagrange magnitudes over
-the cloud) certifies proximity to a true maximizer and feeds every
-downstream sandwich width.  Commands obtain configurations through
-``cached_fekete``.
+inverse and the updates run in float64 on its real part.  One rule takes
+every decision.  A decision stands when no matrix within rounding of C
+would take another (the settled rule: no near tie, no gain near the
+tolerance).  Otherwise it is taken on the authoritative complex solve, on
+its contender columns only, the ones that can win:
+np.linalg.solve(B, A[:, cols]) equals those columns of the full solve bit
+for bit.  The stop, gamma and the Lebesgue constant are read off the
+contender columns of the solve in sorted node order in the same way.  While
+C is trusted, the contenders are a few columns, so the selections equal
+those of re-solving after every swap, and gamma and the Lebesgue constant
+those of the full sorted-order solve, without any full N x M solve.  When
+the node matrix is too ill-conditioned for C to be trusted, or C drifts,
+every column is a contender, and each such full solve replaces C.  The
+quality factor gamma (sup of weighted Lagrange magnitudes over the cloud)
+certifies proximity to a true maximizer and feeds every downstream sandwich
+width.  Commands obtain configurations through ``cached_fekete``.
 """
 
 from __future__ import annotations
@@ -86,36 +87,27 @@ class FubiniStudyWeight:
         return {"kind": "fubini-study"}
 
 
-class TabulatedWeight:
-    """Weight given by values on a cloud; nearest-neighbor evaluation."""
+class FunctionWeight:
+    """Weight phi given by a function of one point (a row of n complex
+    coordinates), evaluated point by point."""
 
-    kind = "tabulated"
+    kind = "function"
 
-    def __init__(self, points, values, holder_alpha=1.0, holder_const=1.0):
-        from scipy.spatial import cKDTree
-
-        self.points = np.atleast_2d(np.asarray(points, dtype=complex))
-        self.values = np.asarray(values, dtype=float)
-        self.holder_alpha = holder_alpha
-        self.holder_const = holder_const
-        emb = np.hstack([self.points.real, self.points.imag])
-        self._tree = cKDTree(emb)
+    def __init__(self, fn):
+        self.fn = fn
 
     def evaluate(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        emb = np.hstack([pts.real, pts.imag])
-        _, idx = self._tree.query(emb)
-        return self.values[idx]
+        return np.array([float(self.fn(p)) for p in pts])
 
     def to_dict(self):
-        return {"kind": "tabulated", "holder_alpha": self.holder_alpha,
-                "holder_const": self.holder_const, "size": len(self.values)}
+        return {"kind": "function"}
 
 
-def weight_from_callable(fn, cloud, holder_alpha=1.0, holder_const=1.0):
-    """Tabulate a pointwise weight function on a cloud."""
-    vals = np.array([float(fn(p)) for p in cloud.points])
-    return TabulatedWeight(cloud.points, vals, holder_alpha, holder_const)
+def weight_from_callable(fn, cloud):
+    """The weight phi = fn for solves on cloud.  fn is evaluated wherever
+    the weight is, so cloud is not read."""
+    return FunctionWeight(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +256,13 @@ def _exchange_refine(A, sel, tol, max_iters):
     Fortran-ordered because C is C-ordered.
 
     The reference is the complex np.linalg.solve(A[:, sel], A), with sel in
-    slot order.  The loop never forms it whole.  It starts from the
-    approximate C = inv(B) @ W, where W is A.real on a real-valued A (every
-    real set, unweighted or weighted; the inverse and the updates then run
-    in float64, dger) and A otherwise (zgeru), and carries inv(B) forward
-    by the same update.  A decision taken on C stands when it is settled
-    (see _settled).  An unsettled one is taken on the reference values of
-    its contender columns (see _exact_swap); np.linalg.solve(B, A[:, cols])
+    slot order.  C starts as the approximate inv(B) @ W, where W is A.real
+    on a real-valued A (every real set, unweighted or weighted; the inverse
+    and the updates then run in float64, dger) and A otherwise (zgeru), and
+    inv(B) is carried forward by the same update.  One rule takes every
+    decision.  A decision taken on C stands when it is settled (see
+    _settled).  Otherwise it is taken on the reference values of its
+    contender columns (see _exact_swap): np.linalg.solve(B, A[:, cols])
     equals those columns of the full solve bit for bit.  A stop is
     confirmed on the contender columns of the sorted-order solve, which also
     give gamma and the Lebesgue constant (see _lagrange_quality); a stop
@@ -281,11 +273,13 @@ def _exchange_refine(A, sel, tol, max_iters):
 
     C is trusted only while N cond_1(B) eps, read off the carried inverse,
     and the error of C on every set of contender columns stay within _TRUST
-    of the best entry.  Otherwise the loop drops the inverse and goes on
-    with full solves: an unsettled decision is re-taken on the reference
-    solve and the loop carries on from it (its real part, exactly, when A
-    is real), and a stop not taken on the reference solve stands only when
-    the full sorted-order solve shows a settled stop too.
+    of the best entry.  Once it is not, the inverse is dropped and every
+    column is a contender: an unsettled decision is taken on the full
+    reference solve, which then replaces C (its real part, exactly, when A
+    is real), and a stop is confirmed on the full sorted-order solve.  A
+    first B that is not _conditioned starts C as np.linalg.solve(W[:, sel],
+    W) instead.  Decisions that stand on a C so carried need not be those
+    of re-solving when B is numerically singular.
     """
     N, M = A.shape
     sel = np.array(sel, dtype=int)
@@ -293,69 +287,39 @@ def _exchange_refine(A, sel, tol, max_iters):
     W, ger = (A.real, dger) if real else (A, zgeru)
     G = np.empty((N, M))
     Binv = _inverse(W[:, sel])      # None once C is not trusted
-    C = None if Binv is None else Binv @ W
-    Cz = None           # the reference solve, while C is not updated
-    force = not real    # the next solve is the reference one
-    L = None            # the sorted-order solve of the current selection
+    try:
+        C = np.linalg.solve(W[:, sel], W) if Binv is None else Binv @ W
+    except np.linalg.LinAlgError:
+        return np.sort(sel), 0, None
     swaps = 0
     while swaps < max_iters:
-        if C is None:
-            try:
-                if force:
-                    Cz = np.linalg.solve(A[:, sel], A)   # (N, M)
-                    C = np.ascontiguousarray(Cz.real) if real else Cz
-                else:
-                    C = np.linalg.solve(W[:, sel], W)
-            except np.linalg.LinAlgError:
-                if force:
-                    break
-                force = True
-                continue
-        exact = Cz is not None
         j, m, gain, settled, col_gain = _best_swap(C, sel, G, tol)
-        stop = gain <= 0 or math.log(gain) < tol
+        stop = _stops(gain, tol)
         if (stop or not settled) and not _conditioned(W[:, sel], Binv):
             Binv = None
-        if not (exact or settled):
-            swap = Binv is not None and _exact_swap(A, sel, C, col_gain)
-            if not swap:
-                Binv, C, force = None, None, True
-                continue
-            (j, m, gain), exact = swap, True
-            stop = gain <= 0 or math.log(gain) < tol
-        if stop and Binv is None:
-            C = None        # a stop returns or re-solves; L may take its room
-            srt = np.sort(sel)
-            if L is None:
-                try:
-                    L = (Cz if exact and np.array_equal(sel, srt)
-                         else np.linalg.solve(A[:, srt], A))
-                except np.linalg.LinAlgError:
-                    pass
-            confirmed = exact
-            if L is not None and not exact:
-                _, _, gain, settled, _ = _best_swap(L, srt, G, tol)
-                confirmed = settled and math.log(gain) < tol
-            if confirmed:
-                return srt, swaps, (None if L is None
-                                    else _quality_of(np.abs(L)))
-            force = True
-            continue
+        approx = None if Binv is None else C
+        quality = None
+        try:
+            if stop and settled:        # confirm it in sorted order
+                off_max, quality = _lagrange_quality(
+                    A, sel, np.argsort(sel), approx, G, col_gain)
+                settled = (_clear_of_tol(off_max, tol)
+                           and math.log(off_max) < tol)
+            if not settled:             # take it on the reference solve
+                j, m, gain, L = _exact_swap(A, sel, approx, col_gain)
+                if approx is None:
+                    C = np.ascontiguousarray(L.real) if real else L
+                stop = _stops(gain, tol)
+                if stop and quality is None:
+                    _, quality = _lagrange_quality(
+                        A, sel, np.argsort(sel), approx, G, col_gain)
+        except np.linalg.LinAlgError:   # B singular, or C off the solve
+            if Binv is None:
+                break
+            Binv = None
+            continue        # take this decision again on every column
         if stop:
-            found = _lagrange_quality(A, sel, np.argsort(sel), C, G, col_gain)
-            if not found:
-                Binv = None
-                continue    # take this stop again with full solves
-            off_max, quality = found
-            if not (exact or _clear_of_tol(off_max, tol)
-                    and math.log(off_max) < tol):
-                swap = _exact_swap(A, sel, C, col_gain)
-                if not swap:
-                    Binv = None
-                    continue
-                j, m, gain = swap
-            if gain <= 0 or math.log(gain) < tol:
-                return np.sort(sel), swaps, quality
+            return np.sort(sel), swaps, quality
         piv = C[j, m]
         u = C[:, m].copy()
         u[j] -= 1.0
@@ -365,9 +329,12 @@ def _exchange_refine(A, sel, tol, max_iters):
         C = ger(-1.0, C[j] / piv, u, a=C.T, overwrite_a=True).T
         sel[j] = m
         swaps += 1
-        Cz = L = None
-        force = not real
     return np.sort(sel), swaps, None
+
+
+def _stops(gain, tol):
+    """True when the best gain ends the refinement: log(gain) < tol."""
+    return gain <= 0 or math.log(gain) < tol
 
 
 def _best_swap(C, sel, G, tol):
@@ -430,64 +397,75 @@ def _conditioned(B, Binv):
         <= _TRUST)
 
 
-def _exact_abs(A, order, approx, cols, scale):
-    """|np.linalg.solve(A[:, order], A[:, cols])|, which equals those columns
-    of the full solve bit for bit.  None when the system is singular, or
-    when approx, the approximate values of the same entries, is off by more
-    than _TRUST * scale / N."""
-    try:
-        L = np.linalg.solve(A[:, order], A[:, cols])
-    except np.linalg.LinAlgError:
-        return None
-    err = float(np.max(np.abs(L - approx), initial=0.0))
-    return np.abs(L) if len(order) * err <= _TRUST * scale else None
+class _Drift(np.linalg.LinAlgError):
+    """An approximate Lagrange matrix is off the reference solve by more
+    than _TRUST.  Handled as a singular system is: the decision is taken
+    again with every column a contender."""
+
+
+def _exact(A, order, cols, C, scale, rows=slice(None)):
+    """np.linalg.solve(A[:, order], A[:, cols]), which equals those columns
+    of the full solve bit for bit.  C, unless None, approximates the full
+    solve, with C[rows] in its row order; raises _Drift when scale, the best
+    entry of C, is not finite and positive, or when C is off by more than
+    _TRUST * scale / N on cols."""
+    if C is not None and not 0 < scale < math.inf:
+        raise _Drift
+    L = np.linalg.solve(A[:, order], A[:, cols])
+    if C is not None and not len(order) * float(np.max(
+            np.abs(L - C[:, cols][rows]), initial=0.0)) <= _TRUST * scale:
+        raise _Drift
+    return L
 
 
 def _exact_swap(A, sel, C, col_gain):
     """The decision (j, m, gain) of _best_swap on the reference solve
-    np.linalg.solve(A[:, sel], A), taken on its contender columns: those
-    whose largest |C| off the selection, col_gain, lies within a relative
-    _FRESH_MARGIN of the best.  C approximates the reference within _TRUST,
-    so the reference's best column is among them.  None when C is off by
-    more than that there."""
+    L = np.linalg.solve(A[:, sel], A), and the columns of L it solved for.
+
+    While C is trusted, those are its contender columns: the ones whose
+    largest |C| off the selection, col_gain, lies within a relative
+    _FRESH_MARGIN of the best.  C approximates L within _TRUST, so L's best
+    column is among them.  With C None they are every column, and the
+    whole of L is returned.  Raises LinAlgError when B is singular, and
+    _Drift (see _exact).
+    """
     gain = float(col_gain.max())
-    if not 0 < gain < math.inf:
-        return None
-    cols = np.flatnonzero(_near(gain, col_gain))
-    absL = _exact_abs(A, sel, C[:, cols], cols, gain)
-    if absL is None:
-        return None
+    cols = (np.arange(A.shape[1]) if C is None
+            else np.flatnonzero(_near(gain, col_gain)))
+    L = _exact(A, sel, cols, C, gain)
+    absL = np.abs(L)
+    absL[:, (cols[:, None] == sel).any(axis=1)] = 0.0
     best = absL.max(axis=0)
     k = int(np.argmax(best))                      # lowest cloud index wins
-    return int(np.argmax(absL[:, k])), int(cols[k]), float(best[k])
+    return int(np.argmax(absL[:, k])), int(cols[k]), float(best[k]), L
 
 
-def _lagrange_quality(A, sel, rows, C, G, col_gain):
+def _lagrange_quality(A, sel, rows, C=None, G=None, col_gain=None):
     """The largest entry off the selection, and (gamma, lebesgue), of the
     Lagrange matrix L = np.linalg.solve(A[:, sel[rows]], A), bit for bit.
 
-    C approximates L with its rows in sel's order (C[rows] in L's), G is
-    |C| with the selected columns zeroed and col_gain = G.max(axis=0).
-    Only the contender columns of L are solved for: those whose largest
-    |entry|, whose largest |entry| off the selection, or whose sum of
-    |entries| lies within a relative _FRESH_MARGIN of the best such value
-    in C.  None when C is off by more than _TRUST there.
+    While C is trusted it approximates L with its rows in sel's order
+    (C[rows] in L's), G is |C| with the selected columns zeroed and
+    col_gain = G.max(axis=0).  Then only the contender columns of L are
+    solved for: those whose largest |entry|, whose largest |entry| off the
+    selection, or whose sum of |entries| lies within a relative
+    _FRESH_MARGIN of the best such value in C.  With C None every column is.
+    Raises LinAlgError when B is singular, and _Drift (see _exact).
     """
-    sel_abs = np.abs(C[:, sel])
-    col_max = col_gain.copy()
-    col_max[sel] = sel_abs.max(axis=0)
-    sums = G.sum(axis=0)
-    sums[sel] = sel_abs.sum(axis=0)
-    gain, gamma = float(col_gain.max()), float(col_max.max())
-    if not 0 < gain < math.inf:
-        return None
-    off = _near(gain, col_gain)
-    cols = np.flatnonzero(off | _near(gamma, col_max)
-                          | _near(sums.max(), sums))
-    absL = _exact_abs(A, sel[rows], C[:, cols][rows], cols, gain)
-    if absL is None:
-        return None
-    return float(absL[:, off[cols]].max()), _quality_of(absL)
+    if C is None:
+        cols, gain = np.arange(A.shape[1]), None
+    else:
+        sel_abs = np.abs(C[:, sel])
+        col_max = col_gain.copy()
+        col_max[sel] = sel_abs.max(axis=0)
+        sums = G.sum(axis=0)
+        sums[sel] = sel_abs.sum(axis=0)
+        gain, gamma = float(col_gain.max()), float(col_max.max())
+        cols = np.flatnonzero(_near(gain, col_gain) | _near(gamma, col_max)
+                              | _near(sums.max(), sums))
+    absL = np.abs(_exact(A, sel[rows], cols, C, gain, rows))
+    off = ~(cols[:, None] == sel).any(axis=1)
+    return float(absL[:, off].max()), _quality_of(absL)
 
 
 def _quality_of(absL):
@@ -502,24 +480,25 @@ def _quality_of(absL):
 
 
 def _gamma_lebesgue(A, idx):
-    """(gamma, lebesgue) of np.linalg.solve(A[:, idx], A), bit for bit: from
-    the contender columns of the approximate inv(B) @ W (W = A.real on a
-    real-valued A) when B = W[:, idx] is _conditioned, else from the full
-    solve."""
+    """(gamma, lebesgue) of np.linalg.solve(A[:, idx], A), bit for bit, by
+    _lagrange_quality: on the contender columns of the approximate
+    C = inv(B) @ W (W = A.real on a real-valued A) when B = W[:, idx] is
+    _conditioned and C holds there, else on every column."""
     W = A if A.imag.any() else A.real
     Binv = _inverse(W[:, idx])
     if Binv is not None:
         C = Binv @ W
         G = np.abs(C)
         G[:, idx] = 0.0
-        found = _lagrange_quality(A, idx, slice(None), C, G, G.max(axis=0))
-        if found:
-            return found[1]
+        try:
+            return _lagrange_quality(A, idx, slice(None), C, G,
+                                     G.max(axis=0))[1]
+        except np.linalg.LinAlgError:
+            pass
     try:
-        L = np.linalg.solve(A[:, idx], A)
+        return _lagrange_quality(A, idx, slice(None))[1]
     except np.linalg.LinAlgError:
         raise DegenerateSetError("Lagrange system singular")
-    return _quality_of(np.abs(L))
 
 
 def quality_gamma(config, cloud, quality=None):
@@ -637,17 +616,16 @@ def transfinite_diameter(configs):
     """
     if len({cfg.degree for cfg in configs}) < 3:
         raise ValueError("need at least 3 distinct degrees")
-    ds, deltas = [], []
+    pairs = []
     for cfg in configs:
         if cfg.basis.n != 1:
             raise ValueError("transfinite diameter is n = 1 only")
         if not isinstance(cfg.weight, ZeroWeight):
             raise ValueError("transfinite diameter requires unweighted configs")
         N = cfg.size
-        ds.append(cfg.degree)
-        deltas.append(math.exp(2.0 * cfg.objective / (N * (N - 1))))
-    ds = np.array(sorted(ds))
-    deltas = np.array([x for _, x in sorted(zip([c.degree for c in configs], deltas))])
+        pairs.append((cfg.degree,
+                      math.exp(2.0 * cfg.objective / (N * (N - 1)))))
+    ds, deltas = map(np.array, zip(*sorted(pairs)))
     X = np.stack([np.ones_like(ds, dtype=float), 1.0 / ds], axis=1)
     coef, *_ = np.linalg.lstsq(X, deltas, rcond=None)
     return float(coef[0])

@@ -1081,10 +1081,6 @@ LAZY_PATHS = {
         "hull = ConvexHull(((0j,), (1 + 0j,), (1j,)))\n"
         "assert contains(hull, [0.25 + 0.25j])\n"
         "assert not contains(hull, [1 + 1j])\n"),
-    "scipy.spatial": (
-        "from pllab.fekete import TabulatedWeight\n"
-        "w = TabulatedWeight([[0j], [1 + 0j]], [0.0, 1.0])\n"
-        "assert list(w.evaluate([[0.1 + 0j], [0.8 + 0j]])) == [0.0, 1.0]\n"),
 }
 
 

@@ -7,8 +7,8 @@ from scipy.linalg import qr
 from pllab import cli, fekete
 from pllab.basis import BasisSpec, log_abs_vdm
 from pllab.fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
-                          TabulatedWeight, ZeroWeight, fekete_measure,
-                          quality_gamma, solve_fekete, transfinite_diameter,
+                          ZeroWeight, fekete_measure, quality_gamma,
+                          solve_fekete, transfinite_diameter,
                           weight_from_callable)
 from pllab.geometry import (AffineImage, Box, ComplexBall, DegenerateSetError,
                             Interval, RealBall, sample)
@@ -26,17 +26,11 @@ def test_weights_evaluate():
         0.5 * math.log(3.0))
 
 
-def test_tabulated_weight_nearest_neighbor():
-    pts = np.array([[0.0 + 0j], [1.0 + 0j]])
-    w = TabulatedWeight(pts, [5.0, 7.0])
-    assert w.evaluate(np.array([[0.1 + 0j]]))[0] == 5.0
-    assert w.evaluate(np.array([[0.9 + 0j]]))[0] == 7.0
-
-
 def test_weight_from_callable(interval_cloud):
+    """The weight is its function, on the cloud and off it."""
     w = weight_from_callable(lambda p: p[0].real ** 2, interval_cloud)
-    vals = w.evaluate(interval_cloud.points[:5])
-    assert np.allclose(vals, interval_cloud.points[:5, 0].real ** 2)
+    pts = np.vstack([interval_cloud.points[:5], [[0.123 + 0j]]])
+    assert list(w.evaluate(pts)) == [p[0].real ** 2 for p in pts]
 
 
 def test_solve_fekete_degree2_nodes(interval_cloud):
@@ -201,11 +195,19 @@ REFINE_SPECS = pytest.mark.parametrize("spec,d,count,weight", REFINE_CASES,
 TIE_SEEDS = [247183, 392394, 493011, 282227, 22651]
 
 
-@pytest.mark.parametrize(
+# the Fubini-Study weight on the unit disc at d = 60 makes cond(B) about
+# 1e9: the approximate Lagrange matrix is not trusted, so the complex
+# refinement decides on full solves (not in REFINE_CASES, which make none)
+REFINE_SEEDED = pytest.mark.parametrize(
     "spec,d,count,weight,seed",
     [case + (5,) for case in REFINE_CASES]
-    + [(RealBall((0.0, 0.0), 1.0), 6, 2001, None, s) for s in TIE_SEEDS],
-    ids=REFINE_IDS + [f"realball-d6-2001-seed{s}" for s in TIE_SEEDS])
+    + [(RealBall((0.0, 0.0), 1.0), 6, 2001, None, s) for s in TIE_SEEDS]
+    + [(ComplexBall((0.0,), 1.0), 60, 2001, FubiniStudyWeight(), 5)],
+    ids=REFINE_IDS + [f"realball-d6-2001-seed{s}" for s in TIE_SEEDS]
+    + ["fubini-study-disc-d60"])
+
+
+@REFINE_SEEDED
 def test_exchange_refine_matches_full_resolve(monkeypatch, spec, d, count,
                                               weight, seed):
     cloud = sample(spec, count, seed=seed)
@@ -250,11 +252,7 @@ def _full_quality(A, sel):
     return float(np.max(absl)), float(np.max(np.sum(absl, axis=0)))
 
 
-@pytest.mark.parametrize(
-    "spec,d,count,weight,seed",
-    [case + (5,) for case in REFINE_CASES]
-    + [(RealBall((0.0, 0.0), 1.0), 6, 2001, None, s) for s in TIE_SEEDS],
-    ids=REFINE_IDS + [f"realball-d6-2001-seed{s}" for s in TIE_SEEDS])
+@REFINE_SEEDED
 def test_exchange_refine_returns_lagrange_matrix(monkeypatch, spec, d, count,
                                                  weight, seed):
     """The refinement returns gamma and the Lebesgue constant of the Lagrange

@@ -5,7 +5,9 @@
 PARENT and CHANGE are pllab checkouts (or their ``src`` directories).  The
 manifests are those of the three workloads in ``perfbench/workloads.py`` of
 this checkout, drawn at the given seed: every solve-cold variant, replay-warm
-and relative-field.  Each tree runs every manifest through ``pllab.cli.main``
+and relative-field.  To them are added the fixed ``UNTRUSTED`` manifests,
+whose Fekete refinements take the full-solve branch that no benchmark
+manifest reaches.  Each tree runs every manifest through ``pllab.cli.main``
 three times, at one BLAS thread: once with ``--no-cache``, then twice on a
 fresh cache of its own (a miss, then a hit).  The sha256 of every output file
 and the exit code of every run are compared between the trees, and inside
@@ -31,6 +33,16 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
 MODES = ("no-cache", "miss", "hit")
+# Fubini-Study weighted discs D(0, r) whose node matrices are too
+# ill-conditioned for the approximate Lagrange matrix to be trusted, so the
+# refinement decides on full solves (2, 21 and 11 of them).  They do not
+# all match re-solving after every swap, so only a parent can check them.
+UNTRUSTED = [
+    (f"untrusted/fekete-fubini-study-disc-r{r:g}-d{d}",
+     {"command": "fekete", "degrees": [d], "weight": "fubini-study",
+      "seed": 0, "spec": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+                          "radius": r}})
+    for r, d in ((1.0, 60), (2.0, 60), (3.0, 40))]
 
 
 def _src(tree):
@@ -42,7 +54,8 @@ def _src(tree):
 
 
 def _manifests(seed):
-    """(name, manifest) for every manifest of the three workloads."""
+    """(name, manifest) for every manifest of the three workloads, then
+    the UNTRUSTED ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -52,7 +65,7 @@ def _manifests(seed):
                            ("relative-field", workloads.relative_field)):
         for v, cases in enumerate(draw(seed)):
             out += [(f"{workload}/{v}/{label}", man) for label, man in cases]
-    return out
+    return out + UNTRUSTED
 
 
 def _digests(outdir):
