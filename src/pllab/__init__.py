@@ -20,8 +20,7 @@ from .geometry import (AffineImage, BallIntersection, Box, ComplexBall,
                        ConvexHull, Cusp, DegenerateSetError,
                        DimensionMismatchError, Interval, Point, RealBall,
                        SampleCloud, Union, contains, diameter, exact_extremal,
-                       halfdisc_harmonic_measure, sample, spec_from_dict,
-                       spec_to_dict)
+                       halfdisc_harmonic_measure, sample, spec_from_dict)
 from .regularity import (CondPWitness, ExactEngine, HcpReport, ModulusReport,
                          capacity_density_from_supnorm, condition_p_bound,
                          geometric_condition_m, hcp_scan,

@@ -39,8 +39,8 @@ from .extremal import SandwichEvaluator, relative_extremal_1c
 from .fekete import (_WEIGHTS, cached_fekete, manifest_hash, solve_fekete,
                      transfinite_diameter)
 from .geometry import (_NUMBER, _NUMBERS, _PAIRS, ComplexBall, Interval,
-                       _nonempty, exact_extremal, finite_pair, finite_real,
-                       sample, spec_from_dict)
+                       _get as _leaf, _nonempty, exact_extremal, finite_pair,
+                       finite_real, sample, spec_from_dict)
 from .regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                          _check_delta_grid, capacity_density_from_supnorm,
                          hcp_scan, localization_experiment, scan_cloud_target)
@@ -112,17 +112,19 @@ _CENTER = (lambda v: type(v) is list and 1 <= len(v) <= 2
 # the seeds of the commands that sample, when the manifest gives none
 _SEEDS = {"scan-regularity": 11, "localize": 5}
 
+# their leaves are read as spec_from_dict reads a spec's
 _MEASURES = {
-    "arcsine": lambda doc: Arcsine(_get(doc, "a", _NUMBER),
-                                   _get(doc, "b", _NUMBER)),
+    "arcsine": lambda doc: Arcsine(_leaf(doc, "a", _NUMBER),
+                                   _leaf(doc, "b", _NUMBER)),
     "uniform-circle": lambda doc: UniformCircle(
-        complex(*_get(doc, "center", _CENTER)), _get(doc, "radius", _NUMBER)),
+        complex(*_leaf(doc, "center", _CENTER)),
+        _leaf(doc, "radius", _NUMBER)),
 }
 _TEST_FUNCTIONS = {
     "polynomial": lambda doc: Polynomial(
-        [complex(a, b) for a, b in _get(doc, "coefficients", _PAIRS)]),
+        [complex(a, b) for a, b in _leaf(doc, "coefficients", _PAIRS)]),
     "tabulated": lambda doc: TabulatedLipschitz(
-        _get(doc, "grid", _NUMBERS), _get(doc, "values", _NUMBERS)),
+        _leaf(doc, "grid", _NUMBERS), _leaf(doc, "values", _NUMBERS)),
 }
 
 

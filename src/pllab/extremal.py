@@ -54,8 +54,8 @@ class SandwichEvaluator:
         self.gamma = config.gamma
         self.lebesgue = config.lebesgue
         self.gap = math.log(self.N * self.gamma) / self.d
-        self.weighted = not isinstance(config.weight, ZeroWeight)
-        self.mode = "weighted" if self.weighted else "unweighted"
+        self.mode = ("unweighted" if isinstance(config.weight, ZeroWeight)
+                     else "weighted")
         self.phi_nodes = config.weight.evaluate(config.nodes)
         self.phi_floor = float(np.min(config.weight.evaluate(cloud.points)))
         # inverse transpose of the node matrix in the orthonormal basis
@@ -85,12 +85,8 @@ class SandwichEvaluator:
                              "point: it lies too far from the set")
         with np.errstate(divide="ignore"):
             logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
-        if self.weighted:
-            cand = self.phi_nodes[None, :] + logL / self.d
-            floor = self.phi_floor
-        else:
-            cand = logL / self.d
-            floor = 0.0
+        # phi is 0 for ZeroWeight, and 0.0 + x is x: log never returns -0.0
+        cand = self.phi_nodes[None, :] + logL / self.d
         best = np.max(cand, axis=1)
         raw_max = best - math.log(self.gamma) / self.d
         # log sum_j |l_j(z)| e^{d phi(x_j)} in the log domain
@@ -101,7 +97,7 @@ class SandwichEvaluator:
                            best + (np.nan_to_num(logsum)
                                    - math.log(self.lebesgue)) / self.d,
                            -np.inf)
-        lower = np.maximum(np.maximum(raw_max, raw_sum), floor)
+        lower = np.maximum(np.maximum(raw_max, raw_sum), self.phi_floor)
         upper = lower + self.gap
         return lower, upper
 

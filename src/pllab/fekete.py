@@ -40,7 +40,7 @@ from scipy.linalg import qr
 from scipy.linalg.blas import dger, zgeru
 
 from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
-from .geometry import DegenerateSetError, sample, spec_to_dict
+from .geometry import DegenerateSetError, sample
 from .serialize import canonical_json
 
 # Exchange refinement swaps while a swap raises the log objective by at least
@@ -114,12 +114,6 @@ def weight_from_callable(fn, cloud):
 # configurations and measures
 # ---------------------------------------------------------------------------
 
-def _scalar_provenance(provenance):
-    """The entries of a provenance dict that JSON output and the cache keep."""
-    return {k: v for k, v in provenance.items()
-            if isinstance(v, (int, float, str, bool))}
-
-
 @dataclass(eq=False)
 class FeketeConfig:
     basis: BasisSpec
@@ -179,7 +173,8 @@ class FeketeConfig:
             "objective": self.objective,
             "gamma": self.gamma,
             "lebesgue": self.lebesgue,
-            "provenance": _scalar_provenance(self.provenance),
+            "provenance": {k: v for k, v in self.provenance.items()
+                           if isinstance(v, (int, float, str, bool))},
         }
 
 
@@ -233,10 +228,15 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
                                            max_sweep_factor * N)
     return FeketeConfig.from_indices(
         cloud, basis, weight, sel, ortho=ortho, quality=quality,
-        provenance={"cloud_seed": cloud.seed,
-                    "density_parameter": cloud.density_parameter,
-                    "restart": 0, "accepted_swaps": int(swaps),
-                    "tol": _SWAP_TOL})
+        provenance=_provenance(cloud, int(swaps)))
+
+
+def _provenance(cloud, swaps):
+    """The provenance of a solve on cloud that made swaps accepted swaps:
+    built from the cloud in hand, so a cache hit writes its own seed."""
+    return {"cloud_seed": cloud.seed,
+            "density_parameter": cloud.density_parameter,
+            "restart": 0, "accepted_swaps": swaps, "tol": _SWAP_TOL}
 
 
 def _exchange_refine(A, sel, tol, max_iters):
@@ -536,18 +536,19 @@ def manifest_hash(man):
 
 def _replayable(entry, n, m):
     """True when a cache entry is an object whose node_indices is a sorted
-    list of n distinct ints in [0, m), whose provenance, if present, is an
-    object, and whose gamma and lebesgue are finite floats with
+    list of n distinct ints in [0, m), whose accepted_swaps is an int >= 0,
+    and whose gamma and lebesgue are finite floats with
     1 <= gamma <= lebesgue, up to rounding on the 1: a Lagrange matrix is
     the identity at its nodes, and a column sum of its magnitudes is at
     least the largest of them."""
     if type(entry) is not dict:
         return False
-    sel, g, leb = map(entry.get, ("node_indices", "gamma", "lebesgue"))
+    sel, swaps, g, leb = map(entry.get, ("node_indices", "accepted_swaps",
+                                         "gamma", "lebesgue"))
     return (type(sel) is list and len(sel) == n
             and all(type(i) is int for i in sel)
             and sel == sorted(set(sel)) and 0 <= sel[0] and sel[-1] < m
-            and type(entry.get("provenance", {})) is dict
+            and type(swaps) is int and swaps >= 0
             and type(g) is float and type(leb) is float
             and 1.0 - _GAMMA_SLACK <= g <= leb < math.inf)
 
@@ -557,29 +558,31 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache,
     """Solve (or replay from cache) one Fekete configuration; returns
     (config, cloud, hit).
 
-    An entry holds the selected node indices, the solve's scalar
-    provenance, and its gamma and Lebesgue constant.  A hit samples the
-    deterministic cloud again, takes the nodes from it and recomputes the
+    The key holds what solve_fekete reads: the dimension, the degree, the
+    weight and a sha256 of the cloud's points.  So manifests that draw the
+    same points share their solves, whatever set, seed or cloud size drew
+    them, and a sampler that moves the cloud misses instead of replaying
+    indices onto other points.  An entry holds the selected node indices,
+    the number of accepted swaps, and gamma and the Lebesgue constant.  A
+    hit samples the deterministic cloud again, takes the nodes from it,
+    builds the provenance from it as a solve does, and recomputes the
     objective (log_abs_vdm, which rejects a singular node set), but replays
     gamma and lebesgue as stored: no orthonormal basis, no Lagrange solve.
     So a hit writes the miss's fekete and capacity outputs by construction.
     A hit's config has ortho None; SandwichEvaluator then recomputes gamma
     and lebesgue with the basis it needs anyway, so a certified bracket
-    never rests on a stored gamma.  The key holds a sha256 of the cloud's
-    points, so a sampler that moves the cloud misses instead of replaying
-    indices onto other points.  cloud, when given, is the cloud that an
+    never rests on a stored gamma.  cloud, when given, is the cloud that an
     earlier call drew for the same spec, cloud_target and seed; it is used
     instead of sampling again.
     """
     if cloud is None:
         cloud = sample(spec, cloud_target, seed=seed)
     # Bump the version whenever the node selection or the computation of
-    # gamma or lebesgue changes, so entries of the old code miss.
-    key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": degree,
-               "weight": weight_tag, "seed": seed,
-               "cloud_target": cloud_target,
-               "cloud": cloud.fingerprint, "version": 5}
-    key = manifest_hash(key_doc)
+    # gamma or lebesgue changes, so entries of the old code miss.  n is in
+    # the key because the fingerprint hashes bytes, not the array's shape.
+    key = manifest_hash({"op": "fekete", "n": spec.dim, "degree": degree,
+                         "weight": weight_tag, "cloud": cloud.fingerprint,
+                         "version": 6})
     basis = BasisSpec(spec.dim, degree)
     weight = _WEIGHTS[weight_tag]()
     hit = cache.get(key)
@@ -589,7 +592,7 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache,
                 config = FeketeConfig.from_indices(
                     cloud, basis, weight,
                     np.asarray(hit["node_indices"], dtype=int),
-                    provenance=hit.get("provenance", {"cloud_seed": seed}),
+                    provenance=_provenance(cloud, hit["accepted_swaps"]),
                     quality=(hit["gamma"], hit["lebesgue"]))
                 return config, cloud, True
             except DegenerateSetError:      # a singular node set
@@ -598,7 +601,7 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache,
               file=sys.stderr)
     config = solve_fekete(cloud, basis, weight)
     cache.put(key, {"node_indices": [int(i) for i in config.node_indices],
-                    "provenance": _scalar_provenance(config.provenance),
+                    "accepted_swaps": config.provenance["accepted_swaps"],
                     "gamma": config.gamma, "lebesgue": config.lebesgue})
     return config, cloud, False
 

@@ -738,42 +738,8 @@ def diameter(spec):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# JSON parsing
 # ---------------------------------------------------------------------------
-
-def _cplx_out(v):
-    arr = np.atleast_1d(np.asarray(v, dtype=complex))
-    return [[float(x.real), float(x.imag)] for x in arr]
-
-
-def spec_to_dict(spec):
-    if isinstance(spec, Interval):
-        return {"kind": "Interval", "a": spec.a, "b": spec.b}
-    if isinstance(spec, ComplexBall):
-        return {"kind": "ComplexBall", "center": _cplx_out(spec.center),
-                "radius": spec.radius}
-    if isinstance(spec, RealBall):
-        return {"kind": "RealBall",
-                "center": np.atleast_1d(np.asarray(spec.center, dtype=float)).tolist(),
-                "radius": spec.radius}
-    if isinstance(spec, Box):
-        return {"kind": "Box", "intervals": [list(ab) for ab in spec.intervals]}
-    if isinstance(spec, ConvexHull):
-        return {"kind": "ConvexHull", "vertices": [_cplx_out(v) for v in spec.vertices]}
-    if isinstance(spec, Cusp):
-        return {"kind": "Cusp", "h_coeffs": [list(c) for c in spec.h_coeffs],
-                "M": spec.M, "m": spec.m, "degree_bound": spec.degree_bound}
-    if isinstance(spec, AffineImage):
-        return {"kind": "AffineImage", "inner": spec_to_dict(spec.inner),
-                "matrix": _cplx_out(np.asarray(spec.matrix, dtype=complex).reshape(-1)),
-                "shift": _cplx_out(spec.shift)}
-    if isinstance(spec, Union):
-        return {"kind": "Union", "parts": [spec_to_dict(p) for p in spec.parts]}
-    if isinstance(spec, BallIntersection):
-        return {"kind": "BallIntersection", "inner": spec_to_dict(spec.inner),
-                "center": _cplx_out(spec.center), "radius": spec.radius}
-    raise TypeError(f"unknown SetSpec kind {type(spec).__name__}")
-
 
 _FMAX = sys.float_info.max
 

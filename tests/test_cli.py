@@ -17,8 +17,7 @@ from pllab.extremal import SandwichEvaluator
 from pllab.fekete import solve_fekete
 from pllab.regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                               scan_cloud_target)
-from pllab.geometry import (exact_extremal, sample, spec_from_dict,
-                            spec_to_dict)
+from pllab.geometry import exact_extremal, sample, spec_from_dict
 from pllab.serialize import canonical_json
 from test_serialize import canonical_json_reference
 
@@ -172,11 +171,13 @@ CORRUPT_ENTRIES = [
     (b"[" * 200000, "unreadable"),                 # too deep to parse
     (b"5", "inconsistent"),
     (b'{"node_indices": [1e400]}', "inconsistent"),
-    ({"provenance": 7}, "inconsistent"),
     ({"node_indices": [-100, 10, 50, 89, 99]}, "inconsistent"),
 ] + [
-    # gamma is at least 1 and lebesgue at least gamma, both finite floats;
-    # a missing value (None) is deleted from the entry
+    # accepted_swaps is an int >= 0; a missing value (None) is deleted
+    ({"accepted_swaps": value}, "inconsistent")
+    for value in (None, -1, True, 1.5, "3")
+] + [
+    # gamma is at least 1 and lebesgue at least gamma, both finite floats
     ({key: value}, "inconsistent") for key in ("gamma", "lebesgue")
     for value in (None, "1.0", float("nan"), float("inf"), True, 0.5)
 ]
@@ -497,25 +498,25 @@ def test_cache_misses_when_the_sampler_moves_the_cloud(tmp_path,
     assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 2
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_old_version_cache_entry_is_never_replayed(tmp_path, monkeypatch,
                                                    version):
     man = {"command": "fekete", "spec": INTERVAL, "degrees": [3],
            "cloud_target": 401}
     # an older-format key (version 2 had no cloud fingerprint, version 3
-    # kept no gamma, version 4 read gamma off a full Lagrange solve)
-    # holding wrong nodes and a well-formed gamma
-    spec = spec_from_dict(INTERVAL)
-    key_doc = {"op": "fekete", "spec": spec_to_dict(spec), "degree": 3,
+    # kept no gamma, version 4 read gamma off a full Lagrange solve,
+    # version 5 also held the set, the seed and the cloud size) holding
+    # wrong nodes and a well-formed gamma
+    key_doc = {"op": "fekete", "spec": INTERVAL, "degree": 3,
                "weight": "zero", "seed": 0, "cloud_target": 401,
                "version": version}
     if version >= 3:
-        key_doc["cloud"] = hashlib.sha256(
-            sample(spec, 401, seed=0).points.tobytes()).hexdigest()
+        cloud = sample(spec_from_dict(INTERVAL), 401, seed=0)
+        key_doc["cloud"] = hashlib.sha256(cloud.points.tobytes()).hexdigest()
     cache = str(tmp_path / "cache")
     Cache(cache).put(manifest_hash(key_doc), {
         "node_indices": [0, 1, 2, 3], "provenance": {"cloud_seed": 0},
-        "gamma": 1.0, "lebesgue": 1.0})
+        "accepted_swaps": 0, "gamma": 1.0, "lebesgue": 1.0})
     hits = _recording_cached_fekete(monkeypatch)
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "c"),
@@ -524,6 +525,36 @@ def test_old_version_cache_entry_is_never_replayed(tmp_path, monkeypatch,
                  "--no-cache"]) == EXIT_OK
     assert hits == [False, False]
     assert _tree_bytes(str(tmp_path / "c")) == _tree_bytes(str(tmp_path / "n"))
+
+
+def test_manifests_that_draw_the_same_cloud_share_its_solves(tmp_path,
+                                                            monkeypatch):
+    # an Interval cloud does not depend on the seed: the seed-2 manifest
+    # replays the seed-1 solves and writes its own cloud_seed
+    cache = str(tmp_path / "cache")
+    hits = _recording_cached_fekete(monkeypatch)
+    for seed in (1, 2):
+        mp = _write_manifest(tmp_path, {
+            "command": "fekete", "spec": INTERVAL, "degrees": [4, 8],
+            "seed": seed, "cloud_target": 401})
+        cached, plain = tmp_path / f"c{seed}", tmp_path / f"n{seed}"
+        assert main(["--manifest", mp, "--out", str(cached),
+                     "--cache", cache]) == EXIT_OK
+        assert main(["--manifest", mp, "--out", str(plain),
+                     "--no-cache"]) == EXIT_OK
+        assert _tree_bytes(str(cached)) == _tree_bytes(str(plain))
+    assert hits == [False] * 4 + [True, True, False, False]
+    doc = json.loads((tmp_path / "c2" / "fekete.json").read_text())
+    assert [c["provenance"]["cloud_seed"] for c in doc["configs"]] == [2, 2]
+    # the key holds what the solve reads, the entry what it computed
+    cloud = sample(spec_from_dict(INTERVAL), 401, seed=1)
+    for d in (4, 8):
+        entry = Cache(cache).get(manifest_hash({
+            "op": "fekete", "n": 1, "degree": d, "weight": "zero",
+            "cloud": cloud.fingerprint, "version": 6}))
+        assert set(entry) == {"node_indices", "accepted_swaps", "gamma",
+                              "lebesgue"}
+    assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 2
 
 
 @pytest.mark.parametrize("command, rebuilds", [

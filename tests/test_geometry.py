@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from pllab.geometry import (TOL, AffineImage, BallIntersection, Box,
                             DimensionMismatchError, Interval, Point, RealBall,
                             Union, as_point, contains, diameter,
                             exact_extremal, halfdisc_harmonic_measure, sample,
-                            spec_from_dict, spec_to_dict)
+                            spec_from_dict)
 from pllab.geometry import _cusp_gap, _dedupe, _hull_contains, _sample_dispatch
 
 
@@ -558,19 +559,38 @@ def test_diameter():
     assert diameter(hull) == pytest.approx(math.sqrt(2.0))
 
 
-@pytest.mark.parametrize("spec", [
-    Interval(-1.0, 1.0),
-    ComplexBall((0.5 + 0.5j,), 2.0),
-    RealBall((0.0, 1.0), 0.5),
-    Box(((0.0, 1.0), (-1.0, 1.0))),
-    ConvexHull(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
-    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
-    AffineImage(Interval(-1, 1), ((2.0,),), (1.0,)),
-    Union((Interval(-1, 0), Interval(0.5, 1))),
-    BallIntersection(ComplexBall((0.0,), 1.0), (1.0,), 0.3),
-])
+# the JSON document of a spec of each kind
+SPEC_DOCS = {
+    Interval(-1.0, 1.0): {"kind": "Interval", "a": -1.0, "b": 1.0},
+    ComplexBall((0.5 + 0.5j,), 2.0): {
+        "kind": "ComplexBall", "center": [[0.5, 0.5]], "radius": 2.0},
+    RealBall((0.0, 1.0), 0.5): {
+        "kind": "RealBall", "center": [0.0, 1.0], "radius": 0.5},
+    Box(((0.0, 1.0), (-1.0, 1.0))): {
+        "kind": "Box", "intervals": [[0.0, 1.0], [-1.0, 1.0]]},
+    ConvexHull(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))): {
+        "kind": "ConvexHull",
+        "vertices": [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0]]]},
+    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2): {
+        "kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2},
+    AffineImage(Interval(-1, 1), ((2.0,),), (1.0,)): {
+        "kind": "AffineImage", "inner": {"kind": "Interval", "a": -1, "b": 1},
+        "matrix": [[2.0, 0.0]], "shift": [[1.0, 0.0]]},
+    Union((Interval(-1, 0), Interval(0.5, 1))): {
+        "kind": "Union", "parts": [{"kind": "Interval", "a": -1, "b": 0},
+                                   {"kind": "Interval", "a": 0.5, "b": 1}]},
+    BallIntersection(ComplexBall((0.0,), 1.0), (1.0,), 0.3): {
+        "kind": "BallIntersection",
+        "inner": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+                  "radius": 1.0},
+        "center": [[1.0, 0.0]], "radius": 0.3},
+}
+
+
+@pytest.mark.parametrize("spec", list(SPEC_DOCS))
 def test_spec_json_round_trip(spec):
-    assert spec_from_dict(spec_to_dict(spec)) == spec
+    assert spec_from_dict(json.loads(json.dumps(SPEC_DOCS[spec]))) == spec
 
 
 def test_spec_from_dict_unknown_kind():

@@ -7,13 +7,19 @@ manifests are those of the three workloads in ``perfbench/workloads.py`` of
 this checkout, drawn at the given seed: every solve-cold variant, replay-warm
 and relative-field.  To them are added the fixed ``UNTRUSTED`` manifests,
 whose Fekete refinements take the full-solve branch that no benchmark
-manifest reaches.  Each tree runs every manifest through ``pllab.cli.main``
-three times, at one BLAS thread: once with ``--no-cache``, then twice on a
-fresh cache of its own (a miss, then a hit).  The sha256 of every output file
-and the exit code of every run are compared between the trees, and inside
-each tree the miss and the hit are compared with the ``--no-cache`` run of
-the same manifest.  Prints each difference and exits 1 if there is any,
-else 0.
+manifest reaches, and the ``SEED_PAIR``, two manifests that draw the same
+cloud at different seeds.  Each tree runs every manifest through
+``pllab.cli.main`` four times, at one BLAS thread: once with ``--no-cache``,
+twice on a fresh cache of its own (a miss, then a hit), and once on a cache
+shared by its group (``shared``).  A group is one workload variant, the
+``UNTRUSTED`` manifests or the ``SEED_PAIR``; its manifests run in order, as
+a benchmark pass does, so a shared run may replay a solve of an earlier
+manifest.  The sha256 of every output file and the exit code of every run
+are compared between the trees, and inside each tree every cached run is
+compared with the ``--no-cache`` run of the same manifest.  Prints each
+difference and each tree's count of cross-manifest cache hits (hits of a
+shared run beyond those of its miss run), and exits 1 if there is any
+difference, else 0.
 
 Each tree runs in its own Python process (the two at once), which imports
 pllab from that tree only.
@@ -32,17 +38,24 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
-MODES = ("no-cache", "miss", "hit")
+MODES = ("no-cache", "miss", "hit", "shared")
 # Fubini-Study weighted discs D(0, r) whose node matrices are too
 # ill-conditioned for the approximate Lagrange matrix to be trusted, so the
 # refinement decides on full solves (2, 21 and 11 of them).  They do not
 # all match re-solving after every swap, so only a parent can check them.
 UNTRUSTED = [
-    (f"untrusted/fekete-fubini-study-disc-r{r:g}-d{d}",
+    (f"fekete-fubini-study-disc-r{r:g}-d{d}",
      {"command": "fekete", "degrees": [d], "weight": "fubini-study",
       "seed": 0, "spec": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
                           "radius": r}})
     for r, d in ((1.0, 60), (2.0, 60), (3.0, 40))]
+# An Interval cloud does not depend on the seed, so a cache that keys a
+# solve by its cloud serves the seed-2 manifest from the seed-1 solves.
+SEED_PAIR = [
+    (f"fekete-interval-seed{seed}",
+     {"command": "fekete", "degrees": [4, 8], "seed": seed,
+      "spec": {"kind": "Interval", "a": -1.0, "b": 1.0}})
+    for seed in (1, 2)]
 
 
 def _src(tree):
@@ -54,8 +67,8 @@ def _src(tree):
 
 
 def _manifests(seed):
-    """(name, manifest) for every manifest of the three workloads, then
-    the UNTRUSTED ones."""
+    """(group, label, manifest) for every manifest of the three workloads,
+    one group per variant, then the UNTRUSTED and SEED_PAIR ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -64,8 +77,9 @@ def _manifests(seed):
                            ("replay-warm", workloads.replay_warm),
                            ("relative-field", workloads.relative_field)):
         for v, cases in enumerate(draw(seed)):
-            out += [(f"{workload}/{v}/{label}", man) for label, man in cases]
-    return out + UNTRUSTED
+            out += [(f"{workload}/{v}", label, man) for label, man in cases]
+    return (out + [("untrusted", *case) for case in UNTRUSTED]
+            + [("seed-pair", *case) for case in SEED_PAIR])
 
 
 def _digests(outdir):
@@ -79,29 +93,52 @@ def _digests(outdir):
     return found
 
 
+def _count_hits(hits):
+    """Rebind cached_fekete, wherever a pllab module imported it, to a
+    wrapper that appends to hits whether each lookup hit."""
+    from pllab import fekete
+    lookup = fekete.cached_fekete
+
+    def counting(*args, **kwargs):
+        result = lookup(*args, **kwargs)
+        hits.append(result[2])
+        return result
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("pllab.") and module is not fekete
+                and getattr(module, "cached_fekete", None) is lookup):
+            module.cached_fekete = counting
+
+
 def _worker(seed, result_path):
-    """Run every manifest in this process; write {run: {rc, files}}."""
+    """Run every manifest in this process; write {run: {rc, files, hits}}."""
     import contextlib
     import io
     from pllab import cli
     if not cli.__file__.startswith(sys.path[1] + os.sep):
         raise SystemExit(f"error: imported pllab from {cli.__file__}")
+    hits = []
+    _count_hits(hits)
     results = {}
     with tempfile.TemporaryDirectory() as work:
         mpath = os.path.join(work, "manifest.json")
-        for k, (name, man) in enumerate(_manifests(seed)):
+        shared = {}
+        for k, (group, label, man) in enumerate(_manifests(seed)):
             with open(mpath, "w") as f:
                 json.dump(man, f)
-            cache = os.path.join(work, f"cache{k}")
+            shared.setdefault(group, os.path.join(work, f"shared{len(shared)}"))
+            own = os.path.join(work, f"cache{k}")
+            caches = {"miss": own, "hit": own, "shared": shared[group]}
             for mode in MODES:
                 outdir = os.path.join(work, f"out{k}-{mode}")
                 argv = ["--manifest", mpath, "--out", outdir]
                 argv += ["--no-cache"] if mode == "no-cache" else [
-                    "--cache", cache]
+                    "--cache", caches[mode]]
+                hits.clear()
                 with contextlib.redirect_stderr(io.StringIO()):
                     rc = cli.main(argv)
-                results[f"{name} {mode}"] = {"rc": rc,
-                                             "files": _digests(outdir)}
+                results[f"{group}/{label} {mode}"] = {
+                    "rc": rc, "files": _digests(outdir), "hits": sum(hits)}
     with open(result_path, "w") as f:
         json.dump(results, f)
 
@@ -173,6 +210,11 @@ def main(argv=None):
         lines += _cached_vs_uncached(tree, result)
     for line in lines:
         print(line)
+    for tree, result in zip((args.parent, args.change), results):
+        names = {run.rsplit(" ", 1)[0] for run in result}
+        cross = sum(result[f"{name} shared"]["hits"]
+                    - result[f"{name} miss"]["hits"] for name in names)
+        print(f"{tree}: {cross} cross-manifest cache hits in shared runs")
     manifests = len(results[0]) // len(MODES)
     files = sum(len(r["files"]) for r in results[0].values())
     print(f"{manifests} manifests at seed {args.seed}, {len(MODES)} runs each "
