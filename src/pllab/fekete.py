@@ -173,8 +173,7 @@ class FeketeConfig:
             "objective": self.objective,
             "gamma": self.gamma,
             "lebesgue": self.lebesgue,
-            "provenance": {k: v for k, v in self.provenance.items()
-                           if isinstance(v, (int, float, str, bool))},
+            "provenance": dict(self.provenance),
         }
 
 
@@ -233,7 +232,7 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
 
 def _provenance(cloud, swaps):
     """The provenance of a solve on cloud that made swaps accepted swaps:
-    built from the cloud in hand, so a cache hit writes its own seed."""
+    built from the cloud in hand, so a cache entry stores only the swaps."""
     return {"cloud_seed": cloud.seed,
             "density_parameter": cloud.density_parameter,
             "restart": 0, "accepted_swaps": swaps, "tol": _SWAP_TOL}
@@ -559,10 +558,14 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache,
     (config, cloud, hit).
 
     The key holds what solve_fekete reads: the dimension, the degree, the
-    weight and a sha256 of the cloud's points.  So manifests that draw the
-    same points share their solves, whatever set, seed or cloud size drew
-    them, and a sampler that moves the cloud misses instead of replaying
-    indices onto other points.  An entry holds the selected node indices,
+    weight and a sha256 of the cloud's points, and the seed that drew the
+    cloud.  So manifests that draw the same points at the same seed share
+    their solves, whatever set or cloud size drew them, and a sampler that
+    moves the cloud misses instead of replaying indices onto other points.
+    The seed keeps manifests of distinct seeds apart even where their
+    points agree (every Interval cloud is the same at every seed): the
+    solve-cold workload of perfbench gives each manifest its own seed so
+    that no lookup in a pass hits.  An entry holds the selected node indices,
     the number of accepted swaps, and gamma and the Lebesgue constant.  A
     hit samples the deterministic cloud again, takes the nodes from it,
     builds the provenance from it as a solve does, and recomputes the
@@ -581,8 +584,8 @@ def cached_fekete(spec, degree, weight_tag, seed, cloud_target, cache,
     # gamma or lebesgue changes, so entries of the old code miss.  n is in
     # the key because the fingerprint hashes bytes, not the array's shape.
     key = manifest_hash({"op": "fekete", "n": spec.dim, "degree": degree,
-                         "weight": weight_tag, "cloud": cloud.fingerprint,
-                         "version": 6})
+                         "weight": weight_tag, "seed": seed,
+                         "cloud": cloud.fingerprint, "version": 6})
     basis = BasisSpec(spec.dim, degree)
     weight = _WEIGHTS[weight_tag]()
     hit = cache.get(key)

@@ -505,7 +505,7 @@ def test_old_version_cache_entry_is_never_replayed(tmp_path, monkeypatch,
            "cloud_target": 401}
     # an older-format key (version 2 had no cloud fingerprint, version 3
     # kept no gamma, version 4 read gamma off a full Lagrange solve,
-    # version 5 also held the set, the seed and the cloud size) holding
+    # version 5 also held the set and the cloud size) holding
     # wrong nodes and a well-formed gamma
     key_doc = {"op": "fekete", "spec": INTERVAL, "degree": 3,
                "weight": "zero", "seed": 0, "cloud_target": 401,
@@ -527,34 +527,35 @@ def test_old_version_cache_entry_is_never_replayed(tmp_path, monkeypatch,
     assert _tree_bytes(str(tmp_path / "c")) == _tree_bytes(str(tmp_path / "n"))
 
 
-def test_manifests_that_draw_the_same_cloud_share_its_solves(tmp_path,
-                                                            monkeypatch):
-    # an Interval cloud does not depend on the seed: the seed-2 manifest
-    # replays the seed-1 solves and writes its own cloud_seed
+def test_cache_key_holds_the_cloud_and_the_seed(tmp_path, monkeypatch):
+    # an Interval cloud does not depend on the seed, but the seed is in the
+    # key: the seed-2 manifest solves afresh, and a second seed-1 run hits
     cache = str(tmp_path / "cache")
     hits = _recording_cached_fekete(monkeypatch)
-    for seed in (1, 2):
+    for run, seed in enumerate((1, 2, 1)):
         mp = _write_manifest(tmp_path, {
             "command": "fekete", "spec": INTERVAL, "degrees": [4, 8],
             "seed": seed, "cloud_target": 401})
-        cached, plain = tmp_path / f"c{seed}", tmp_path / f"n{seed}"
+        cached, plain = tmp_path / f"c{run}", tmp_path / f"n{run}"
         assert main(["--manifest", mp, "--out", str(cached),
                      "--cache", cache]) == EXIT_OK
         assert main(["--manifest", mp, "--out", str(plain),
                      "--no-cache"]) == EXIT_OK
         assert _tree_bytes(str(cached)) == _tree_bytes(str(plain))
-    assert hits == [False] * 4 + [True, True, False, False]
-    doc = json.loads((tmp_path / "c2" / "fekete.json").read_text())
+    assert hits == [False] * 8 + [True, True, False, False]
+    doc = json.loads((tmp_path / "c1" / "fekete.json").read_text())
     assert [c["provenance"]["cloud_seed"] for c in doc["configs"]] == [2, 2]
-    # the key holds what the solve reads, the entry what it computed
+    # the key holds what the solve reads and the seed, the entry what the
+    # solve computed
     cloud = sample(spec_from_dict(INTERVAL), 401, seed=1)
-    for d in (4, 8):
-        entry = Cache(cache).get(manifest_hash({
-            "op": "fekete", "n": 1, "degree": d, "weight": "zero",
-            "cloud": cloud.fingerprint, "version": 6}))
-        assert set(entry) == {"node_indices", "accepted_swaps", "gamma",
-                              "lebesgue"}
-    assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 2
+    for seed in (1, 2):
+        for d in (4, 8):
+            entry = Cache(cache).get(manifest_hash({
+                "op": "fekete", "n": 1, "degree": d, "weight": "zero",
+                "seed": seed, "cloud": cloud.fingerprint, "version": 6}))
+            assert set(entry) == {"node_indices", "accepted_swaps", "gamma",
+                                  "lebesgue"}
+    assert len([f for _, _, fs in os.walk(cache) for f in fs]) == 4
 
 
 @pytest.mark.parametrize("command, rebuilds", [
@@ -870,6 +871,22 @@ def test_equidist_bad_doc_exits_schema(tmp_path, capsys, sample_fails, field,
     mp = _write_manifest(tmp_path, man)
     assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, doc, says", [
+    ("measure", {"kind": "arcsine", "a": "x", "b": 1.0},
+     "field 'measure' is invalid: 'a' must be "),
+    ("measure", {"kind": "arcsine", "b": 1.0},
+     "field 'measure' is invalid: missing 'a'"),
+    ("test_function", {"kind": "tabulated", "grid": ["x"], "values": [1.0]},
+     "field 'test_function' is invalid: 'grid' must be "),
+])
+def test_equidist_bad_leaf_reads_like_a_spec_leaf(tmp_path, capsys,
+                                                  sample_fails, field, doc,
+                                                  says):
+    mp = _write_manifest(tmp_path, dict(EQUIDIST, **{field: doc}))
+    assert main(["--manifest", mp, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert says in capsys.readouterr().err
 
 
 def test_equidist_circle_center_real_or_pair(tmp_path):

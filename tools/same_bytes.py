@@ -49,8 +49,9 @@ UNTRUSTED = [
       "seed": 0, "spec": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
                           "radius": r}})
     for r, d in ((1.0, 60), (2.0, 60), (3.0, 40))]
-# An Interval cloud does not depend on the seed, so a cache that keys a
-# solve by its cloud serves the seed-2 manifest from the seed-1 solves.
+# An Interval cloud does not depend on the seed, so the two manifests draw
+# the same points; whether or not a cache serves the seed-2 manifest from
+# the seed-1 solves, it must write its own cloud_seed.
 SEED_PAIR = [
     (f"fekete-interval-seed{seed}",
      {"command": "fekete", "degrees": [4, 8], "seed": seed,
