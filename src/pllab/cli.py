@@ -35,7 +35,7 @@ from .basis import BasisSpec
 from .equidist import (RATE_CLOUD_TARGET, Arcsine, Polynomial,
                        TabulatedLipschitz, UniformCircle, equilibrium_pairing,
                        rate_experiment)
-from .extremal import SandwichEvaluator, relative_extremal_1c
+from .extremal import BLOCK_ROWS, SandwichEvaluator, relative_extremal_1c
 from .fekete import (_WEIGHTS, cached_fekete, manifest_hash, solve_fekete,
                      transfinite_diameter)
 from .geometry import (_NUMBER, _NUMBERS, _PAIRS, ComplexBall, Interval,
@@ -290,26 +290,44 @@ def _run_extremal(args, outdir, cache):
                                      args.seed, args.cloud_target, cache)
     ev = SandwichEvaluator(config, cloud)
     xy = args.xy                                    # (k, n, 2): re, im
-    # each (re, im) pair read in place as one complex: signed zeros kept
-    lower, upper = ev.bounds(xy.view(complex)[..., 0])
-    # repr of a finite float is also its JSON text; NaN is not
-    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
-        raise ValueError("a sandwich bound is not finite")
-    # format each float once, for extremal.csv and the JSON files alike
-    coords = [list(map(float.__repr__, c))
-              for c in xy.reshape(len(xy), -1).T.tolist()]
-    lo, up = (list(map(float.__repr__, b.tolist())) for b in (lower, upper))
+    lower, upper = np.empty(len(xy)), np.empty(len(xy))
+    # the joined text of each block, for the splices of the JSON files
+    texts = {"lower": [], "upper": [], "points": []}
+    point = _array_text(["[{},{}]"] * args.spec.dim)
+
+    def blocks():
+        """extremal.csv's columns, BLOCK_ROWS points at a time."""
+        for start in range(0, len(xy), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            block = xy[rows]
+            # each (re, im) pair read in place as one complex: signed
+            # zeros kept
+            lo, up = ev.bounds(block.view(complex)[..., 0])
+            # repr of a finite float is also its JSON text; NaN is not
+            if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+                raise ValueError("a sandwich bound is not finite")
+            lower[rows], upper[rows] = lo, up
+            # format each float once, for extremal.csv and the JSON files
+            coords = [list(map(float.__repr__, c))
+                      for c in block.reshape(len(block), -1).T.tolist()]
+            lo, up = (list(map(float.__repr__, b.tolist())) for b in (lo, up))
+            texts["lower"].append(",".join(lo))
+            texts["upper"].append(",".join(up))
+            if args.all_float:
+                texts["points"].append(",".join(map(point.format, *coords)))
+            yield coords + [lo, up]
+
     write_csv(os.path.join(outdir, "extremal.csv"),
               _coord_header(args.spec.dim) + ["lower", "upper"],
-              coords + [lo, up])
+              blocks=blocks())
     write_json(os.path.join(outdir, "extremal.json"),
                {"degree": args.degree, "gamma": config.gamma, "gap": ev.gap,
                 "lower": lower, "upper": upper},
-               {"lower": _array_text(lo), "upper": _array_text(up)})
+               {"lower": _array_text(texts["lower"]),
+                "upper": _array_text(texts["upper"])})
     # an int leaf is written 2 in manifest.json but 2.0 in the CSV
     if args.all_float:
-        point = _array_text(["[{},{}]"] * args.spec.dim)
-        return {"points": _array_text(map(point.format, *coords))}
+        return {"points": _array_text(texts["points"])}
     return None
 
 
@@ -476,8 +494,8 @@ def run_manifest(man, outdir, cache_dir=None):
     text = canonical_json(man, texts)
     h = hashlib.sha256(text.encode()).hexdigest()
     atomic_write_text(os.path.join(outdir, "manifest.json"),
-                      f'{{"hash":"{h}","manifest":{text},'
-                      f'"version":{json.dumps(__version__)}}}\n')
+                      (f'{{"hash":"{h}","manifest":', text,
+                       f',"version":{json.dumps(__version__)}}}\n'))
     return h
 
 

@@ -17,6 +17,11 @@ import numpy as np
 from .fekete import FubiniStudyWeight, ZeroWeight, quality_gamma
 from .geometry import ComplexBall, as_point, contains
 
+# Query points per block of SandwichEvaluator.bounds, and per block of an
+# extremal run's text: a block's Lagrange temporaries are a few
+# BLOCK_ROWS x N arrays.
+BLOCK_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class ExtremalEstimate:
@@ -74,15 +79,30 @@ class SandwichEvaluator:
         polynomials (normalized by the measured Lebesgue constant), and the
         trivial constant candidate.  Adding the exact gap log(N gamma)/d to
         the winner stays above the degree-d proxy because it already does so
-        for each candidate separately.  Raises ValueError when a Lagrange
-        value overflows (a point too far out for the monomial table).
+        for each candidate separately.  The points are taken BLOCK_ROWS at a
+        time, so the Lagrange temporaries stay O(BLOCK_ROWS * N) for any
+        number of points; at one BLAS thread a row's bounds do not depend
+        on the rows that share its block.  Raises ValueError naming the
+        first point whose Lagrange values overflow (a point too far out
+        for the monomial table).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        lower, upper = np.empty(len(pts)), np.empty(len(pts))
+        for start in range(0, len(pts), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            lower[rows], upper[rows] = self._block_bounds(pts[rows], start)
+        return lower, upper
+
+    def _block_bounds(self, pts, start):
+        """(lower, upper) at the rows pts, which begin at point start."""
         with np.errstate(over="ignore", invalid="ignore"):
             L = self.lagrange_abs(pts)
-        if not np.isfinite(L).all():
-            raise ValueError("Lagrange values are not finite at a query "
-                             "point: it lies too far from the set")
+        finite = np.isfinite(L).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"Lagrange values are not finite at query point "
+                f"{start + int(np.argmin(finite))}: it lies too far from "
+                "the set")
         with np.errstate(divide="ignore"):
             logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
         # phi is 0 for ZeroWeight, and 0.0 + x is x: log never returns -0.0
@@ -98,8 +118,7 @@ class SandwichEvaluator:
                                    - math.log(self.lebesgue)) / self.d,
                            -np.inf)
         lower = np.maximum(np.maximum(raw_max, raw_sum), self.phi_floor)
-        upper = lower + self.gap
-        return lower, upper
+        return lower, lower + self.gap
 
     def estimate(self, z):
         zz = as_point(z, self.config.basis.n)
@@ -121,9 +140,9 @@ class ProjectiveEvaluator(SandwichEvaluator):
         super().__init__(config, cloud)
         self.mode = "projective"
 
-    def bounds(self, points):
-        lower, upper = super().bounds(points)
-        rho = self.config.weight.evaluate(points)
+    def _block_bounds(self, pts, start):
+        lower, upper = super()._block_bounds(pts, start)
+        rho = self.config.weight.evaluate(pts)
         return lower - rho, upper - rho
 
 

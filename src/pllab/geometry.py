@@ -425,9 +425,14 @@ def _kronecker(count, dims, seed):
     return (offset + idx * alphas[None, :]) % 1.0
 
 
+# Resource guard: the most points sample, or a BallIntersection's request
+# of its inner set, may ask for.
+MAX_SAMPLE = 10 ** 7
+
+
 def sample(spec, target_count, seed=0):
     """Deterministic point cloud covering spec with boundary densification."""
-    if target_count > 10 ** 7:
+    if target_count > MAX_SAMPLE:
         raise ValueError("target_count exceeds resource guard of 1e7")
     if target_count < 4:
         raise ValueError("target_count must be at least 4")
@@ -623,6 +628,12 @@ def _sample_ballcap(spec, count, seed):
     r = spec.radius
     got = None
     for factor in (2, 4, 8, 16, 32, 64, 128):
+        # each nested level multiplies the request: guard it before the
+        # inner set allocates
+        if count * factor > MAX_SAMPLE:
+            raise ValueError(f"BallIntersection would sample "
+                             f"{count * factor} points of its inner set, "
+                             "over the resource guard of 1e7")
         pts, h = _sample_dispatch(spec.inner, count * factor, seed)
         pts = _dedupe(pts)
         keep = np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL
@@ -787,12 +798,27 @@ def _complexes(doc, key):
     return tuple(complex(a, b) for a, b in _get(doc, key, _PAIRS))
 
 
+# Composite kinds (AffineImage, Union, BallIntersection) nest at most this
+# many levels: each BallIntersection level asks its inner set for 2 to 128
+# times its own count, and each level is a Python call deep.
+MAX_NESTING = 8
+
+
 def spec_from_dict(doc):
     """The SetSpec a JSON document describes; ValueError naming the key
-    when a leaf is not a finite number (or an integer where one is due)."""
+    when a leaf is not a finite number (or an integer where one is due),
+    and when composite kinds nest more than MAX_NESTING levels deep."""
+    return _spec_from_dict(doc, 0)
+
+
+def _spec_from_dict(doc, level):
     if type(doc) is not dict:
         raise ValueError("a set spec must be a JSON object")
     kind = doc.get("kind")
+    if kind in ("AffineImage", "Union", "BallIntersection") \
+            and level == MAX_NESTING:
+        raise ValueError(f"set specs nest more than {MAX_NESTING} "
+                         "composite levels deep")
     if kind == "Interval":
         return Interval(_get(doc, "a", _NUMBER), _get(doc, "b", _NUMBER))
     if kind == "ComplexBall":
@@ -812,7 +838,7 @@ def spec_from_dict(doc):
                     _get(doc, "degree_bound", _INTEGER)
                     if "degree_bound" in doc else 0)
     if kind == "AffineImage":
-        inner = spec_from_dict(_get(doc, "inner", _SPEC))
+        inner = _spec_from_dict(_get(doc, "inner", _SPEC), level + 1)
         n = inner.dim
         mat = _complexes(doc, "matrix")
         if len(mat) != n * n:
@@ -820,9 +846,11 @@ def spec_from_dict(doc):
         return AffineImage(inner, tuple(map(tuple, np.reshape(mat, (n, n)))),
                            _complexes(doc, "shift"))
     if kind == "Union":
-        return Union(tuple(map(spec_from_dict, _get(doc, "parts", _PARTS))))
+        return Union(tuple(_spec_from_dict(part, level + 1)
+                           for part in _get(doc, "parts", _PARTS)))
     if kind == "BallIntersection":
-        return BallIntersection(spec_from_dict(_get(doc, "inner", _SPEC)),
+        return BallIntersection(_spec_from_dict(_get(doc, "inner", _SPEC),
+                                                level + 1),
                                 _complexes(doc, "center"),
                                 _get(doc, "radius", _NUMBER))
     raise ValueError(f"unknown SetSpec kind tag {kind!r}")

@@ -11,8 +11,11 @@ encode byte for byte, so this module stays the one place that knows the
 canonical format.  CSV takes columns, not
 rows: a column of exact Python floats is formatted in one pass, a column of
 ``str`` is written as is, and any other column goes cell by cell through
-``format_float``/``str``.  Writes (``Cache`` entries too) go through a temp
-file plus rename so concurrent writers never expose partial content.
+``format_float``/``str``; a large CSV can be handed over as blocks of
+columns, which are made and written one at a time.  Writes (``Cache``
+entries too) go through a temp file plus rename so concurrent writers
+never expose partial content; the atomic writer takes its text as one str
+or as blocks written in order.
 """
 
 from __future__ import annotations
@@ -75,13 +78,22 @@ def canonical_json(obj, texts=None):
 
 
 def atomic_write_text(path, text):
-    """Write text atomically (temp file in the same directory, then rename)."""
+    """Write text atomically (temp file in the same directory, then rename).
+
+    ``text`` is a str or an iterable of str blocks, written in order.  The
+    first block is taken before the directory or the temp file is made, so
+    an error there leaves neither; an error in a later one removes the temp
+    file, and ``path`` is left as it was.
+    """
+    blocks = iter((text,) if isinstance(text, str) else text)
+    first = next(blocks, "")
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.write(first)
+            f.writelines(blocks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -90,7 +102,7 @@ def atomic_write_text(path, text):
 
 def write_json(path, obj, texts=None):
     """``canonical_json(obj, texts)`` and a newline, written atomically."""
-    atomic_write_text(path, canonical_json(obj, texts) + "\n")
+    atomic_write_text(path, (canonical_json(obj, texts), "\n"))
 
 
 class Cache:
@@ -141,7 +153,20 @@ def _column_text(col):
             else str(v) for v in col]
 
 
-def write_csv(path, header, columns):
+def _csv_blocks(header, blocks):
+    """The text of a CSV file, one block of rows at a time; the header line
+    comes with the first block."""
+    lines = [",".join(header)]
+    for columns in blocks:
+        lines += map(",".join, zip(*map(_column_text, columns), strict=True))
+        if lines:
+            yield "\n".join(lines) + "\n"
+            lines = []
+    if lines:                                   # no block at all
+        yield lines[0] + "\n"
+
+
+def write_csv(path, header, columns=None, *, blocks=None):
     """CSV with ',' separator, '.' decimal, mandatory header row.
 
     ``columns`` is a sequence of columns, each a sequence (a list, not an
@@ -150,10 +175,16 @@ def write_csv(path, header, columns):
     column a float is its repr, an int, bool or numpy scalar goes through
     ``format_float`` and anything else through ``str``.  Columns of unequal
     length raise ValueError before the file is created.
+
+    ``blocks``, given in place of ``columns``, is an iterable of such
+    column sequences, whose rows follow one another in the file.  Each
+    block is taken from it only when the one before is written, so a
+    generator can make the rows of a large file a block at a time.  An
+    error while a later block is made or written leaves no file at
+    ``path`` and no temp file.
     """
-    rows = map(",".join, zip(*map(_column_text, columns), strict=True))
-    text = "\n".join([",".join(header), *rows]) + "\n"
-    atomic_write_text(path, text)
+    atomic_write_text(path, _csv_blocks(
+        header, [columns] if blocks is None else blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import pllab
 from pllab.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_SCHEMA, MAX_BASIS_CLOUD,
                        Cache, ManifestError, cached_fekete, main,
                        manifest_hash, validate_manifest)
-from pllab.extremal import SandwichEvaluator
+from pllab.extremal import BLOCK_ROWS, SandwichEvaluator
 from pllab.fekete import solve_fekete
 from pllab.regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                               scan_cloud_target)
-from pllab.geometry import exact_extremal, sample, spec_from_dict
+from pllab.geometry import (MAX_NESTING, exact_extremal, sample,
+                            spec_from_dict)
 from pllab.serialize import canonical_json
 from test_serialize import canonical_json_reference
 
@@ -457,6 +458,59 @@ def test_extremal_non_finite_bound_exits_numerical(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# extremal in row blocks: a partial last block, same bytes, clean failures
+# ---------------------------------------------------------------------------
+
+def _block_points(dim, all_float):
+    """2 * BLOCK_ROWS + 17 exterior points as manifest leaves; without
+    all_float every third point has int leaves."""
+    rng = np.random.default_rng(7)
+    count = 2 * BLOCK_ROWS + 17
+    xy = rng.uniform(1.0, 2.0, (count, dim, 2)) * rng.choice([-1, 1],
+                                                             (count, dim, 2))
+    points = xy.tolist()
+    if not all_float:
+        for p in points[::3]:
+            p[0] = [int(round(3 * v)) for v in p[0]]
+    return points
+
+
+@pytest.mark.parametrize("spec, all_float", [(BALL2, True), (DISC, False)])
+def test_extremal_blocks_match_reference(tmp_path, spec, all_float):
+    points = _block_points(len(spec["center"]), all_float)
+    man = {"command": "extremal", "spec": spec, "degree": 4,
+           "points": points, "cloud_target": 401, "seed": 3}
+    out = str(tmp_path / "o")
+    assert main(["--manifest", _write_manifest(tmp_path, man),
+                 "--out", out, "--no-cache"]) == EXIT_OK
+    with pllab.cli._one_blas_thread():
+        reference = _extremal_reference(man)
+    for name, text in reference.items():
+        with open(os.path.join(out, name), encoding="utf-8") as f:
+            assert f.read() == text, name
+
+
+def test_extremal_nan_in_last_block_leaves_no_outputs(tmp_path, monkeypatch):
+    bounds, calls = SandwichEvaluator.bounds, []
+
+    def nan_in_last_block(self, points):
+        lower, upper = bounds(self, points)
+        calls.append(len(points))
+        if len(points) < BLOCK_ROWS:
+            upper[-1] = np.nan
+        return lower, upper
+
+    monkeypatch.setattr(SandwichEvaluator, "bounds", nan_in_last_block)
+    man = {"command": "extremal", "spec": DISC, "degree": 4,
+           "points": _block_points(1, True), "cloud_target": 401}
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man),
+                 "--out", str(out), "--no-cache"]) == EXIT_NUMERICAL
+    assert calls == [BLOCK_ROWS, BLOCK_ROWS, 17]
+    assert os.listdir(out) == []
+
+
+# ---------------------------------------------------------------------------
 # cache soundness and the N*M cap
 # ---------------------------------------------------------------------------
 
@@ -799,13 +853,14 @@ def test_scan_one_radius_kept_exits_ok(tmp_path):
     assert (out / "hcp_scan.csv").read_text().count("\n") == 2
 
 
-def test_extremal_overflowing_point_exits_numerical(tmp_path):
+def test_extremal_overflowing_point_exits_numerical(tmp_path, capsys):
     man = {"command": "extremal", "spec": INTERVAL, "degree": 16,
            "points": [[[1e25, 0.0]]]}
     out = tmp_path / "o"
     assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
                  str(out), "--no-cache"]) == EXIT_NUMERICAL
     assert not (out / "extremal.csv").exists()
+    assert "not finite at query point 0:" in capsys.readouterr().err
 
 
 def test_extremal_large_point_brackets_exact(tmp_path):
@@ -1008,6 +1063,51 @@ def test_bad_spec_leaf_exits_schema(tmp_path, capsys, sample_fails, spec):
     assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
                  str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
     assert "field 'spec'" in capsys.readouterr().err
+
+
+def _nested_interval(levels):
+    """Interval(-1, 1) inside levels trivial BallIntersection levels."""
+    spec = INTERVAL
+    for _ in range(levels):
+        spec = {"kind": "BallIntersection", "inner": spec,
+                "center": [[0.0, 0.0]], "radius": 2.0}
+    return spec
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, 20, 600])
+def test_deeply_nested_spec_exits_schema_before_sampling(
+        tmp_path, capsys, sample_fails, levels):
+    # 20 levels used to sample past 1.7 GB; 600 hit the recursion limit
+    man = {"command": "fekete", "spec": _nested_interval(levels),
+           "degrees": [2], "cloud_target": 50}
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_SCHEMA
+    assert "field 'spec' is invalid: set specs nest" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["set", "disc"])
+def test_deeply_nested_relative_spec_names_its_field(tmp_path, capsys,
+                                                      sample_fails, field):
+    nested = {"kind": "AffineImage", "inner": DISC, "matrix": [[1.0, 0.0]],
+              "shift": [[0.0, 0.0]]}
+    for _ in range(MAX_NESTING):
+        nested = {"kind": "Union", "parts": [nested]}
+    man = dict({"command": "relative",
+                "set": {"kind": "ComplexBall", "center": [[0.0, 0.0]],
+                        "radius": 0.5}, "disc": DISC}, **{field: nested})
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert f"field '{field}' is invalid: set specs nest" in \
+        capsys.readouterr().err
+
+
+def test_spec_nested_to_the_cap_runs(tmp_path):
+    man = {"command": "fekete", "spec": _nested_interval(MAX_NESTING),
+           "degrees": [2], "cloud_target": 50}
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(tmp_path / "o"), "--no-cache"]) == EXIT_OK
 
 
 SEEDED_MANIFESTS = dict(SOLVE_MANIFESTS, disc={

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pllab.basis import BasisSpec
-from pllab.extremal import (PolyMap, ProjectiveEvaluator, SandwichEvaluator,
-                            composition_gap, projective_extremal,
-                            relative_extremal_1c, sandwich)
+from pllab.cli import _one_blas_thread
+from pllab.extremal import (BLOCK_ROWS, PolyMap, ProjectiveEvaluator,
+                            SandwichEvaluator, composition_gap,
+                            projective_extremal, relative_extremal_1c,
+                            sandwich)
 from pllab.fekete import FubiniStudyWeight, ZeroWeight, solve_fekete
 from pllab.geometry import (ComplexBall, Interval, Union, contains,
                             exact_extremal, sample)
@@ -150,6 +153,74 @@ def test_projective_evaluator_batch():
     assert up.tobytes() == (uw - rho).tobytes()
     single = projective_extremal(cfg, cloud, 1.5)
     assert lo[0] == pytest.approx(single.lower, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bounds in row blocks; each test pins one BLAS thread, as the CLI does
+# ---------------------------------------------------------------------------
+
+def _exterior(count, dim, seed=0):
+    """count points of C^dim with norm in [1.2, 3]."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return z * (rng.uniform(1.2, 3.0, count)
+                / np.linalg.norm(z, axis=1))[:, None]
+
+
+@pytest.fixture(scope="module")
+def block_evaluators():
+    """The unweighted, Fubini-Study and projective evaluators on a disc."""
+    with _one_blas_thread():
+        cloud = sample(ComplexBall((0.0,), 1.0), 801, seed=0)
+        plain = solve_fekete(cloud, BasisSpec(1, 8))
+        fs = solve_fekete(cloud, BasisSpec(1, 8), FubiniStudyWeight())
+        return {"unweighted": SandwichEvaluator(plain, cloud),
+                "fubini-study": SandwichEvaluator(fs, cloud),
+                "projective": ProjectiveEvaluator(fs, cloud)}
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "fubini-study",
+                                  "projective"])
+@pytest.mark.parametrize("k", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 17])
+def test_bounds_in_blocks_match_one_pass(block_evaluators, kind, k):
+    ev = block_evaluators[kind]
+    z = _exterior(k, 1)
+    with _one_blas_thread():
+        lower, upper = ev.bounds(z)
+        # all rows in one block, as bounds took them before it had blocks
+        whole = ev._block_bounds(z, 0)
+        parts = [ev.bounds(z[s:s + BLOCK_ROWS])
+                 for s in range(0, k, BLOCK_ROWS)]
+    for got, one, blocks in zip((lower, upper), whole, zip(*parts)):
+        assert got.tobytes() == one.tobytes()
+        assert got.tobytes() == np.concatenate(blocks).tobytes()
+
+
+def test_bounds_overflow_names_the_first_far_point():
+    cloud = sample(Interval(-1.0, 1.0), 401, seed=0)
+    ev = SandwichEvaluator(solve_fekete(cloud, BasisSpec(1, 16)), cloud)
+    z = np.full((2 * BLOCK_ROWS + 17, 1), 2.0 + 0j)
+    z[[BLOCK_ROWS + 3, BLOCK_ROWS + 9, 2 * BLOCK_ROWS + 1]] = 1e25
+    with pytest.raises(ValueError, match=f"query point {BLOCK_ROWS + 3}:"):
+        ev.bounds(z)
+
+
+def test_bounds_memory_is_one_block_not_all_points():
+    # C^2 ball at d=12: N = 91; 20 000 points in one block peaked at 70 MB
+    with _one_blas_thread():
+        cloud = sample(ComplexBall((0.0, 0.0), 1.0), 400, seed=0)
+        ev = SandwichEvaluator(solve_fekete(cloud, BasisSpec(2, 12)), cloud)
+        z = _exterior(20000, 2)
+        tracemalloc.start()
+        try:
+            ev.bounds(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a few complex BLOCK_ROWS x N temporaries, plus the two outputs
+    assert peak < 4 * 16 * BLOCK_ROWS * ev.N + 16 * len(z)
+    assert peak < 16 * len(z) * ev.N
 
 
 # ---------------------------------------------------------------------------

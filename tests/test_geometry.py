@@ -626,6 +626,43 @@ def test_spec_from_dict_names_bad_leaf(doc, key):
         spec_from_dict(doc)
 
 
+def _nested_doc(levels, kinds=("BallIntersection", "AffineImage", "Union")):
+    """An Interval inside levels composite specs, cycling through kinds;
+    every level leaves the set as it is."""
+    doc = {"kind": "Interval", "a": -1.0, "b": 1.0}
+    for k in range(levels):
+        kind = kinds[k % len(kinds)]
+        doc = ({"kind": kind, "inner": doc, "center": [[0.0, 0.0]],
+                "radius": 2.0} if kind == "BallIntersection"
+               else {"kind": kind, "inner": doc, "matrix": [[1.0, 0.0]],
+                     "shift": [[0.0, 0.0]]} if kind == "AffineImage"
+               else {"kind": kind, "parts": [doc]})
+    return doc
+
+
+def test_spec_from_dict_nests_up_to_the_cap():
+    spec = spec_from_dict(_nested_doc(geometry.MAX_NESTING))
+    for _ in range(geometry.MAX_NESTING):
+        spec = spec.parts[0] if isinstance(spec, Union) else spec.inner
+    assert spec == Interval(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("levels", [geometry.MAX_NESTING + 1, 600])
+def test_spec_from_dict_rejects_deeper_nesting(levels):
+    with pytest.raises(ValueError, match="nest more than"):
+        spec_from_dict(_nested_doc(levels))
+
+
+def test_nested_ballcap_requests_obey_the_sample_guard():
+    # each level asks its inner set for twice its count: the seventh
+    # inner request, 1.28e7 points, is refused before anything is drawn
+    spec = Interval(-1.0, 1.0)
+    for _ in range(7):
+        spec = BallIntersection(spec, (0.0,), 2.0)
+    with pytest.raises(ValueError, match="inner set, over the resource"):
+        sample(spec, 10 ** 5)
+
+
 def test_spec_from_dict_keeps_int_leaves():
     # ints stay ints, so the cache key of a spec document is unchanged
     assert spec_from_dict({"kind": "Interval", "a": -1, "b": 1}).a == -1

@@ -405,6 +405,69 @@ def test_write_csv_unequal_columns_raise_before_writing(tmp_path, columns):
 
 
 # ---------------------------------------------------------------------------
+# write_csv in blocks, and the atomic writer's text blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", list(CSV_COLUMN_CASES))
+@pytest.mark.parametrize("cuts", [[], [0], [1], [1, 1, 3], [0, 2, 100]])
+def test_write_csv_blocks_match_one_block(tmp_path, case, cuts):
+    columns = CSV_COLUMN_CASES[case]
+    header = [f"c{k}" for k in range(len(columns))]
+    n = len(columns[0])
+    edges = [0] + [min(c, n) for c in cuts] + [n]
+    blocks = [[c[a:b] for c in columns] for a, b in zip(edges, edges[1:])]
+    one, split = tmp_path / "one.csv", tmp_path / "split.csv"
+    write_csv(str(one), header, columns)
+    write_csv(str(split), header, blocks=iter(blocks))
+    assert split.read_bytes() == one.read_bytes()
+
+
+def test_write_csv_no_blocks_is_header_line(tmp_path):
+    p = tmp_path / "c.csv"
+    write_csv(str(p), ["a", "b"], blocks=iter([]))
+    assert p.read_bytes() == b"a,b\n"
+
+
+def test_write_csv_takes_the_blocks_one_at_a_time(tmp_path):
+    p = tmp_path / "c.csv"
+    temp_file_open = []
+
+    def blocks():
+        for k in range(3):
+            temp_file_open.append(any(f.endswith(".tmp")
+                                      for f in os.listdir(tmp_path)))
+            yield [[float(k)], [str(k)]]
+
+    write_csv(str(p), ["x", "s"], blocks=blocks())
+    assert p.read_text() == "x,s\n0.0,0\n1.0,1\n2.0,2\n"
+    # the first block is made before the temp file, the others while the
+    # temp file is open
+    assert temp_file_open == [False, True, True]
+
+
+def test_write_csv_error_in_a_later_block_leaves_no_file(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("old\n")
+
+    def blocks():
+        yield [[0.5], [1.5]]
+        raise ValueError("bad block")
+
+    with pytest.raises(ValueError, match="bad block"):
+        write_csv(str(p), ["a", "b"], blocks=blocks())
+    assert os.listdir(tmp_path) == ["c.csv"]
+    assert p.read_text() == "old\n"
+
+
+def test_atomic_write_text_blocks_in_order(tmp_path):
+    p = tmp_path / "sub" / "t.txt"
+    atomic_write_text(str(p), iter(["a", "", "bc", "\n"]))
+    assert p.read_text() == "abc\n"
+    atomic_write_text(str(p), ())
+    assert p.read_text() == ""
+
+
+# ---------------------------------------------------------------------------
 # canonical_json with spliced top-level texts against the plain encode
 # ---------------------------------------------------------------------------
 

@@ -7,19 +7,20 @@ manifests are those of the three workloads in ``perfbench/workloads.py`` of
 this checkout, drawn at the given seed: every solve-cold variant, replay-warm
 and relative-field.  To them are added the fixed ``UNTRUSTED`` manifests,
 whose Fekete refinements take the full-solve branch that no benchmark
-manifest reaches, and the ``SEED_PAIR``, two manifests that draw the same
-cloud at different seeds.  Each tree runs every manifest through
-``pllab.cli.main`` four times, at one BLAS thread: once with ``--no-cache``,
-twice on a fresh cache of its own (a miss, then a hit), and once on a cache
-shared by its group (``shared``).  A group is one workload variant, the
-``UNTRUSTED`` manifests or the ``SEED_PAIR``; its manifests run in order, as
-a benchmark pass does, so a shared run may replay a solve of an earlier
-manifest.  The sha256 of every output file and the exit code of every run
-are compared between the trees, and inside each tree every cached run is
-compared with the ``--no-cache`` run of the same manifest.  Prints each
-difference and each tree's count of cross-manifest cache hits (hits of a
-shared run beyond those of its miss run), and exits 1 if there is any
-difference, else 0.
+manifest reaches, the ``SEED_PAIR``, two manifests that draw the same cloud
+at different seeds, and two extremal manifests whose query points end in a
+partial row block, one of them with int leaves.  Each tree runs every
+manifest through ``pllab.cli.main`` four times, at one BLAS thread: once
+with ``--no-cache``, twice on a fresh cache of its own (a miss, then a hit),
+and once on a cache shared by its group (``shared``).  A group is one
+workload variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR`` or the
+extremal block manifests; its manifests run in order, as a benchmark pass
+does, so a shared run may replay a solve of an earlier manifest.  The
+sha256 of every output file and the exit code of every run are compared
+between the trees, and inside each tree every cached run is compared with
+the ``--no-cache`` run of the same manifest.  Prints each difference and
+each tree's count of cross-manifest cache hits (hits of a shared run beyond
+those of its miss run), and exits 1 if there is any difference, else 0.
 
 Each tree runs in its own Python process (the two at once), which imports
 pllab from that tree only.
@@ -35,6 +36,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
@@ -57,6 +60,28 @@ SEED_PAIR = [
      {"command": "fekete", "degrees": [4, 8], "seed": seed,
       "spec": {"kind": "Interval", "a": -1.0, "b": 1.0}})
     for seed in (1, 2)]
+# Extremal manifests of 2 * 2048 + 17 points: two full row blocks of
+# extremal.BLOCK_ROWS and a partial last one.  The C^2 ball's leaves are
+# all floats, so its manifest.json splices the points text the run formats;
+# the disc's points include int leaves, so its manifest.json is the plain
+# encode of the manifest.
+BLOCK_POINTS = 2 * 2048 + 17
+
+
+def _extremal_blocks(workloads):
+    """The BLOCK_POINTS extremal manifests, drawn at a fixed seed."""
+    rng = np.random.default_rng(20)
+    ball = workloads.exterior_points(rng, BLOCK_POINTS, 2)
+    disc = workloads.exterior_points(rng, BLOCK_POINTS, 1)
+    for p in disc[::3]:
+        p[0][0] = round(4 * p[0][0])
+    return [
+        ("extremal-ball2-d6-blocks",
+         {"command": "extremal", "spec": workloads.BALL2, "degree": 6,
+          "points": ball, "cloud_target": 1000, "seed": 3}),
+        ("extremal-disc-d12-int-leaves",
+         {"command": "extremal", "spec": workloads.DISC, "degree": 12,
+          "points": disc, "seed": 4})]
 
 
 def _src(tree):
@@ -69,7 +94,8 @@ def _src(tree):
 
 def _manifests(seed):
     """(group, label, manifest) for every manifest of the three workloads,
-    one group per variant, then the UNTRUSTED and SEED_PAIR ones."""
+    one group per variant, then the UNTRUSTED, SEED_PAIR and extremal
+    block ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -80,7 +106,9 @@ def _manifests(seed):
         for v, cases in enumerate(draw(seed)):
             out += [(f"{workload}/{v}", label, man) for label, man in cases]
     return (out + [("untrusted", *case) for case in UNTRUSTED]
-            + [("seed-pair", *case) for case in SEED_PAIR])
+            + [("seed-pair", *case) for case in SEED_PAIR]
+            + [("extremal-blocks", *case)
+               for case in _extremal_blocks(workloads)])
 
 
 def _digests(outdir):
