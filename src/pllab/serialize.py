@@ -160,8 +160,11 @@ def _csv_blocks(header, blocks):
     for columns in blocks:
         lines += map(",".join, zip(*map(_column_text, columns), strict=True))
         if lines:
-            yield "\n".join(lines) + "\n"
-            lines = []
+            # the "" ends the last row with a newline; the row strings are
+            # let go before the block's text is written
+            lines.append("")
+            text, lines = "\n".join(lines), []
+            yield text
     if lines:                                   # no block at all
         yield lines[0] + "\n"
 
