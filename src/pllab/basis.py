@@ -133,18 +133,6 @@ class OrthoBasis:
         V = vandermonde(scaled, self.basis)
         return V.T @ self.coeffs
 
-    def to_dict(self):
-        return {
-            "ordering": "graded-lex",
-            "n": self.basis.n,
-            "d": self.basis.d,
-            "center": [[z.real, z.imag] for z in self.center],
-            "scale": list(map(float, self.scale)),
-            "coeffs_re": self.coeffs.real.tolist(),
-            "coeffs_im": self.coeffs.imag.tolist(),
-            "condition": self.condition,
-        }
-
 
 # a cloud whose R factor has a diagonal ratio at or below this cannot
 # separate the basis

@@ -44,8 +44,8 @@ from .geometry import (_NUMBER, _NUMBERS, _PAIRS, ComplexBall, Interval,
 from .regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                          _check_delta_grid, capacity_density_from_supnorm,
                          hcp_scan, localization_experiment, scan_cloud_target)
-from .serialize import (Cache, atomic_write_text, canonical_json, write_csv,
-                        write_json)
+from .serialize import (Cache, atomic_write_text, canonical_json, float_texts,
+                        write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -308,9 +308,8 @@ def _run_extremal(args, outdir, cache):
                 raise ValueError("a sandwich bound is not finite")
             lower[rows], upper[rows] = lo, up
             # format each float once, for extremal.csv and the JSON files
-            coords = [list(map(float.__repr__, c))
-                      for c in block.reshape(len(block), -1).T.tolist()]
-            lo, up = (list(map(float.__repr__, b.tolist())) for b in (lo, up))
+            coords = [float_texts(c) for c in block.reshape(len(block), -1).T]
+            lo, up = float_texts(lo), float_texts(up)
             texts["lower"].append(",".join(lo))
             texts["upper"].append(",".join(up))
             if args.all_float:

@@ -175,10 +175,9 @@ class RelativeField:
     iterations: int
 
     def to_csv(self, path):
-        from .serialize import write_csv
+        from .serialize import float_texts, write_csv
         # format each coordinate once; write_csv writes a str column as is
-        re = list(map(repr, self.xs.tolist()))
-        im = list(map(repr, self.ys.tolist()))
+        re, im = float_texts(self.xs), float_texts(self.ys)
         write_csv(path, ["re", "im", "value"],
                   [re * len(im), [y for y in im for _ in re],
                    self.values.ravel().tolist()])

@@ -440,9 +440,14 @@ def sample(spec, target_count, seed=0):
     pts, h = _sample_dispatch(spec, target_count, seed)
     pts = _dedupe(pts)
 
-    # top up if dedupe/filtering undershot
+    # top up if dedupe/filtering undershot; each request is guarded before
+    # it allocates
     factor = 2
     while len(pts) < target_count and factor <= 64:
+        if target_count * factor > MAX_SAMPLE:
+            raise ValueError(f"sample would draw {target_count * factor} "
+                             "points to top up its cloud, over the resource "
+                             "guard of 1e7")
         pts2, h = _sample_dispatch(spec, target_count * factor, seed)
         pts = _dedupe(pts2)
         factor *= 2

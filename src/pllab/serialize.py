@@ -1,7 +1,10 @@
 """Deterministic output formats: canonical JSON, CSV, and SVG plot data.
 
 Every float is written as its shortest round-trip decimal text (Python's
-repr), so identical inputs produce byte-identical files.  Canonical JSON
+repr), so identical inputs produce byte-identical files.  ``float_texts``
+formats a whole float array that way in one orjson call, with the bytes of
+``float.__repr__``; the CSV writer and the extremal runner format through
+it.  Canonical JSON
 takes dicts with ``str`` keys only, and writes numpy arrays and scalars as
 the Python values their ``tolist``/``item`` return.  A caller that already
 holds the text of some top-level values (an extremal run formats each
@@ -9,7 +12,8 @@ float once, for its CSV and its JSON) hands that text to ``canonical_json``
 or ``write_json``, which splice it in as is; the result is the plain
 encode byte for byte, so this module stays the one place that knows the
 canonical format.  CSV takes columns, not
-rows: a column of exact Python floats is formatted in one pass, a column of
+rows: a column of exact Python floats is formatted by ``float_texts``, a
+column of
 ``str`` is written as is, and any other column goes cell by cell through
 ``format_float``/``str``; a large CSV can be handed over as blocks of
 columns, which are made and written one at a time.  Writes (``Cache``
@@ -26,6 +30,29 @@ import sys
 import tempfile
 
 import numpy as np
+import orjson
+
+
+def float_texts(values):
+    """``float.__repr__`` of every value of a float array (or a sequence of
+    floats), in C order, as a list of str.
+
+    orjson writes the same shortest round-trip digits as repr, in one call
+    for the whole array.  Its layout differs from repr's only where repr
+    writes an exponent (``1e-05``, ``1.5e+16``: orjson writes ``0.00001``
+    and ``1.5e16``), and it writes NaN and the infinities as ``null``; the
+    values with ``|a| < 1e-4`` or ``|a| >= 1e16``, zeros aside, are therefore
+    written by repr, and NaN and the infinities fall among them.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if not a.size:
+        return []
+    texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    texts = texts.decode().split(",")
+    mag = np.abs(a)
+    for i in np.flatnonzero((a != 0) & ~((1e-4 <= mag) & (mag < 1e16))):
+        texts[i] = repr(float(a[i]))
+    return texts
 
 
 def format_float(x):
@@ -67,7 +94,7 @@ def canonical_json(obj, texts=None):
     ``texts`` maps top-level keys of the dict ``obj`` to the text of their
     values, which is spliced in as is.  The caller vouches that each
     ``texts[k]`` equals ``canonical_json(obj[k])`` (a list of finite floats
-    is ``"[" + ",".join(map(float.__repr__, v)) + "]"``), so the result is
+    is ``"[" + ",".join(float_texts(v)) + "]"``), so the result is
     ``canonical_json(obj)`` byte for byte; every other key is encoded here.
     """
     if not texts:
@@ -144,7 +171,7 @@ def _column_text(col):
     """The cells of one CSV column as text."""
     kinds = set(map(type, col))
     if kinds <= {float}:
-        return map(float.__repr__, col)
+        return float_texts(col)
     if kinds <= {str}:
         return col
     # a numpy scalar must not reach repr (numpy 2 writes np.float64(0.1))
@@ -174,7 +201,7 @@ def write_csv(path, header, columns=None, *, blocks=None):
 
     ``columns`` is a sequence of columns, each a sequence (a list, not an
     iterator) of cells.  A column whose cells are all exactly ``float`` is
-    written with ``float.__repr__``, a column of ``str`` as is; in any other
+    written with ``float.__repr__``, through ``float_texts``, a column of ``str`` as is; in any other
     column a float is its repr, an int, bool or numpy scalar goes through
     ``format_float`` and anything else through ``str``.  Columns of unequal
     length raise ValueError before the file is created.

@@ -475,9 +475,19 @@ def _block_points(dim, all_float):
     return points
 
 
-@pytest.mark.parametrize("spec, all_float", [(BALL2, True), (DISC, False)])
+# float leaves that repr writes with an exponent or as -0.0; at d=4 the
+# point 1.00064 has a lower bound of about 3e-05
+EXPONENT_POINTS = [
+    [[1.5, 3e-05]], [[-2.0, -7.5e-06]], [[1.25, 1.25e-300]], [[-0.0, 1.5]],
+    [[2.5, -0.0]], [[1e-05, 2.0]], [[-2.5e16, 1.0]], [[1.02239, 0.0]],
+    [[1.00064, -0.0]], [[0.5, -7.5e-06]]]
+
+
+@pytest.mark.parametrize("spec, all_float", [(BALL2, True), (DISC, False),
+                                             (DISC, "exponents")])
 def test_extremal_blocks_match_reference(tmp_path, spec, all_float):
-    points = _block_points(len(spec["center"]), all_float)
+    points = (EXPONENT_POINTS if all_float == "exponents"
+              else _block_points(len(spec["center"]), all_float))
     man = {"command": "extremal", "spec": spec, "degree": 4,
            "points": points, "cloud_target": 401, "seed": 3}
     out = str(tmp_path / "o")

@@ -353,6 +353,24 @@ def test_sample_resource_guard():
         sample(Interval(-1, 1), 10 ** 7 + 1)
 
 
+def test_sample_top_up_requests_are_guarded(monkeypatch):
+    # three copies of one interval dedupe to a third of each request, so
+    # sample tops up at 2x and would ask for 4x next
+    spec = Union((Interval(-1, 1),) * 3)
+    dispatch, requests = geometry._sample_dispatch, []
+
+    def recording(s, count, seed):
+        if s is spec:
+            requests.append(count)
+        return dispatch(s, count, seed)
+
+    monkeypatch.setattr(geometry, "MAX_SAMPLE", 3000)
+    monkeypatch.setattr(geometry, "_sample_dispatch", recording)
+    with pytest.raises(ValueError, match="resource guard"):
+        sample(spec, 1000)
+    assert requests == [1000, 2000]
+
+
 def test_sample_no_duplicates():
     cloud = sample(ComplexBall((0.0,), 1.0), 500, seed=0)
     pts = np.round(np.column_stack([cloud.points.real, cloud.points.imag]), 12)

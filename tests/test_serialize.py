@@ -8,9 +8,8 @@ import pytest
 from pllab.extremal import RelativeField, relative_extremal_1c
 from pllab.geometry import ComplexBall
 from pllab.serialize import (_marching_segments, atomic_write_text,
-                             canonical_json,
-                             field_contour_svg, format_float, write_csv,
-                             write_json)
+                             canonical_json, field_contour_svg, float_texts,
+                             format_float, write_csv, write_json)
 
 
 def test_format_float_roundtrip():
@@ -20,6 +19,43 @@ def test_format_float_roundtrip():
     assert format_float(True) == "true"
     assert format_float(float("nan")) == "nan"
     assert format_float(float("inf")) == "inf"
+
+
+def _reprs(values):
+    return list(map(float.__repr__, np.asarray(values, float).ravel().tolist()))
+
+
+def test_float_texts_match_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(5).integers(0, 2 ** 64, 1 << 17,
+                                              dtype=np.uint64)
+    # half of them moved into [2**-14, 2**54), where orjson's own text is kept
+    exponent = np.uint64(1023 - 14) + bits % np.uint64(68)
+    inside = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+    values = np.where(np.arange(bits.size) % 2 == 0, bits, inside)
+    values = values.view(np.float64)
+    assert float_texts(values) == _reprs(values)
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308,
+               1e-4, float(np.nextafter(1e-4, 0)), -1e-4,
+               1e16, float(np.nextafter(1e16, 0)), -1e16, 1.5e16,
+               0.1, 1.0 / 3.0, 2.0, 1e15, 123456789012345.6,
+               float("nan"), float("inf"), float("-inf")]
+
+
+def test_float_texts_match_repr_on_edges():
+    assert float_texts(np.array(FLOAT_EDGES)) == _reprs(FLOAT_EDGES)
+    assert float_texts(FLOAT_EDGES) == list(map(float.__repr__, FLOAT_EDGES))
+
+
+def test_float_texts_empty_strided_and_list_inputs():
+    assert float_texts(np.array([])) == []
+    assert float_texts([]) == []
+    xy = np.random.default_rng(2).uniform(-2.0, 2.0, (50, 2, 2)) * 1e-3
+    for view in (xy[:, 0, 0], xy[::3, 1, 1], xy[:, 0, :].T):
+        assert float_texts(view) == _reprs(view)
+    assert float_texts([0.5, -3e-05, 7.0]) == ["0.5", "-3e-05", "7.0"]
 
 
 def test_canonical_json_sorted_and_stable():

@@ -1,14 +1,15 @@
 """Property tests of canonical_json's splice: for random str-keyed dicts and
 every set of their top-level keys, splicing the keys' texts gives the plain
 encode byte for byte, and the repr-joined text of a list of finite floats is
-its canonical text."""
+its canonical text; and float_texts gives the repr of every float, NaN and the
+infinities included."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from pllab.serialize import canonical_json  # noqa: E402
+from pllab.serialize import canonical_json, float_texts  # noqa: E402
 
 FLOATS = st.one_of(st.floats(), st.sampled_from(
     [-0.0, 5e-324, 1e16, 1e-5, 1.0 / 3.0, 1e300, -2.5e-308]))
@@ -37,3 +38,8 @@ def test_repr_joined_float_list_is_its_canonical_text(values, rest, key):
     text = "[" + ",".join(map(float.__repr__, values)) + "]"
     assert text == canonical_json(values)
     assert canonical_json(obj, {key: text}) == canonical_json(obj)
+
+
+@given(st.lists(FLOATS, max_size=40))
+def test_float_texts_are_repr(values):
+    assert float_texts(values) == list(map(float.__repr__, values))

@@ -8,13 +8,15 @@ this checkout, drawn at the given seed: every solve-cold variant, replay-warm
 and relative-field.  To them are added the fixed ``UNTRUSTED`` manifests,
 whose Fekete refinements take the full-solve branch that no benchmark
 manifest reaches, the ``SEED_PAIR``, two manifests that draw the same cloud
-at different seeds, and two extremal manifests whose query points end in a
-partial row block, one of them with int leaves.  Each tree runs every
+at different seeds, two extremal manifests whose query points end in a
+partial row block, one of them with int leaves, and the ``EXPONENTS``
+extremal manifest, whose float leaves and bounds repr writes with an
+exponent or as -0.0.  Each tree runs every
 manifest through ``pllab.cli.main`` four times, at one BLAS thread: once
 with ``--no-cache``, twice on a fresh cache of its own (a miss, then a hit),
 and once on a cache shared by its group (``shared``).  A group is one
-workload variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR`` or the
-extremal block manifests; its manifests run in order, as a benchmark pass
+workload variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR``, the
+extremal block manifests or ``EXPONENTS``; its manifests run in order, as a benchmark pass
 does, so a shared run may replay a solve of an earlier manifest.  The
 sha256 of every output file and the exit code of every run are compared
 between the trees, and inside each tree every cached run is compared with
@@ -66,6 +68,19 @@ SEED_PAIR = [
 # the disc's points include int leaves, so its manifest.json is the plain
 # encode of the manifest.
 BLOCK_POINTS = 2 * 2048 + 17
+# Leaves that repr writes with an exponent (3e-05, -7.5e-06, 1.25e-300,
+# -2.5e+16) or as -0.0, all floats, so extremal.csv, extremal.json and the
+# spliced manifest.json take every kind of text the float formatter
+# rewrites.  At d=12 the point 1.02239 has a lower bound of about 3e-05;
+# 1.00064 does at d=4.
+EXPONENT_POINTS = [
+    [[1.5, 3e-05]], [[-2.0, -7.5e-06]], [[1.25, 1.25e-300]], [[-0.0, 1.5]],
+    [[2.5, -0.0]], [[1e-05, 2.0]], [[-2.5e16, 1.0]], [[1.02239, 0.0]],
+    [[1.00064, -0.0]], [[0.5, -7.5e-06]]]
+EXPONENTS = ("extremal-disc-d12-exponents",
+             {"command": "extremal", "degree": 12, "points": EXPONENT_POINTS,
+              "seed": 4, "spec": {"kind": "ComplexBall",
+                                  "center": [[0.0, 0.0]], "radius": 1.0}})
 
 
 def _extremal_blocks(workloads):
@@ -94,8 +109,8 @@ def _src(tree):
 
 def _manifests(seed):
     """(group, label, manifest) for every manifest of the three workloads,
-    one group per variant, then the UNTRUSTED, SEED_PAIR and extremal
-    block ones."""
+    one group per variant, then the UNTRUSTED, SEED_PAIR, extremal block
+    and EXPONENTS ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -108,7 +123,8 @@ def _manifests(seed):
     return (out + [("untrusted", *case) for case in UNTRUSTED]
             + [("seed-pair", *case) for case in SEED_PAIR]
             + [("extremal-blocks", *case)
-               for case in _extremal_blocks(workloads)])
+               for case in _extremal_blocks(workloads)]
+            + [("exponents", *EXPONENTS)])
 
 
 def _digests(outdir):
