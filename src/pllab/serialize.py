@@ -4,22 +4,20 @@ Every float is written as its shortest round-trip decimal text (Python's
 repr), so identical inputs produce byte-identical files.  ``float_texts``
 formats a whole float array that way in one orjson call, with the bytes of
 ``float.__repr__``; the CSV writer and the extremal runner format through
-it.  Canonical JSON
-takes dicts with ``str`` keys only, and writes numpy arrays and scalars as
-the Python values their ``tolist``/``item`` return.  A caller that already
-holds the text of some top-level values (an extremal run formats each
-float once, for its CSV and its JSON) hands that text to ``canonical_json``
-or ``write_json``, which splice it in as is; the result is the plain
-encode byte for byte, so this module stays the one place that knows the
-canonical format.  CSV takes columns, not
-rows: a column of exact Python floats is formatted by ``float_texts``, a
-column of
-``str`` is written as is, and any other column goes cell by cell through
+it.  Canonical JSON takes dicts with ``str`` keys only, and writes numpy
+arrays and scalars as the Python values their ``tolist``/``item`` return.  A
+caller that already holds the text of some top-level values (an extremal
+run formats each float once, for its CSV and its JSON) hands that text to
+``canonical_json`` or ``write_json``, which splice it in as is; the result
+is the plain encode byte for byte, so this module stays the one place that
+knows the canonical format.  CSV takes columns, not rows: a column of exact
+Python floats is formatted by ``float_texts``, a column of ``str`` is
+written as is, and any other column goes cell by cell through
 ``format_float``/``str``; a large CSV can be handed over as blocks of
 columns, which are made and written one at a time.  Writes (``Cache``
-entries too) go through a temp file plus rename so concurrent writers
-never expose partial content; the atomic writer takes its text as one str
-or as blocks written in order.
+entries too) go through a temp file plus rename so concurrent writers never
+expose partial content; the atomic writer takes its text as one str or as
+blocks written in order.
 """
 
 from __future__ import annotations
@@ -201,10 +199,11 @@ def write_csv(path, header, columns=None, *, blocks=None):
 
     ``columns`` is a sequence of columns, each a sequence (a list, not an
     iterator) of cells.  A column whose cells are all exactly ``float`` is
-    written with ``float.__repr__``, through ``float_texts``, a column of ``str`` as is; in any other
-    column a float is its repr, an int, bool or numpy scalar goes through
-    ``format_float`` and anything else through ``str``.  Columns of unequal
-    length raise ValueError before the file is created.
+    written with ``float.__repr__`` (through ``float_texts``), a column of
+    ``str`` as is; in any other column a float is its repr, an int, bool or
+    numpy scalar goes through ``format_float`` and anything else through
+    ``str``.  Columns of unequal length raise ValueError before the file is
+    created.
 
     ``blocks``, given in place of ``columns``, is an iterable of such
     column sequences, whose rows follow one another in the file.  Each

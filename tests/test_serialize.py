@@ -28,7 +28,8 @@ def _reprs(values):
 def test_float_texts_match_repr_on_random_bit_patterns():
     bits = np.random.default_rng(5).integers(0, 2 ** 64, 1 << 17,
                                               dtype=np.uint64)
-    # half of them moved into [2**-14, 2**54), where orjson's own text is kept
+    # half of them moved into [2**-14, 2**54), around [1e-4, 1e16), where
+    # orjson's own text is kept
     exponent = np.uint64(1023 - 14) + bits % np.uint64(68)
     inside = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
     values = np.where(np.arange(bits.size) % 2 == 0, bits, inside)

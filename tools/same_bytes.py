@@ -11,13 +11,13 @@ manifest reaches, the ``SEED_PAIR``, two manifests that draw the same cloud
 at different seeds, two extremal manifests whose query points end in a
 partial row block, one of them with int leaves, and the ``EXPONENTS``
 extremal manifest, whose float leaves and bounds repr writes with an
-exponent or as -0.0.  Each tree runs every
-manifest through ``pllab.cli.main`` four times, at one BLAS thread: once
-with ``--no-cache``, twice on a fresh cache of its own (a miss, then a hit),
-and once on a cache shared by its group (``shared``).  A group is one
-workload variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR``, the
-extremal block manifests or ``EXPONENTS``; its manifests run in order, as a benchmark pass
-does, so a shared run may replay a solve of an earlier manifest.  The
+exponent or as -0.0.  Each tree runs every manifest through
+``pllab.cli.main`` four times, at one BLAS thread: once with
+``--no-cache``, twice on a fresh cache of its own (a miss, then a hit), and
+once on a cache shared by its group (``shared``).  A group is one workload
+variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR``, the extremal block
+manifests or ``EXPONENTS``; its manifests run in order, as a benchmark
+pass does, so a shared run may replay a solve of an earlier manifest.  The
 sha256 of every output file and the exit code of every run are compared
 between the trees, and inside each tree every cached run is compared with
 the ``--no-cache`` run of the same manifest.  Prints each difference and
