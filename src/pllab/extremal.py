@@ -180,7 +180,7 @@ class RelativeField:
         re, im = float_texts(self.xs), float_texts(self.ys)
         write_csv(path, ["re", "im", "value"],
                   [re * len(im), [y for y in im for _ in re],
-                   self.values.ravel().tolist()])
+                   float_texts(self.values)])
 
     def to_svg(self, path):
         from .serialize import field_contour_svg

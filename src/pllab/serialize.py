@@ -40,16 +40,28 @@ def float_texts(values):
     writes an exponent (``1e-05``, ``1.5e+16``: orjson writes ``0.00001``
     and ``1.5e16``), and it writes NaN and the infinities as ``null``; the
     values with ``|a| < 1e-4`` or ``|a| >= 1e16``, zeros aside, are therefore
-    written by repr, and NaN and the infinities fall among them.
+    written by repr, and NaN and the infinities fall among them.  When they
+    are more than half of the input, repr writes every value, which is then
+    cheaper than orjson plus the rewrite.
+
+    The rewrite window is orjson 3.8's float layout, which orjson does not
+    document; ``pyproject.toml`` pins that series, and the ``float_texts``
+    tests in ``tests/test_serialize.py`` and
+    ``tests/test_serialize_properties.py`` must pass before another orjson
+    is allowed.
     """
     a = np.ascontiguousarray(values, dtype=np.float64).ravel()
     if not a.size:
         return []
+    mag = np.abs(a)
+    redo = np.flatnonzero((a != 0) & ~((1e-4 <= mag) & (mag < 1e16)))
+    if 2 * redo.size > a.size:
+        # mostly repr's exponent range: repr alone is cheaper than both
+        return list(map(float.__repr__, a.tolist()))
     texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     texts = texts.decode().split(",")
-    mag = np.abs(a)
-    for i in np.flatnonzero((a != 0) & ~((1e-4 <= mag) & (mag < 1e16))):
-        texts[i] = repr(float(a[i]))
+    for i, t in zip(redo.tolist(), map(float.__repr__, a[redo].tolist())):
+        texts[i] = t
     return texts
 
 

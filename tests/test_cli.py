@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -475,18 +476,20 @@ def _block_points(dim, all_float):
     return points
 
 
-# float leaves that repr writes with an exponent or as -0.0; at d=4 the
-# point 1.00064 has a lower bound of about 3e-05
-EXPONENT_POINTS = [
-    [[1.5, 3e-05]], [[-2.0, -7.5e-06]], [[1.25, 1.25e-300]], [[-0.0, 1.5]],
-    [[2.5, -0.0]], [[1e-05, 2.0]], [[-2.5e16, 1.0]], [[1.02239, 0.0]],
-    [[1.00064, -0.0]], [[0.5, -7.5e-06]]]
+def _exponent_points():
+    """tools/same_bytes.py's EXPONENT_POINTS: float leaves that repr writes
+    with an exponent or as -0.0; one list serves both checks."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
+    spec = importlib.util.spec_from_file_location("same_bytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.EXPONENT_POINTS
 
 
 @pytest.mark.parametrize("spec, all_float", [(BALL2, True), (DISC, False),
                                              (DISC, "exponents")])
 def test_extremal_blocks_match_reference(tmp_path, spec, all_float):
-    points = (EXPONENT_POINTS if all_float == "exponents"
+    points = (_exponent_points() if all_float == "exponents"
               else _block_points(len(spec["center"]), all_float))
     man = {"command": "extremal", "spec": spec, "degree": 4,
            "points": points, "cloud_target": 401, "seed": 3}

@@ -3,6 +3,7 @@ import math
 import os
 
 import numpy as np
+import orjson
 import pytest
 
 from pllab.extremal import RelativeField, relative_extremal_1c
@@ -25,6 +26,17 @@ def _reprs(values):
     return list(map(float.__repr__, np.asarray(values, float).ravel().tolist()))
 
 
+def _assert_repr_on_both_paths(values):
+    """float_texts is repr on values padded to a third of the input by
+    values orjson's text is kept for (orjson plus rewrite), and padded to a
+    third by values repr rewrites (repr alone)."""
+    values = np.asarray(values, float).ravel()
+    n = 2 * values.size + 1
+    for pad in (np.linspace(1.0, 2.0, n), np.full(n, 1e-300)):
+        padded = np.concatenate([values, pad])
+        assert float_texts(padded) == _reprs(padded)
+
+
 def test_float_texts_match_repr_on_random_bit_patterns():
     bits = np.random.default_rng(5).integers(0, 2 ** 64, 1 << 17,
                                               dtype=np.uint64)
@@ -33,8 +45,7 @@ def test_float_texts_match_repr_on_random_bit_patterns():
     exponent = np.uint64(1023 - 14) + bits % np.uint64(68)
     inside = (bits & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
     values = np.where(np.arange(bits.size) % 2 == 0, bits, inside)
-    values = values.view(np.float64)
-    assert float_texts(values) == _reprs(values)
+    _assert_repr_on_both_paths(values.view(np.float64))
 
 
 FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -46,8 +57,27 @@ FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 
 def test_float_texts_match_repr_on_edges():
-    assert float_texts(np.array(FLOAT_EDGES)) == _reprs(FLOAT_EDGES)
+    _assert_repr_on_both_paths(FLOAT_EDGES)
+    for x in FLOAT_EDGES:
+        _assert_repr_on_both_paths([x])
     assert float_texts(FLOAT_EDGES) == list(map(float.__repr__, FLOAT_EDGES))
+
+
+@pytest.mark.parametrize("share, orjson_calls", [(0.0, 1), (0.5, 1), (0.51, 0),
+                                                 (1.0, 0)])
+def test_float_texts_leaves_mostly_exponent_input_to_repr(monkeypatch, share,
+                                                           orjson_calls):
+    """Up to half of the values in repr's exponent range, orjson formats
+    the array and repr rewrites them; beyond half, repr formats it all."""
+    calls, dumps = [], orjson.dumps
+    monkeypatch.setattr(orjson, "dumps",
+                        lambda *a, **k: calls.append(1) or dumps(*a, **k))
+    rng = np.random.default_rng(4)
+    values = rng.uniform(0.1, 10.0, 1000)
+    small = round(share * values.size)
+    values[:small] = rng.uniform(1e-9, 1e-5, small)
+    assert float_texts(values) == _reprs(values)
+    assert len(calls) == orjson_calls
 
 
 def test_float_texts_empty_strided_and_list_inputs():

@@ -42,4 +42,8 @@ def test_repr_joined_float_list_is_its_canonical_text(values, rest, key):
 
 @given(st.lists(FLOATS, max_size=40))
 def test_float_texts_are_repr(values):
-    assert float_texts(values) == list(map(float.__repr__, values))
+    # padded to a third by a value orjson's text is kept for, then by one
+    # repr rewrites, so the values take both of float_texts's paths
+    for pad in (1.5, 1e-300):
+        padded = values + [pad] * (2 * len(values) + 1)
+        assert float_texts(padded) == list(map(float.__repr__, padded))

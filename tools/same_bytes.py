@@ -72,7 +72,8 @@ BLOCK_POINTS = 2 * 2048 + 17
 # -2.5e+16) or as -0.0, all floats, so extremal.csv, extremal.json and the
 # spliced manifest.json take every kind of text the float formatter
 # rewrites.  At d=12 the point 1.02239 has a lower bound of about 3e-05;
-# 1.00064 does at d=4.
+# 1.00064 does at d=4.  tests/test_cli.py reads this list too, for
+# test_extremal_blocks_match_reference at d=4.
 EXPONENT_POINTS = [
     [[1.5, 3e-05]], [[-2.0, -7.5e-06]], [[1.25, 1.25e-300]], [[-0.0, 1.5]],
     [[2.5, -0.0]], [[1e-05, 2.0]], [[-2.5e16, 1.0]], [[1.02239, 0.0]],
