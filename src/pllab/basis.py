@@ -124,7 +124,6 @@ class OrthoBasis:
     scale: np.ndarray          # (n,) real
     coeffs: np.ndarray         # (N, N): q_k = sum_i coeffs[i, k] * e'_i
     condition: float
-    cloud_size: int
 
     def evaluate(self, points):
         """Values q_k(x_j): array of shape (len(points), N)."""
@@ -162,5 +161,4 @@ def orthonormal_basis(cloud, basis):
         raise ValueError(f"cloud size {M} < 2 N = {2 * N}")
     coeffs = np.linalg.inv(R)                         # triangular
     return OrthoBasis(basis=basis, center=c, scale=s, coeffs=coeffs,
-                      condition=float(np.max(diag) / np.min(diag)),
-                      cloud_size=M)
+                      condition=float(np.max(diag) / np.min(diag)))

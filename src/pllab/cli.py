@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 # A process loads only what its command uses: numpy and scipy.linalg, which
 # every solve needs, at module level; every other scipy subpackage (special,
-# optimize, spatial, sparse) inside the one function that calls it.
+# optimize, sparse) inside the one function that calls it.
 import numpy as np
 import scipy
 

@@ -1,5 +1,5 @@
-"""Equilibrium-measure pairings, Holder norms of test functions, and the
-Fekete-measure convergence-rate experiment.
+"""Equilibrium-measure pairings and the Fekete-measure convergence-rate
+experiment.
 
 Closed-form equilibrium measures (arcsine on an interval, uniform on a circle)
 are classical potential theory and serve as external oracles for the rate law
@@ -15,8 +15,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .fekete import fekete_measure, solve_fekete
-from .geometry import (AffineImage, ComplexBall, DegenerateSetError, Interval,
-                       SampleCloud, sample)
+from .geometry import AffineImage, ComplexBall, Interval, SampleCloud, sample
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +75,8 @@ class Polynomial:
 
 
 class TabulatedLipschitz:
-    """Real test function given by values on a uniform real grid; evaluation is
-    piecewise-linear interpolation."""
+    """Real test function given by values on a strictly increasing real
+    grid; evaluation is piecewise-linear interpolation."""
 
     kind = "tabulated"
 
@@ -86,6 +85,9 @@ class TabulatedLipschitz:
         self.values = np.asarray(values, dtype=float)
         if self.grid.ndim != 1 or len(self.grid) != len(self.values):
             raise ValueError("grid and values must be 1-d arrays of equal length")
+        # np.interp reads a grid out of order without complaint
+        if not (np.diff(self.grid) > 0).all():
+            raise ValueError("grid must be strictly increasing")
 
     def __call__(self, z):
         x = np.asarray(z, dtype=complex)
@@ -125,59 +127,6 @@ def equilibrium_pairing(measure, v):
 
 
 # ---------------------------------------------------------------------------
-# Holder norms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HolderNorm:
-    value: float
-    sup_part: float
-    seminorm: float
-    alpha: float
-    divergent: bool
-    refinement_gap: float       # relative change from the half-resolution grid
-
-
-def _holder_on_grid(v, xs, alpha):
-    vals = np.asarray(v(xs.astype(complex)), dtype=float)
-    sup = float(np.max(np.abs(vals)))
-    semi = 0.0
-    for i in range(len(xs)):
-        dx = np.abs(xs[i + 1:] - xs[i])
-        dv = np.abs(vals[i + 1:] - vals[i])
-        if len(dx):
-            semi = max(semi, float(np.max(dv / dx ** alpha)))
-    return sup, semi
-
-
-# a seminorm that grows by more than this factor from the half grid to the
-# full grid is flagged divergent
-DIVERGENCE_FACTOR = 1.3
-
-
-def holder_norm(v, alpha, box, grid_n=256):
-    """Discrete C^alpha norm sup|v| + sup |v(x)-v(y)| / |x-y|^alpha on a real
-    interval box = (lo, hi); a seminorm still growing by more than 30% under
-    grid refinement is flagged divergent (a true C^alpha violation grows by at
-    least sqrt(2) per grid doubling)."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if grid_n < 128:
-        raise ValueError("grid_n must be >= 128")
-    lo, hi = box
-    xs_half = np.linspace(lo, hi, grid_n // 2)
-    xs_full = np.linspace(lo, hi, grid_n)
-    sup_h, semi_h = _holder_on_grid(v, xs_half, alpha)
-    sup_f, semi_f = _holder_on_grid(v, xs_full, alpha)
-    norm_h = sup_h + semi_h
-    norm_f = sup_f + semi_f
-    gap = abs(norm_f - norm_h) / max(norm_h, 1e-300)
-    divergent = semi_h > 0 and semi_f > DIVERGENCE_FACTOR * semi_h
-    return HolderNorm(value=norm_f, sup_part=sup_f, seminorm=semi_f,
-                      alpha=alpha, divergent=divergent, refinement_gap=gap)
-
-
-# ---------------------------------------------------------------------------
 # rate experiment
 # ---------------------------------------------------------------------------
 
@@ -199,13 +148,6 @@ class RateFit:
                 "alpha_prime": self.alpha_prime, "monotone": self.monotone}
 
 
-def chained_holder_exponent(mu, q):
-    """Weighted-regularity exponent chain mu' = mu^2 / (mu + 2 + q)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return mu * mu / (mu + 2.0 + q)
-
-
 def _interval_cloud(spec, d, target, seed):
     """Interval cloud enriched with the degree-d Gauss-Lobatto nodes so the
     discrete Fekete optimum coincides with the continuum one."""
@@ -223,7 +165,7 @@ def _interval_cloud(spec, d, target, seed):
     pts = np.vstack([base.points, extra])
     order = np.argsort(pts[:, 0].real, kind="stable")
     return SampleCloud(points=pts[order], seed=seed,
-                       density_parameter=base.density_parameter, spec=spec)
+                       density_parameter=base.density_parameter)
 
 
 def _circle_cloud(spec, d, target, seed):
@@ -234,8 +176,8 @@ def _circle_cloud(spec, d, target, seed):
     m = ((max(target, 4 * (d + 1)) // (d + 1)) + 1) * (d + 1)
     ang = 2 * math.pi * np.arange(m) / m
     pts = (c + r * np.exp(1j * ang))[:, None]
-    return SampleCloud(points=pts, seed=seed, density_parameter=2 * math.pi * r / m,
-                       spec=spec)
+    return SampleCloud(points=pts, seed=seed,
+                       density_parameter=2 * math.pi * r / m)
 
 
 def _rate_cloud(spec, d, target, seed):
@@ -247,7 +189,7 @@ def _rate_cloud(spec, d, target, seed):
         inner = _interval_cloud(spec.inner, d, target, seed)
         pts = inner.points @ spec.A.T + spec.b[None, :]
         return SampleCloud(points=pts, seed=seed,
-                           density_parameter=inner.density_parameter, spec=spec)
+                           density_parameter=inner.density_parameter)
     return sample(spec, target, seed=seed)
 
 

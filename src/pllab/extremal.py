@@ -151,11 +151,6 @@ def sandwich(config, cloud, z):
     return SandwichEvaluator(config, cloud).estimate(z)
 
 
-def projective_extremal(config, cloud, z):
-    """Sandwich for the Fubini-Study extremal V_E(z) = L_{E,rho}(z) - rho(z)."""
-    return ProjectiveEvaluator(config, cloud).estimate(z)
-
-
 # ---------------------------------------------------------------------------
 # relative extremal function (1 complex dimension)
 # ---------------------------------------------------------------------------

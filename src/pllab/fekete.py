@@ -104,12 +104,6 @@ class FunctionWeight:
         return {"kind": "function"}
 
 
-def weight_from_callable(fn, cloud):
-    """The weight phi = fn for solves on cloud.  fn is evaluated wherever
-    the weight is, so cloud is not read."""
-    return FunctionWeight(fn)
-
-
 # ---------------------------------------------------------------------------
 # configurations and measures
 # ---------------------------------------------------------------------------
@@ -181,14 +175,6 @@ class FeketeConfig:
 class DiscreteMeasure:
     support: np.ndarray
     masses: np.ndarray
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.masses))
-
-    def pair(self, fn):
-        """Integral of fn against the measure."""
-        return float(np.sum(self.masses * np.array([fn(p) for p in self.support])))
 
 
 def fekete_measure(config):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,31 +30,9 @@ class DegenerateSetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of C^n given by 2n reals (re_1, im_1, ..., re_n, im_n)."""
-
-    coords: tuple
-    real_slice: bool = False
-
-    def __post_init__(self):
-        z = np.asarray(self.coords, dtype=float)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("point coordinates must be finite")
-        if self.real_slice and np.any(z[1::2] != 0.0):
-            raise ValueError("real_slice point has nonzero imaginary part")
-
-    @property
-    def z(self):
-        c = np.asarray(self.coords, dtype=float)
-        return c[0::2] + 1j * c[1::2]
-
-
 def as_point(p, n=None):
-    """Normalize scalars / sequences / Point into a complex vector of length n."""
-    if isinstance(p, Point):
-        z = p.z
-    elif np.isscalar(p):
+    """Normalize a scalar or sequence into a complex vector of length n."""
+    if np.isscalar(p):
         z = np.array([complex(p)])
     else:
         z = np.asarray(p, dtype=complex).reshape(-1)
@@ -379,7 +357,6 @@ class SampleCloud:
     points: np.ndarray     # (M, n) complex, immutable by convention
     seed: int
     density_parameter: float
-    spec: object = field(default=None, compare=False)
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -453,7 +430,7 @@ def sample(spec, target_count, seed=0):
         factor *= 2
     if len(pts) < target_count:
         raise DegenerateSetError("could not reach target_count; spec appears degenerate")
-    return SampleCloud(points=pts, seed=seed, density_parameter=h, spec=spec)
+    return SampleCloud(points=pts, seed=seed, density_parameter=h)
 
 
 def _sample_dispatch(spec, count, seed):
@@ -489,20 +466,28 @@ def _sample_dispatch(spec, count, seed):
     raise TypeError(f"unknown SetSpec kind {type(spec).__name__}")
 
 
-def _sample_disc(spec, count, seed):
-    c = spec.c[0]
-    r = spec.radius
+def _ring_and_sunflower(r, count, seed):
+    """Polar layout of count points on a disc of radius r about 0: angles
+    ang of an equispaced boundary ring (30 % of the points), radii rr and
+    angles th of a sunflower interior, both turned by a seed-dependent
+    angle, and the mesh size h."""
     nb = int(math.ceil(0.3 * count))
     ni = count - nb
     theta0 = 2 * math.pi * ((seed * _PHI1) % 1.0)
     ang = theta0 + 2 * math.pi * np.arange(nb) / nb
-    ring = c + r * np.exp(1j * ang)
-    # sunflower interior
     k = np.arange(ni) + 0.5
     rr = r * np.sqrt(k / ni) * math.sqrt(ni / (ni + 1))
     th = theta0 + 2 * math.pi * k * _PHI1
-    inner = c + rr * np.exp(1j * th)
     h = max(2 * math.pi * r / nb, r * math.sqrt(math.pi / max(ni, 1)))
+    return ang, rr, th, h
+
+
+def _sample_disc(spec, count, seed):
+    c = spec.c[0]
+    r = spec.radius
+    ang, rr, th, h = _ring_and_sunflower(r, count, seed)
+    ring = c + r * np.exp(1j * ang)
+    inner = c + rr * np.exp(1j * th)
     return np.concatenate([ring, inner])[:, None], h
 
 
@@ -540,18 +525,10 @@ def _sample_realball(spec, count, seed):
     if n == 1:
         pts = np.linspace(c[0] - r, c[0] + r, count).astype(complex)[:, None]
         return pts, 2 * r / (count - 1)
-    nb = int(math.ceil(0.3 * count))
-    ni = count - nb
-    theta0 = 2 * math.pi * ((seed * _PHI1) % 1.0)
-    ang = theta0 + 2 * math.pi * np.arange(nb) / nb
+    ang, rr, th, h = _ring_and_sunflower(r, count, seed)
     ring = np.stack([c[0] + r * np.cos(ang), c[1] + r * np.sin(ang)], axis=1)
-    k = np.arange(ni) + 0.5
-    rr = r * np.sqrt(k / ni) * math.sqrt(ni / (ni + 1))
-    th = theta0 + 2 * math.pi * k * _PHI1
     inner = np.stack([c[0] + rr * np.cos(th), c[1] + rr * np.sin(th)], axis=1)
-    pts = np.vstack([ring, inner]).astype(complex)
-    h = max(2 * math.pi * r / nb, r * math.sqrt(math.pi / max(ni, 1)))
-    return pts, h
+    return np.vstack([ring, inner]).astype(complex), h
 
 
 def _sample_box(spec, count, seed):
@@ -737,19 +714,14 @@ def diameter(spec):
     if isinstance(spec, Box):
         return float(math.sqrt(sum((b - a) ** 2 for a, b in spec.intervals)))
     if isinstance(spec, ConvexHull):
-        V = spec.v
-        d = 0.0
-        for i in range(len(V)):
-            d = max(d, float(np.max(np.linalg.norm(V - V[i][None, :], axis=1))))
-        return d
-    cloud = sample(spec, DIAMETER_SAMPLES, seed=0)
-    pts = cloud.points
-    if len(pts) > 1200:
-        step = len(pts) // 1200 + 1
-        pts = pts[::step]
+        pts = spec.v
+    else:
+        pts = sample(spec, DIAMETER_SAMPLES, seed=0).points
+        if len(pts) > 1200:
+            pts = pts[::len(pts) // 1200 + 1]
     d = 0.0
-    for i in range(len(pts)):
-        d = max(d, float(np.max(np.linalg.norm(pts - pts[i][None, :], axis=1))))
+    for p in pts:
+        d = max(d, float(np.max(np.linalg.norm(pts - p, axis=1))))
     return d
 
 

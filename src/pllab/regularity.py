@@ -276,12 +276,6 @@ def condition_p_bound(witness, delta):
             * math.sqrt(delta))
 
 
-def geometric_condition_m(r, n, set_diameter):
-    """Map-norm constant implied by the geometric condition:
-    m = (r / n^3)^n / ||E||^(n-1)."""
-    return (r / n ** 3) ** n / set_diameter ** (n - 1)
-
-
 # ---------------------------------------------------------------------------
 # localization experiment
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from pllab.equidist import (Arcsine, Polynomial, _circle_cloud,
                             _interval_cloud, rate_experiment)
 from pllab.extremal import (PolyMap, SandwichEvaluator, composition_gap,
                             relative_extremal_1c, sandwich)
-from pllab.fekete import (FubiniStudyWeight, solve_fekete,
-                          transfinite_diameter, weight_from_callable)
+from pllab.fekete import (FubiniStudyWeight, FunctionWeight, solve_fekete,
+                          transfinite_diameter)
 from pllab.geometry import (ComplexBall, Cusp, Interval, exact_extremal,
                             halfdisc_harmonic_measure, sample)
 from pllab.regularity import (ExactEngine, hcp_scan, localization_experiment,
@@ -113,14 +113,13 @@ def test_criterion_08_weighted_comparison():
     rng = np.random.default_rng(42)
     zs = (rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50))[:, None]
     ok = True
-    for spec, make_weight in (
-            (Interval(-1.0, 1.0), lambda cl: FubiniStudyWeight()),
+    for spec, weight in (
+            (Interval(-1.0, 1.0), FubiniStudyWeight()),
             (ComplexBall((0.0,), 1.0),
-             lambda cl: weight_from_callable(lambda p: p[0].real / 4.0, cl))):
+             FunctionWeight(lambda p: p[0].real / 4.0))):
         cloud = sample(spec, 2001, seed=0)
         b = BasisSpec(1, 12)
         cfg_u = solve_fekete(cloud, b)
-        weight = make_weight(cloud)
         cfg_w = solve_fekete(cloud, b, weight)
         ev_u = SandwichEvaluator(cfg_u, cloud)
         ev_w = SandwichEvaluator(cfg_w, cloud)

@@ -932,6 +932,11 @@ EQUIDIST = {"command": "equidist", "spec": INTERVAL,
     ("degrees", [8, 6, 4, 2]),
     ("spec", BALL2),
     ("spec", REALBALL),
+    # np.interp would read a grid out of order as if it were sorted
+    ("test_function", {"kind": "tabulated", "grid": [-1.0, 0.5, 0.0, 1.0],
+                       "values": [0.0, 1.0, 2.0, 3.0]}),
+    ("test_function", {"kind": "tabulated", "grid": [-1.0, 0.0, 0.0, 1.0],
+                       "values": [0.0, 1.0, 2.0, 3.0]}),
 ])
 def test_equidist_bad_doc_exits_schema(tmp_path, capsys, sample_fails, field,
                                        doc):

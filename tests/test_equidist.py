@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pllab.equidist import (Arcsine, Polynomial, TabulatedLipschitz,
-                            UniformCircle, chained_holder_exponent,
-                            equilibrium_pairing, holder_norm, rate_experiment)
+                            UniformCircle, equilibrium_pairing,
+                            rate_experiment)
 from pllab.geometry import AffineImage, ComplexBall, Interval
 
 
@@ -56,48 +56,12 @@ def test_tabulated_lipschitz():
         v(np.array([2.0 + 0j, 0.0 + 0j]))
 
 
-# ---------------------------------------------------------------------------
-# Holder norms
-# ---------------------------------------------------------------------------
-
-def test_holder_norm_linear():
-    norm = holder_norm(Polynomial([0, 1]), 1.0, (-1.0, 1.0))
-    assert norm.value == pytest.approx(2.0, abs=1e-9)
-    assert norm.sup_part == pytest.approx(1.0, abs=1e-12)
-    assert norm.seminorm == pytest.approx(1.0, abs=1e-9)
-    assert not norm.divergent
-
-
-def test_holder_norm_constant():
-    norm = holder_norm(Polynomial([3.0]), 1.0, (-1.0, 1.0))
-    assert norm.value == pytest.approx(3.0, abs=1e-12)
-    assert norm.seminorm == 0.0
-    assert not norm.divergent
-
-
-def test_holder_norm_sqrt_divergent_in_lipschitz():
-    grid = np.linspace(0.0, 1.0, 4097)
-    v = TabulatedLipschitz(grid, np.sqrt(grid))
-    norm = holder_norm(v, 1.0, (0.0, 1.0), grid_n=2048)
-    assert norm.divergent
-    # the same function is fine in the matching Holder class
-    norm_half = holder_norm(v, 0.5, (0.0, 1.0), grid_n=2048)
-    assert not norm_half.divergent
-    assert norm_half.seminorm == pytest.approx(1.0, abs=0.05)
-
-
-def test_holder_norm_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        holder_norm(Polynomial([0, 1]), 1.5, (-1, 1))
-    with pytest.raises(ValueError, match="grid_n"):
-        holder_norm(Polynomial([0, 1]), 1.0, (-1, 1), grid_n=64)
-
-
-def test_chained_holder_exponent():
-    assert chained_holder_exponent(1.0, 0.0) == pytest.approx(1.0 / 3.0)
-    assert chained_holder_exponent(0.5, 1.0) == pytest.approx(0.25 / 3.5)
-    with pytest.raises(ValueError):
-        chained_holder_exponent(0.0, 1.0)
+@pytest.mark.parametrize("grid", [[-1.0, 0.5, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0],
+                                  [1.0, 0.5, 0.0, -1.0]])
+def test_tabulated_lipschitz_rejects_unsorted_grid(grid):
+    # np.interp on [-1, 0.5, 0, 1] would give 0.833 at 0.25, not 1.5
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TabulatedLipschitz(grid, [0.0, 1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from pllab.basis import BasisSpec
 from pllab.cli import _one_blas_thread
 from pllab.extremal import (BLOCK_ROWS, PolyMap, ProjectiveEvaluator,
                             SandwichEvaluator, composition_gap,
-                            projective_extremal, relative_extremal_1c,
-                            sandwich)
+                            relative_extremal_1c, sandwich)
 from pllab.fekete import FubiniStudyWeight, ZeroWeight, solve_fekete
 from pllab.geometry import (ComplexBall, Interval, Union, contains,
                             exact_extremal, sample)
@@ -109,7 +108,7 @@ def test_weight_comparison_invariant():
 def test_projective_extremal_inside_set():
     cloud = sample(ComplexBall((0.0,), 1.0), 1201, seed=0)
     cfg = solve_fekete(cloud, BasisSpec(1, 12), FubiniStudyWeight())
-    est = projective_extremal(cfg, cloud, 0.0)
+    est = ProjectiveEvaluator(cfg, cloud).estimate(0.0)
     # the certificate is relative to the cloud, so allow mesh slack
     eps = 3 * cloud.density_parameter
     assert est.lower - eps <= 0.0 <= est.upper + eps
@@ -119,7 +118,7 @@ def test_projective_extremal_inside_set():
 def test_projective_requires_fubini_study(disc_setup):
     cfg, cloud = disc_setup
     with pytest.raises(ValueError, match="Fubini-Study"):
-        projective_extremal(cfg, cloud, 2.0)
+        ProjectiveEvaluator(cfg, cloud).estimate(2.0)
     with pytest.raises(ValueError, match="Fubini-Study"):
         ProjectiveEvaluator(cfg, cloud)
 
@@ -130,7 +129,7 @@ def test_projective_identity_cross_check():
     cfg = solve_fekete(cloud, BasisSpec(1, 12), FubiniStudyWeight())
     z = 2.0
     est_w = sandwich(cfg, cloud, z)
-    est_v = projective_extremal(cfg, cloud, z)
+    est_v = ProjectiveEvaluator(cfg, cloud).estimate(z)
     rho = 0.5 * math.log1p(abs(z) ** 2)
     assert est_v.lower == pytest.approx(est_w.lower - rho, abs=1e-12)
     assert est_v.upper == pytest.approx(est_w.upper - rho, abs=1e-12)
@@ -151,7 +150,7 @@ def test_projective_evaluator_batch():
     rho = cfg.weight.evaluate(zs)
     assert lo.tobytes() == (lw - rho).tobytes()
     assert up.tobytes() == (uw - rho).tobytes()
-    single = projective_extremal(cfg, cloud, 1.5)
+    single = ProjectiveEvaluator(cfg, cloud).estimate(1.5)
     assert lo[0] == pytest.approx(single.lower, abs=1e-12)
 
 

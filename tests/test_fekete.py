@@ -6,10 +6,9 @@ from scipy.linalg import qr
 
 from pllab import cli, fekete
 from pllab.basis import BasisSpec, log_abs_vdm
-from pllab.fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
+from pllab.fekete import (FeketeConfig, FubiniStudyWeight, FunctionWeight,
                           ZeroWeight, fekete_measure, quality_gamma,
-                          solve_fekete, transfinite_diameter,
-                          weight_from_callable)
+                          solve_fekete, transfinite_diameter)
 from pllab.geometry import (AffineImage, Box, ComplexBall, DegenerateSetError,
                             Interval, RealBall, sample)
 
@@ -28,7 +27,7 @@ def test_weights_evaluate():
 
 def test_weight_from_callable(interval_cloud):
     """The weight is its function, on the cloud and off it."""
-    w = weight_from_callable(lambda p: p[0].real ** 2, interval_cloud)
+    w = FunctionWeight(lambda p: p[0].real ** 2)
     pts = np.vstack([interval_cloud.points[:5], [[0.123 + 0j]]])
     assert list(w.evaluate(pts)) == [p[0].real ** 2 for p in pts]
 
@@ -77,13 +76,7 @@ def test_fekete_measure_uniform(interval_cloud):
     cfg = solve_fekete(interval_cloud, BasisSpec(1, 2))
     mu = fekete_measure(cfg)
     assert np.allclose(mu.masses, 1.0 / 3)
-    assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
-
-
-def test_discrete_measure_pairing():
-    mu = DiscreteMeasure(support=np.array([[0.0 + 0j], [1.0 + 0j]]),
-                         masses=np.array([0.5, 0.5]))
-    assert mu.pair(lambda p: p[0].real) == pytest.approx(0.5)
+    assert np.sum(mu.masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quality_gamma_exact_nodes(interval_cloud):
@@ -317,7 +310,7 @@ def test_ill_conditioned_solve_falls_back_to_full_solves(monkeypatch):
     are still those of the full sorted-order solve."""
     cloud = sample(Interval(-1.0, 1.0), 4001, seed=0)
     basis = BasisSpec(1, 20)
-    weight = weight_from_callable(lambda p: abs(p[0].real - 1.0), cloud)
+    weight = FunctionWeight(lambda p: abs(p[0].real - 1.0))
     with cli._one_blas_thread():
         full = _counting_full_solves(monkeypatch, cloud.size)
         [((A, _, _, _), (sel, _, quality))] = _refine_runs(

@@ -7,18 +7,10 @@ import pytest
 from pllab import geometry
 from pllab.geometry import (TOL, AffineImage, BallIntersection, Box,
                             ComplexBall, ConvexHull, Cusp, DegenerateSetError,
-                            DimensionMismatchError, Interval, Point, RealBall,
-                            Union, as_point, contains, diameter,
-                            exact_extremal, halfdisc_harmonic_measure, sample,
-                            spec_from_dict)
+                            DimensionMismatchError, Interval, RealBall, Union,
+                            as_point, contains, diameter, exact_extremal,
+                            halfdisc_harmonic_measure, sample, spec_from_dict)
 from pllab.geometry import _cusp_gap, _dedupe, _hull_contains, _sample_dispatch
-
-
-def test_point_real_slice_rejects_imaginary():
-    with pytest.raises(ValueError):
-        Point((1.0, 0.5), real_slice=True)
-    p = Point((1.0, 0.0, 2.0, 0.0), real_slice=True)
-    assert np.allclose(p.z, [1.0, 2.0])
 
 
 def test_as_point_dimension_check():

@@ -10,7 +10,7 @@ from pllab.geometry import (Box, ComplexBall, Cusp, Interval,
                             exact_extremal, sample)
 from pllab.regularity import (CondPWitness, ExactEngine,
                               capacity_density_from_supnorm, condition_p_bound,
-                              direction_mesh, geometric_condition_m, hcp_scan,
+                              direction_mesh, hcp_scan,
                               localization_experiment, modulus_fit)
 
 GRID = [0.1 * 0.7 ** k for k in range(12)]
@@ -106,11 +106,6 @@ def test_condition_p_bound_value():
                                                        abs=1e-12)
     with pytest.raises(ValueError):
         condition_p_bound(w, 0.0)
-
-
-def test_geometric_condition_m_value():
-    assert geometric_condition_m(0.5, 2, 2.0) == pytest.approx(
-        (0.5 / 8) ** 2 / 2, abs=1e-15)
 
 
 def test_condition_p_empirical_square():
