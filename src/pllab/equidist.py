@@ -58,8 +58,6 @@ class Polynomial:
     """v(z) = Re sum_k c_k z^k on C (evaluated on real points as a real
     polynomial); coefficients lowest degree first."""
 
-    kind = "polynomial"
-
     def __init__(self, coefficients):
         self.coefficients = np.asarray(coefficients, dtype=complex)
 
@@ -69,16 +67,10 @@ class Polynomial:
             z = z[..., 0]
         return np.polynomial.polynomial.polyval(z, self.coefficients).real
 
-    def to_dict(self):
-        return {"kind": "polynomial",
-                "coefficients": [[c.real, c.imag] for c in self.coefficients]}
-
 
 class TabulatedLipschitz:
     """Real test function given by values on a strictly increasing real
     grid; evaluation is piecewise-linear interpolation."""
-
-    kind = "tabulated"
 
     def __init__(self, grid, values):
         self.grid = np.asarray(grid, dtype=float)
@@ -97,10 +89,6 @@ class TabulatedLipschitz:
         if np.any(x < self.grid[0] - 1e-9) or np.any(x > self.grid[-1] + 1e-9):
             raise ValueError("point outside the tabulation support")
         return np.interp(x, self.grid, self.values)
-
-    def to_dict(self):
-        return {"kind": "tabulated", "size": len(self.values),
-                "lo": float(self.grid[0]), "hi": float(self.grid[-1])}
 
 
 def equilibrium_pairing(measure, v):

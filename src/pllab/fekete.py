@@ -64,8 +64,6 @@ _GAMMA_SLACK = 1e-9
 # ---------------------------------------------------------------------------
 
 class ZeroWeight:
-    kind = "zero"
-
     def evaluate(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         return np.zeros(pts.shape[0])
@@ -76,8 +74,6 @@ class ZeroWeight:
 
 class FubiniStudyWeight:
     """rho(z) = (1/2) log(1 + |z|^2), the Fubini-Study potential on C^n."""
-
-    kind = "fubini-study"
 
     def evaluate(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
@@ -90,8 +86,6 @@ class FubiniStudyWeight:
 class FunctionWeight:
     """Weight phi given by a function of one point (a row of n complex
     coordinates), evaluated point by point."""
-
-    kind = "function"
 
     def __init__(self, fn):
         self.fn = fn

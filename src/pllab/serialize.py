@@ -256,8 +256,11 @@ def _marching_segments(xs, ys, values, levels):
         return c, c[:, [1, 2, 3, 0]]
 
     (x0, x1), (y0, y1), (v0, v1) = corners(X), corners(Y), corners(values)
-    # fmin/fmax pass over a NaN corner, whose two edges never cross
-    lo, hi = np.fmin.reduce(v0, axis=1), np.fmax.reduce(v0, axis=1)
+    # fmin/fmax pass over a NaN corner, whose two edges never cross; four
+    # column-wise calls, since a reduction along a length-4 axis is slow
+    a, b, c, d = v0.T
+    lo = np.fmin(np.fmin(np.fmin(a, b), c), d)
+    hi = np.fmax(np.fmax(np.fmax(a, b), c), d)
     out = []
     for level in levels:
         near = np.flatnonzero((lo < level) & (level < hi))

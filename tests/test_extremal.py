@@ -281,6 +281,83 @@ def test_relative_field_grid_border_is_outer():
     assert np.all(f.values[border] == 1.0)
 
 
+# the factor options of relative_extremal_1c
+_SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                 "panel_size": 1, "options": {"SymmetricMode": True}}
+
+
+def _relative_reference(f, grid_n):
+    """The system, right-hand side, field and residual of f's masks, with the
+    5-point Laplacian of the whole grid sliced to the free cells."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    outer, free = f.outer_mask, ~(f.outer_mask | f.e_mask)
+    v = np.where(outer, 1.0, 0.0)
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(grid_n, grid_n))
+    L = sp.kronsum(T, T, format="csr")
+    fr = free.ravel()
+    rows = L[fr]
+    A = rows[:, fr].tocsc()
+    rhs = -(rows[:, ~fr] @ v[~free])
+    v[free] = splu(A, **_SPLU_OPTIONS).solve(rhs)
+    v = np.clip(v, 0.0, 1.0)
+    nb = np.zeros_like(v)
+    nb[1:-1, 1:-1] = 0.25 * (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2]
+                             + v[1:-1, 2:])
+    return A, rhs, v, float(np.max(np.abs(np.where(free, nb - v, 0.0))))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("E, B, grid_n", [
+    # the relative-field benchmark's three sets
+    (ComplexBall((0.0,), 0.5), ComplexBall((0.0,), 1.0), 128),
+    (Union((ComplexBall((-0.4,), 0.2), ComplexBall((0.4,), 0.2))),
+     ComplexBall((0.0,), 1.0), 96),
+    (Interval(-0.5, 0.5), ComplexBall((0.0,), 1.0), 96),
+    # at grid 97 the interval lies on grid nodes
+    (Interval(-0.5, 0.5), ComplexBall((0.0,), 1.0), 97),
+    (ComplexBall((0.2 + 0.1j,), 0.3), ComplexBall((0.1 - 0.2j,), 1.7), 200),
+    (ComplexBall((-1.2 - 0.46j,), 0.2), ComplexBall((-1.2 - 0.46j,), 0.6),
+     65),
+])
+def test_relative_field_matches_whole_grid_system(E, B, grid_n, monkeypatch):
+    """The system assembled on the free cells is the one sliced out of the
+    whole grid's Laplacian: the same CSC arrays, right-hand side (zero signs
+    included), factor options, field and residual, bit for bit."""
+    import scipy.sparse.linalg as sla
+
+    splu, seen = sla.splu, {}
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            seen["rhs"] = rhs.copy()
+            return self.lu.solve(rhs)
+
+    def spy(A, **options):
+        seen["A"], seen["options"] = A.copy(), options
+        return Factor(splu(A, **options))
+
+    with _one_blas_thread():
+        monkeypatch.setattr(sla, "splu", spy)
+        f = relative_extremal_1c(E, B, grid_n=grid_n)
+        monkeypatch.undo()
+        A, rhs, values, residual = _relative_reference(f, grid_n)
+    assert seen["options"] == _SPLU_OPTIONS
+    assert seen["A"].format == "csc" and seen["A"].shape == A.shape
+    for name in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(seen["A"], name), getattr(A, name)), name
+    assert _same_bits(seen["rhs"], rhs)
+    assert _same_bits(f.values, values)
+    assert f.residual.hex() == residual.hex()
+
+
 def test_relative_field_e_equals_b():
     B = ComplexBall((0.0,), 1.0)
     f = relative_extremal_1c(B, B, grid_n=64)

@@ -11,13 +11,15 @@ manifest reaches, the ``SEED_PAIR``, two manifests that draw the same cloud
 at different seeds, two extremal manifests whose query points end in a
 partial row block, one of them with int leaves, and the ``EXPONENTS``
 extremal manifest, whose float leaves and bounds repr writes with an
-exponent or as -0.0.  Each tree runs every manifest through
+exponent or as -0.0, and the ``RELATIVE`` manifests, whose E reaches the
+relative field's linear system.  Each tree runs every manifest through
 ``pllab.cli.main`` four times, at one BLAS thread: once with
 ``--no-cache``, twice on a fresh cache of its own (a miss, then a hit), and
 once on a cache shared by its group (``shared``).  A group is one workload
 variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR``, the extremal block
-manifests or ``EXPONENTS``; its manifests run in order, as a benchmark
-pass does, so a shared run may replay a solve of an earlier manifest.  The
+manifests, ``EXPONENTS`` or ``RELATIVE``; its manifests run in order, as a
+benchmark pass does, so a shared run may replay a solve of an earlier
+manifest.  The
 sha256 of every output file and the exit code of every run are compared
 between the trees, and inside each tree every cached run is compared with
 the ``--no-cache`` run of the same manifest.  Prints each difference and
@@ -83,6 +85,20 @@ EXPONENTS = ("extremal-disc-d12-exponents",
               "seed": 4, "spec": {"kind": "ComplexBall",
                                   "center": [[0.0, 0.0]], "radius": 1.0}})
 
+# Relative fields whose E holds grid cells, unlike the benchmark's grid-96
+# interval, which misses every node and gives the constant field 1: the
+# interval on the nodes of grid 97, and a disc off the centre of B.
+RELATIVE = [
+    ("relative-interval-g97",
+     {"command": "relative", "set": {"kind": "Interval", "a": -0.5, "b": 0.5},
+      "disc": {"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": 1.0},
+      "grid_n": 97}),
+    ("relative-off-centre-g200",
+     {"command": "relative",
+      "set": {"kind": "ComplexBall", "center": [[0.2, 0.1]], "radius": 0.3},
+      "disc": {"kind": "ComplexBall", "center": [[0.1, -0.2]], "radius": 1.7},
+      "grid_n": 200})]
+
 
 def _extremal_blocks(workloads):
     """The BLOCK_POINTS extremal manifests, drawn at a fixed seed."""
@@ -110,8 +126,8 @@ def _src(tree):
 
 def _manifests(seed):
     """(group, label, manifest) for every manifest of the three workloads,
-    one group per variant, then the UNTRUSTED, SEED_PAIR, extremal block
-    and EXPONENTS ones."""
+    one group per variant, then the UNTRUSTED, SEED_PAIR, extremal block,
+    EXPONENTS and RELATIVE ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -125,7 +141,8 @@ def _manifests(seed):
             + [("seed-pair", *case) for case in SEED_PAIR]
             + [("extremal-blocks", *case)
                for case in _extremal_blocks(workloads)]
-            + [("exponents", *EXPONENTS)])
+            + [("exponents", *EXPONENTS)]
+            + [("relative", *case) for case in RELATIVE])
 
 
 def _digests(outdir):
