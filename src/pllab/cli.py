@@ -39,8 +39,8 @@ from .extremal import BLOCK_ROWS, SandwichEvaluator, relative_extremal_1c
 from .fekete import (_WEIGHTS, cached_fekete, manifest_hash, solve_fekete,
                      transfinite_diameter)
 from .geometry import (_NUMBER, _NUMBERS, _PAIRS, ComplexBall, Interval,
-                       _get as _leaf, _nonempty, exact_extremal, finite_pair,
-                       finite_real, sample, spec_from_dict)
+                       _get as _leaf, _nonempty, contains, exact_extremal,
+                       finite_pair, finite_real, sample, spec_from_dict)
 from .regularity import (HCP_CLOUD_FLOOR, LOCALIZE_CLOUD_FLOOR,
                          _check_delta_grid, capacity_density_from_supnorm,
                          hcp_scan, localization_experiment, scan_cloud_target)
@@ -227,6 +227,9 @@ def validate_manifest(man):
             and all(map(finite_pair, a)),
             f"a list of {dim} [re, im] pairs of finite numbers"))
         args.anchor = [complex(a, b) for a, b in anchor]
+        if not contains(args.spec, args.anchor):
+            raise ManifestError("field 'anchor' is invalid: must be a point "
+                                "of the set 'spec'")
         if cmd == "scan-regularity":
             args.radii = _get(man, "radii", _RADII)
             args.delta_grid = _get(man, "delta_grid", _DELTA_GRID)
@@ -290,7 +293,11 @@ def _run_extremal(args, outdir, cache):
                                      args.seed, args.cloud_target, cache)
     ev = SandwichEvaluator(config, cloud)
     xy = args.xy                                    # (k, n, 2): re, im
-    lower, upper = np.empty(len(xy)), np.empty(len(xy))
+    # each (re, im) pair read in place as one complex: signed zeros kept
+    lower, upper = ev.bounds(xy.view(complex)[..., 0])
+    # repr of a finite float is also its JSON text; NaN is not
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise ValueError("a sandwich bound is not finite")
     # the joined text of each block, for the splices of the JSON files
     texts = {"lower": [], "upper": [], "points": []}
     point = _array_text(["[{},{}]"] * args.spec.dim)
@@ -300,16 +307,9 @@ def _run_extremal(args, outdir, cache):
         for start in range(0, len(xy), BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
             block = xy[rows]
-            # each (re, im) pair read in place as one complex: signed
-            # zeros kept
-            lo, up = ev.bounds(block.view(complex)[..., 0])
-            # repr of a finite float is also its JSON text; NaN is not
-            if not (np.isfinite(lo).all() and np.isfinite(up).all()):
-                raise ValueError("a sandwich bound is not finite")
-            lower[rows], upper[rows] = lo, up
             # format each float once, for extremal.csv and the JSON files
             coords = [float_texts(c) for c in block.reshape(len(block), -1).T]
-            lo, up = float_texts(lo), float_texts(up)
+            lo, up = float_texts(lower[rows]), float_texts(upper[rows])
             texts["lower"].append(",".join(lo))
             texts["upper"].append(",".join(up))
             if args.all_float:

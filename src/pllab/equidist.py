@@ -46,7 +46,7 @@ class UniformCircle:
 
 _CIRCLE_NODES = 2 ** 14
 
-# Each degree's cloud holds max(RATE_CLOUD_TARGET, 4 N) points by default.
+# Each degree's cloud holds max(RATE_CLOUD_TARGET, 4 N) points.
 RATE_CLOUD_TARGET = 2001
 
 
@@ -181,8 +181,7 @@ def _rate_cloud(spec, d, target, seed):
     return sample(spec, target, seed=seed)
 
 
-def rate_experiment(spec, v, degrees, measure, alpha_prime=0.5, seed=0,
-                    cloud_target=RATE_CLOUD_TARGET):
+def rate_experiment(spec, v, degrees, measure, alpha_prime=0.5, seed=0):
     """Fekete-measure pairing errors e_d = |<mu_d - mu_eq, v>| across degrees,
     with a log-log slope fit and a falsifiable bound line calibrated at the
     smallest degree."""
@@ -195,7 +194,8 @@ def rate_experiment(spec, v, degrees, measure, alpha_prime=0.5, seed=0,
     errors = []
     for d in degrees:
         basis = BasisSpec(1, d)
-        cloud = _rate_cloud(spec, d, max(cloud_target, 4 * basis.size), seed)
+        cloud = _rate_cloud(spec, d, max(RATE_CLOUD_TARGET, 4 * basis.size),
+                            seed)
         config = solve_fekete(cloud, basis)
         mu = fekete_measure(config)
         val = float(np.mean(np.asarray(v(mu.support), dtype=float)))

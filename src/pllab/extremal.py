@@ -41,7 +41,9 @@ class SandwichEvaluator:
 
     Solves the N x N node system once; per-z evaluations are vectorized.
     An evaluator is an engine for `regularity.modulus_fit`: a `source`
-    label and array `bounds(points)`.  A configuration replayed from the
+    label and array `bounds(points)`.  The extremal runner and
+    modulus_fit each pass all their points to one `bounds` call, which is
+    the only loop over blocks of them.  A configuration replayed from the
     cache comes without its orthonormal basis; the evaluator builds it
     through quality_gamma, which also recomputes gamma and the Lebesgue
     constant, so the bracket never rests on values read from a file.
@@ -83,8 +85,8 @@ class SandwichEvaluator:
         time, so the Lagrange temporaries stay O(BLOCK_ROWS * N) for any
         number of points; at one BLAS thread a row's bounds do not depend
         on the rows that share its block.  Raises ValueError naming the
-        first point whose Lagrange values overflow (a point too far out
-        for the monomial table).
+        first point, by its index in points, whose Lagrange values
+        overflow (a point too far out for the monomial table).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         lower, upper = np.empty(len(pts)), np.empty(len(pts))

@@ -540,29 +540,23 @@ def _sample_box(spec, count, seed):
         return pts, (hi[0] - lo[0]) / (count - 1)
     nb = int(math.ceil(0.3 * count))
     ni = count - nb
-    # boundary: walk the perimeter uniformly
+    # boundary: walk the perimeter uniformly, one edge at a time; t[e] is
+    # the arc left after the edges before e, and a point that rounding
+    # leaves past the last edge is dropped
     per = 2 * float(np.sum(hi - lo))
-    s = per * (np.arange(nb) + 0.5) / nb
-    edge_pts = []
-    lens = [hi[0] - lo[0], hi[1] - lo[1], hi[0] - lo[0], hi[1] - lo[1]]
-    for si in s:
-        t = si
-        for e, L in enumerate(lens):
-            if t <= L:
-                if e == 0:
-                    edge_pts.append([lo[0] + t, lo[1]])
-                elif e == 1:
-                    edge_pts.append([hi[0], lo[1] + t])
-                elif e == 2:
-                    edge_pts.append([hi[0] - t, hi[1]])
-                else:
-                    edge_pts.append([lo[0], hi[1] - t])
-                break
-            t -= L
+    lens = [hi[0] - lo[0], hi[1] - lo[1]] * 2
+    t = [per * (np.arange(nb) + 0.5) / nb]
+    for L in lens[:3]:
+        t.append(t[-1] - L)
+    on = np.array(t) <= np.array(lens)[:, None]
+    e = np.argmax(on, axis=0)
+    edge = np.stack([np.choose(e, [lo[0] + t[0], hi[0], hi[0] - t[2], lo[0]]),
+                     np.choose(e, [lo[1], lo[1] + t[1], hi[1], hi[1] - t[3]])],
+                    axis=1)[on.any(axis=0)]
     corners = [[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]]
     u = _kronecker(ni, n, seed)
     inner = lo[None, :] + u * (hi - lo)[None, :]
-    pts = np.vstack([np.array(corners), np.array(edge_pts), inner]).astype(complex)
+    pts = np.vstack([np.array(corners), edge, inner]).astype(complex)
     return pts, float(np.max(hi - lo)) / math.sqrt(max(ni, 1))
 
 
@@ -572,18 +566,14 @@ def _sample_hull(spec, count, seed):
     nb = int(math.ceil(0.3 * count))
     ni = count - nb
     # edges between all vertex pairs, plus interior via simplex lattice weights
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edge = []
-    per_edge = max(2, nb // max(len(pairs), 1) + 1)
-    for (i, j) in pairs:
-        t = np.linspace(0, 1, per_edge)
-        edge.append(V[i][None, :] * (1 - t)[:, None] + V[j][None, :] * t[:, None])
-    edge = np.vstack(edge) if edge else V.copy()
+    i, j = np.triu_indices(k, 1)
+    t = np.linspace(0, 1, max(2, nb // max(len(i), 1) + 1))[None, :, None]
+    edge = V[i][:, None, :] * (1 - t) + V[j][:, None, :] * t
     u = _kronecker(ni, k, seed)
     w = -np.log(np.maximum(u, 1e-12))
     w /= w.sum(axis=1, keepdims=True)
     inner = w @ V
-    pts = np.vstack([V, edge, inner])
+    pts = np.vstack([V, edge.reshape(-1, V.shape[1]), inner])
     return pts, float(np.max(np.abs(V))) / math.sqrt(max(ni, 1))
 
 
@@ -597,18 +587,17 @@ def _sample_cusp(spec, count, seed):
     H = spec.h(ts)
     axes = [np.linspace(-1.0, 1.0, per_t)] * n
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    chunks = [spec.vertex[None, :]]
-    for t, ht in zip(ts, H):
-        r = spec.M * t ** spec.m
-        chunks.append(ht[None, :] + r * mesh)
-    pts = np.vstack(chunks).astype(complex)
+    # each slice's radius from the scalar power t ** m: the array power
+    # ts ** m differs from it in the last bit for some t
+    r = np.array([spec.M * t ** spec.m for t in ts])[:, None, None]
+    slices = (H[:, None, :] + r * mesh[None, :, :]).reshape(-1, n)
+    pts = np.vstack([spec.vertex[None, :], slices]).astype(complex)
     return pts, 2 * spec.M / max(per_t - 1, 1)
 
 
 def _sample_ballcap(spec, count, seed):
     c = spec.c
     r = spec.radius
-    got = None
     for factor in (2, 4, 8, 16, 32, 64, 128):
         # each nested level multiplies the request: guard it before the
         # inner set allocates
@@ -618,16 +607,12 @@ def _sample_ballcap(spec, count, seed):
                              "over the resource guard of 1e7")
         pts, h = _sample_dispatch(spec.inner, count * factor, seed)
         pts = _dedupe(pts)
-        keep = np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL
-        inside = pts[keep]
+        inside = pts[np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL]
         if len(inside) >= count:
-            got = (inside, h)
             break
-        got = (inside, h)
-    if got is None or len(got[0]) < 4:
+    if len(inside) < 4:
         raise DegenerateSetError("BallIntersection retains too few points; "
                                  "set appears degenerate at this radius")
-    inside, h = got
     # densify the spherical cap boundary: ring/sphere points kept in the set
     n = spec.dim
     nb = max(16, int(0.3 * count))

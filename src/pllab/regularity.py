@@ -129,23 +129,22 @@ def scan_cloud_target(basis_size, floor):
 
 def modulus_fit(spec, a, delta_grid, engine, directions=N_DIRECTIONS):
     """Scan w(a, delta) = sup_{|z-a|=delta} of the extremal estimate and fit
-    log w against log delta on the lower track above the noise floor."""
+    log w against log delta on the lower track above the noise floor.  The
+    circles of every delta go to one engine.bounds call."""
     av = as_point(a, spec.dim)
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     deltas = _check_delta_grid(delta_grid)
     dirs = direction_mesh(spec.dim, directions)
-    lo_list, up_list = [], []
-    run_lo = run_up = 0.0
-    for d in deltas:
-        Z = av[None, :] + d * dirs
-        lo, up = engine.bounds(Z)
-        run_lo = max(run_lo, float(np.max(lo)))
-        run_up = max(run_up, float(np.max(up)))
-        lo_list.append(run_lo)
-        up_list.append(run_up)
-    lower = np.array(lo_list)
-    upper = np.array(up_list)
+    # every scale's circle in one call, scale-major
+    Z = av[None, None, :] + deltas[:, None, None] * dirs[None, :, :]
+    lo, up = engine.bounds(Z.reshape(-1, spec.dim))
+    # the running sup run = max(run, x) from run = 0.0: fmax passes over a
+    # NaN maximum as max does, and + 0.0 turns a -0.0 maximum into the 0.0
+    # that max keeps (numpy does not fix which of two equal zeros it returns)
+    lower, upper = (np.maximum.accumulate(
+        np.fmax(np.max(v.reshape(len(deltas), -1), axis=1), 0.0) + 0.0)
+        for v in (lo, up))
 
     gaps = upper - lower
     keep = lower > 0
@@ -289,18 +288,17 @@ class LocalizationResult:
     mu_difference: float | None
 
 
-def localization_experiment(spec, a, r, degree, delta_grid=None,
-                            cloud_target=None, seed=5, cache=Cache(None)):
-    """Paired modulus fits (projective engine) for K and K cap B(a, r)."""
+def localization_experiment(spec, a, r, degree, seed=5, cache=Cache(None)):
+    """Paired modulus fits (projective engine) for K and K cap B(a, r), on
+    the scales 2.6 * 0.7^k, k < 8."""
     av = as_point(a, spec.dim)
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     if not 0 < r < diameter(spec):
         raise ValueError("radius must lie in (0, diameter)")
-    if delta_grid is None:
-        delta_grid = [2.6 * 0.7 ** k for k in range(8)]
-    target = cloud_target or scan_cloud_target(
-        BasisSpec(spec.dim, degree).size, LOCALIZE_CLOUD_FLOOR)
+    delta_grid = [2.6 * 0.7 ** k for k in range(8)]
+    target = scan_cloud_target(BasisSpec(spec.dim, degree).size,
+                               LOCALIZE_CLOUD_FLOOR)
     reports = []
     for s in (spec, BallIntersection(spec, tuple(av.tolist()), r)):
         config, cloud, _ = cached_fekete(s, degree, "fubini-study", seed,

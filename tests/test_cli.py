@@ -509,8 +509,7 @@ def test_extremal_nan_in_last_block_leaves_no_outputs(tmp_path, monkeypatch):
     def nan_in_last_block(self, points):
         lower, upper = bounds(self, points)
         calls.append(len(points))
-        if len(points) < BLOCK_ROWS:
-            upper[-1] = np.nan
+        upper[-1] = np.nan
         return lower, upper
 
     monkeypatch.setattr(SandwichEvaluator, "bounds", nan_in_last_block)
@@ -519,8 +518,22 @@ def test_extremal_nan_in_last_block_leaves_no_outputs(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert main(["--manifest", _write_manifest(tmp_path, man),
                  "--out", str(out), "--no-cache"]) == EXIT_NUMERICAL
-    assert calls == [BLOCK_ROWS, BLOCK_ROWS, 17]
+    # one call on every point: bounds is the only loop over row blocks
+    assert calls == [2 * BLOCK_ROWS + 17]
     assert os.listdir(out) == []
+
+
+def test_extremal_far_point_is_named_by_its_own_index(tmp_path, capsys):
+    far = BLOCK_ROWS + 5
+    points = [[[2.0, 0.0]]] * (2 * BLOCK_ROWS + 17)
+    points[far] = [[1e25, 0.0]]
+    man = {"command": "extremal", "spec": INTERVAL, "degree": 16,
+           "points": points}
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_NUMERICAL
+    assert not out.exists() or os.listdir(out) == []
+    assert f"not finite at query point {far}:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +815,9 @@ GEOMETRIC_DELTAS = [0.1 * 0.7 ** k for k in range(6)]
     ("scan-regularity", "delta_grid", SIX_DELTAS),
     ("scan-regularity", "delta_grid", GEOMETRIC_DELTAS[:5]
      + [GEOMETRIC_DELTAS[4]]),
+    # finite, but not a point of the set
+    ("scan-regularity", "anchor", [[3.0, 0.0]]),
+    ("localize", "anchor", [[3.0, 0.0]]),
 ])
 def test_scan_and_localize_bad_field_exits_schema(tmp_path, capsys,
                                                   monkeypatch, command,

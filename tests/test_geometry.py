@@ -679,3 +679,70 @@ def test_spec_from_dict_keeps_int_leaves():
     cusp = spec_from_dict({"kind": "Cusp", "h_coeffs": [[0, 1], [0]],
                            "M": 1, "m": 2, "degree_bound": 3})
     assert cusp == Cusp(((0, 1), (0,)), 1, 2, 3)
+
+
+def _perimeter_walk(lo, hi, nb):
+    """Box boundary points as the sampler placed them one at a time."""
+    per = 2 * float(np.sum(hi - lo))
+    s = per * (np.arange(nb) + 0.5) / nb
+    edge_pts = []
+    lens = [hi[0] - lo[0], hi[1] - lo[1], hi[0] - lo[0], hi[1] - lo[1]]
+    for si in s:
+        t = si
+        for e, L in enumerate(lens):
+            if t <= L:
+                edge_pts.append([[lo[0] + t, lo[1]], [hi[0], lo[1] + t],
+                                 [hi[0] - t, hi[1]], [lo[0], hi[1] - t]][e])
+                break
+            t -= L
+    return np.array(edge_pts)
+
+
+@pytest.mark.parametrize("intervals", [
+    ((0.0, 1.0), (0.0, 1.0)),
+    ((-1.0, 1.0), (-0.5, 2.0)),
+    ((0.0, 1e-3), (-3.0, 3.0)),                 # thin
+    ((-7.0, 7.1), (0.1, 0.1000003)),            # flat
+])
+@pytest.mark.parametrize("count", [4, 17, 601, 2001])
+def test_box_perimeter_equals_one_point_at_a_time(intervals, count):
+    box = Box(intervals)
+    pts, _ = _sample_dispatch(box, count, 3)
+    lo, hi = (np.array([ab[k] for ab in intervals]) for k in (0, 1))
+    nb = int(math.ceil(0.3 * count))
+    walk = _perimeter_walk(lo, hi, nb).astype(complex)
+    assert len(pts) == 4 + len(walk) + count - nb
+    assert pts[4:4 + len(walk)].tobytes() == walk.tobytes()
+
+
+def _hull_edges(V, nb):
+    pairs = [(i, j) for i in range(len(V)) for j in range(i + 1, len(V))]
+    t = np.linspace(0, 1, max(2, nb // len(pairs) + 1))
+    return np.vstack([V[i][None, :] * (1 - t)[:, None]
+                      + V[j][None, :] * t[:, None] for i, j in pairs])
+
+
+def _cusp_slices(spec, ts, mesh):
+    return np.vstack([ht[None, :] + spec.M * t ** spec.m * mesh
+                      for t, ht in zip(ts, spec.h(ts))])
+
+
+@pytest.mark.parametrize("count", [4, 50, 2001])
+def test_hull_and_cusp_equal_one_edge_and_slice_at_a_time(count):
+    hull = ConvexHull(((0j, 0j), (1 + 0j, 0.5j), (0.2 + 0.3j, 1 + 0j),
+                       (-0.4 + 0j, 0.1 - 0.2j)))
+    pts, _ = _sample_dispatch(hull, count, 2)
+    edges = _hull_edges(hull.v, int(math.ceil(0.3 * count)))
+    assert pts[4:4 + len(edges)].tobytes() == edges.tobytes()
+    for cusp in (Cusp(((0.0, 1.0), (0.0, 0.0, 1.0)), 0.3, 3),
+                 Cusp(((0.1, -1.0, 0.5),), 2.0, 5)):
+        pts, _ = _sample_dispatch(cusp, count, 2)
+        # the sampler's graded grid and cube lattice
+        n = cusp.dim
+        per_t = max(4, int(round((count / 40) ** (n / (n + 1.0)))) + 3)
+        nt = max(10, count // per_t ** n + 2)
+        axes = [np.linspace(-1.0, 1.0, per_t)] * n
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"),
+                        axis=-1).reshape(-1, n)
+        slices = _cusp_slices(cusp, (np.arange(nt) / (nt - 1)) ** 2, mesh)
+        assert pts[1:].tobytes() == slices.astype(complex).tobytes()

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from pllab.basis import BasisSpec
-from pllab.extremal import SandwichEvaluator
-from pllab.fekete import solve_fekete
-from pllab.geometry import (Box, ComplexBall, Cusp, Interval,
+from pllab.cli import _one_blas_thread
+from pllab.extremal import ProjectiveEvaluator, SandwichEvaluator
+from pllab.fekete import cached_fekete, solve_fekete
+from pllab.geometry import (Box, ComplexBall, Cusp, Interval, as_point,
                             exact_extremal, sample)
-from pllab.regularity import (CondPWitness, ExactEngine,
+from pllab.regularity import (CondPWitness, ExactEngine, _check_delta_grid,
                               capacity_density_from_supnorm, condition_p_bound,
                               direction_mesh, hcp_scan,
                               localization_experiment, modulus_fit)
+from pllab.serialize import Cache
 
 GRID = [0.1 * 0.7 ** k for k in range(12)]
 
@@ -72,6 +74,87 @@ def test_modulus_fit_sandwich_engine_agrees_with_exact():
                       SandwichEvaluator(cfg, cloud))
     assert not rep.inconclusive
     assert 0.35 <= rep.mu_hat <= 0.65
+
+
+def _modulus_per_scale(spec, a, delta_grid, engine):
+    """(lower, upper) of modulus_fit as one bounds call per scale, with the
+    running sup taken by Python's max from 0.0."""
+    av = as_point(a, spec.dim)
+    dirs = direction_mesh(spec.dim)
+    lows, ups, run_lo, run_up = [], [], 0.0, 0.0
+    for d in _check_delta_grid(delta_grid):
+        lo, up = engine.bounds(av[None, :] + d * dirs)
+        run_lo = max(run_lo, float(np.max(lo)))
+        run_up = max(run_up, float(np.max(up)))
+        lows.append(run_lo)
+        ups.append(run_up)
+    return np.array(lows), np.array(ups)
+
+
+def _engine(kind):
+    if kind == "exact":
+        iv = Interval(-1.0, 1.0)
+        return iv, 1.0, ExactEngine(iv)
+    if kind == "sandwich":
+        box = Box(((-1.0, 1.0), (-0.5, 0.5)))
+        cloud = sample(box, 400, seed=2)
+        return box, (1.0, 0.0), SandwichEvaluator(
+            solve_fekete(cloud, BasisSpec(2, 6)), cloud)
+    disc = ComplexBall((0.0,), 1.0)
+    config, cloud, _ = cached_fekete(disc, 10, "fubini-study", 5, 800,
+                                     Cache(None))
+    return disc, 1.0, ProjectiveEvaluator(config, cloud)
+
+
+@pytest.mark.parametrize("kind", ["exact", "sandwich", "projective"])
+def test_modulus_fit_equals_one_bounds_call_per_scale(kind):
+    grid = [2.6 * 0.7 ** k for k in range(8)]
+    with _one_blas_thread():
+        spec, a, engine = _engine(kind)
+        rep = modulus_fit(spec, a, grid, engine)
+        lower, upper = _modulus_per_scale(spec, a, grid, engine)
+    assert rep.lower.tobytes() == lower.tobytes()
+    assert rep.upper.tobytes() == upper.tobytes()
+
+
+class _StubEngine:
+    """The lower track is value(|z|) and the upper track twice it."""
+
+    source = "stub"
+
+    def __init__(self, value):
+        self.value = value
+
+    def bounds(self, points):
+        lo = self.value(np.abs(points[:, 0]))
+        return lo, 2 * lo
+
+
+# numpy may return either of two equal zeros, and which one can depend on a
+# value's place in the array: every scale gets a -0.0 or a NaN maximum in
+# some layout
+ROW_MAXIMA = {
+    # -0.0 closer than 0.02 to 0 (GRID's 7 smallest scales), NaN from 0.02
+    # to 0.04 (the next two), |z| farther
+    "mixed": lambda r: np.where(r < 0.02, -0.0,
+                                np.where(r < 0.04, np.nan, r)),
+    "negative-zero": lambda r: np.full_like(r, -0.0),
+    "nan": lambda r: np.full_like(r, np.nan),
+}
+
+
+@pytest.mark.parametrize("layout", list(ROW_MAXIMA))
+def test_modulus_fit_running_sup_keeps_positive_zero_past_nan(layout):
+    disc = ComplexBall((0.0,), 1.0)
+    engine = _StubEngine(ROW_MAXIMA[layout])
+    rep = modulus_fit(disc, 0.0, GRID, engine)
+    lower, upper = _modulus_per_scale(disc, 0.0, GRID, engine)
+    zeros = 9 if layout == "mixed" else len(GRID)
+    for track in (rep.lower, rep.upper):
+        assert not np.signbit(track).any()
+        assert (track[:zeros] == 0.0).all() and (track[zeros:] > 0.04).all()
+    assert rep.lower.tobytes() == lower.tobytes()
+    assert rep.upper.tobytes() == upper.tobytes()
 
 
 @pytest.mark.parametrize("spec, a", [

@@ -11,20 +11,21 @@ manifest reaches, the ``SEED_PAIR``, two manifests that draw the same cloud
 at different seeds, two extremal manifests whose query points end in a
 partial row block, one of them with int leaves, and the ``EXPONENTS``
 extremal manifest, whose float leaves and bounds repr writes with an
-exponent or as -0.0, and the ``RELATIVE`` manifests, whose E reaches the
-relative field's linear system.  Each tree runs every manifest through
-``pllab.cli.main`` four times, at one BLAS thread: once with
-``--no-cache``, twice on a fresh cache of its own (a miss, then a hit), and
-once on a cache shared by its group (``shared``).  A group is one workload
-variant, the ``UNTRUSTED`` manifests, the ``SEED_PAIR``, the extremal block
-manifests, ``EXPONENTS`` or ``RELATIVE``; its manifests run in order, as a
-benchmark pass does, so a shared run may replay a solve of an earlier
-manifest.  The
-sha256 of every output file and the exit code of every run are compared
-between the trees, and inside each tree every cached run is compared with
-the ``--no-cache`` run of the same manifest.  Prints each difference and
-each tree's count of cross-manifest cache hits (hits of a shared run beyond
-those of its miss run), and exits 1 if there is any difference, else 0.
+exponent or as -0.0, the ``RELATIVE`` manifests, whose E reaches the
+relative field's linear system, and the ``SCANS`` manifest, whose smallest
+cap makes the ball-cap sampler try every oversampling factor and ``sample``
+top up.  Each tree runs every manifest through ``pllab.cli.main`` four
+times, at one BLAS thread: once with ``--no-cache``, twice on a fresh cache
+of its own (a miss, then a hit), and once on a cache shared by its group
+(``shared``).  A group is one workload variant, the ``UNTRUSTED`` manifests,
+the ``SEED_PAIR``, the extremal block manifests, ``EXPONENTS``, ``RELATIVE``
+or ``SCANS``; its manifests run in order, as a benchmark pass does, so a
+shared run may replay a solve of an earlier manifest.  The sha256 of every
+output file and the exit code of every run are compared between the trees,
+and inside each tree every cached run is compared with the ``--no-cache``
+run of the same manifest.  Prints each difference and each tree's count of
+cross-manifest cache hits (hits of a shared run beyond those of its miss
+run), and exits 1 if there is any difference, else 0.
 
 Each tree runs in its own Python process (the two at once), which imports
 pllab from that tree only.
@@ -99,6 +100,16 @@ RELATIVE = [
       "disc": {"kind": "ComplexBall", "center": [[0.1, -0.2]], "radius": 1.7},
       "grid_n": 200})]
 
+# A scan whose cap [0.99, 1] of the interval holds 1/200 of its points: at
+# every factor up to 128 the ball-cap sampler keeps too few, and sample tops
+# up with a larger request; no benchmark manifest reaches either loop's end.
+SCANS = [
+    ("scan-regularity-interval-r0.01",
+     {"command": "scan-regularity", "degree": 8, "seed": 1,
+      "spec": {"kind": "Interval", "a": -1.0, "b": 1.0},
+      "anchor": [[1.0, 0.0]], "radii": [0.5, 0.01],
+      "delta_grid": [0.1 * 0.7 ** k for k in range(8)]})]
+
 
 def _extremal_blocks(workloads):
     """The BLOCK_POINTS extremal manifests, drawn at a fixed seed."""
@@ -127,7 +138,7 @@ def _src(tree):
 def _manifests(seed):
     """(group, label, manifest) for every manifest of the three workloads,
     one group per variant, then the UNTRUSTED, SEED_PAIR, extremal block,
-    EXPONENTS and RELATIVE ones."""
+    EXPONENTS, RELATIVE and SCANS ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -142,7 +153,8 @@ def _manifests(seed):
             + [("extremal-blocks", *case)
                for case in _extremal_blocks(workloads)]
             + [("exponents", *EXPONENTS)]
-            + [("relative", *case) for case in RELATIVE])
+            + [("relative", *case) for case in RELATIVE]
+            + [("scans", *case) for case in SCANS])
 
 
 def _digests(outdir):
