@@ -3,16 +3,16 @@ capacities, and regularity experiments on compact sets in C^n (n <= 2)."""
 
 __version__ = "0.1.0"
 
-from .basis import (BasisSpec, OrthoBasis, dimension, log_abs_vdm,
-                    orthonormal_basis, vandermonde)
+from .basis import (BasisSpec, OrthoBasis, log_abs_vdm, orthonormal_basis,
+                    vandermonde)
 from .equidist import (Arcsine, Polynomial, TabulatedLipschitz, UniformCircle,
                        equilibrium_pairing, rate_experiment)
-from .extremal import (CompositionGap, ExtremalEstimate, PolyMap,
-                       ProjectiveEvaluator, RelativeField, SandwichEvaluator,
-                       composition_gap, relative_extremal_1c, sandwich)
-from .fekete import (DiscreteMeasure, FeketeConfig, FubiniStudyWeight,
-                     FunctionWeight, ZeroWeight, fekete_measure,
-                     quality_gamma, solve_fekete, transfinite_diameter)
+from .extremal import (CompositionGap, PolyMap, ProjectiveEvaluator,
+                       RelativeField, SandwichEvaluator, composition_gap,
+                       relative_extremal_1c)
+from .fekete import (FeketeConfig, FubiniStudyWeight, FunctionWeight,
+                     ZeroWeight, quality_gamma, solve_fekete,
+                     transfinite_diameter)
 from .geometry import (AffineImage, BallIntersection, Box, ComplexBall,
                        ConvexHull, Cusp, DegenerateSetError,
                        DimensionMismatchError, Interval, RealBall,

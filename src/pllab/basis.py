@@ -33,7 +33,7 @@ class BasisSpec:
 
     @property
     def size(self):
-        return dimension(self.n, self.d)
+        return math.comb(self.n + self.d, self.n)
 
     def exponents(self):
         """Exponent tuples in graded lexicographic order."""
@@ -44,13 +44,6 @@ class BasisSpec:
             for a1 in range(deg, -1, -1):
                 out.append((a1, deg - a1))
         return out
-
-
-def dimension(n, d):
-    """Dimension of polynomials of degree <= d in n variables: C(n+d, n)."""
-    if n not in (1, 2):
-        raise ValueError("only n in {1, 2} is supported")
-    return math.comb(n + d, n)
 
 
 def vandermonde(points, basis):
@@ -128,6 +121,10 @@ class OrthoBasis:
     def evaluate(self, points):
         """Values q_k(x_j): array of shape (len(points), N)."""
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        if pts.shape[1] != self.basis.n:
+            raise DimensionMismatchError(
+                f"points have dimension {pts.shape[1]}, basis expects "
+                f"{self.basis.n}")
         scaled = (pts - self.center[None, :]) / self.scale[None, :]
         V = vandermonde(scaled, self.basis)
         return V.T @ self.coeffs

@@ -15,25 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fekete import FubiniStudyWeight, ZeroWeight, quality_gamma
-from .geometry import ComplexBall, as_point, contains
+from .geometry import ComplexBall, contains
 
 # Query points per block of SandwichEvaluator.bounds, and per block of an
 # extremal run's text: a block's Lagrange temporaries are a few
 # BLOCK_ROWS x N arrays.
 BLOCK_ROWS = 2048
-
-
-@dataclass(frozen=True)
-class ExtremalEstimate:
-    z: tuple
-    degree: int
-    lower: float
-    upper: float
-    mode: str                  # "unweighted" | "weighted" | "projective"
-
-    @property
-    def gap(self):
-        return self.upper - self.lower
 
 
 class SandwichEvaluator:
@@ -61,8 +48,6 @@ class SandwichEvaluator:
         self.gamma = config.gamma
         self.lebesgue = config.lebesgue
         self.gap = math.log(self.N * self.gamma) / self.d
-        self.mode = ("unweighted" if isinstance(config.weight, ZeroWeight)
-                     else "weighted")
         self.phi_nodes = config.weight.evaluate(config.nodes)
         self.phi_floor = float(np.min(config.weight.evaluate(cloud.points)))
         # inverse transpose of the node matrix in the orthonormal basis
@@ -122,13 +107,6 @@ class SandwichEvaluator:
         lower = np.maximum(np.maximum(raw_max, raw_sum), self.phi_floor)
         return lower, lower + self.gap
 
-    def estimate(self, z):
-        zz = as_point(z, self.config.basis.n)
-        lower, upper = self.bounds(zz[None, :])
-        return ExtremalEstimate(
-            z=tuple(zz.tolist()), degree=self.d, lower=float(lower[0]),
-            upper=float(upper[0]), mode=self.mode)
-
 
 class ProjectiveEvaluator(SandwichEvaluator):
     """Sandwich for the Fubini-Study extremal V_E(z) = L_{E,rho}(z) - rho(z)."""
@@ -140,17 +118,11 @@ class ProjectiveEvaluator(SandwichEvaluator):
             raise ValueError("ProjectiveEvaluator requires a Fubini-Study "
                              "weight")
         super().__init__(config, cloud)
-        self.mode = "projective"
 
     def _block_bounds(self, pts, start):
         lower, upper = super()._block_bounds(pts, start)
         rho = self.config.weight.evaluate(pts)
         return lower - rho, upper - rho
-
-
-def sandwich(config, cloud, z):
-    """Certified lower/upper bracket of the degree-d extremal proxy at z."""
-    return SandwichEvaluator(config, cloud).estimate(z)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +283,8 @@ def composition_gap(h, E_config, E_cloud, hE_config, hE_cloud, w):
         raise ValueError("composition_gap requires unweighted configs")
     if hE_config.basis.n != h.n_out:
         raise ValueError("image config dimension does not match the map")
-    est_e = sandwich(E_config, E_cloud, w)
-    est_he = sandwich(hE_config, hE_cloud, h(w))
-    slack = h.degree * est_e.upper - est_he.lower
-    return CompositionGap(slack=float(slack),
-                          gap_domain=h.degree * est_e.gap,
-                          gap_image=est_he.gap)
+    (lo_e,), (up_e,) = SandwichEvaluator(E_config, E_cloud).bounds(w)
+    (lo_he,), (up_he,) = SandwichEvaluator(hE_config, hE_cloud).bounds(h(w))
+    return CompositionGap(slack=float(h.degree * up_e - lo_he),
+                          gap_domain=float(h.degree * (up_e - lo_e)),
+                          gap_image=float(up_he - lo_he))

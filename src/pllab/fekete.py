@@ -143,14 +143,6 @@ class FeketeConfig:
             quality_gamma(config, cloud, quality)
         return config
 
-    @property
-    def degree(self):
-        return self.basis.d
-
-    @property
-    def size(self):
-        return self.basis.size
-
     def to_dict(self):
         return {
             "ordering": "graded-lex",
@@ -163,19 +155,6 @@ class FeketeConfig:
             "lebesgue": self.lebesgue,
             "provenance": dict(self.provenance),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
-    support: np.ndarray
-    masses: np.ndarray
-
-
-def fekete_measure(config):
-    """Uniform probability measure on the configuration nodes."""
-    N = config.size
-    return DiscreteMeasure(support=config.nodes.copy(),
-                           masses=np.full(N, 1.0 / N))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +579,7 @@ def transfinite_diameter(configs):
     the intercept of the least-squares line delta_d = c0 + c1 / d, which
     needs at least 3 distinct degrees.
     """
-    if len({cfg.degree for cfg in configs}) < 3:
+    if len({cfg.basis.d for cfg in configs}) < 3:
         raise ValueError("need at least 3 distinct degrees")
     pairs = []
     for cfg in configs:
@@ -608,8 +587,8 @@ def transfinite_diameter(configs):
             raise ValueError("transfinite diameter is n = 1 only")
         if not isinstance(cfg.weight, ZeroWeight):
             raise ValueError("transfinite diameter requires unweighted configs")
-        N = cfg.size
-        pairs.append((cfg.degree,
+        N = cfg.basis.size
+        pairs.append((cfg.basis.d,
                       math.exp(2.0 * cfg.objective / (N * (N - 1)))))
     ds, deltas = map(np.array, zip(*sorted(pairs)))
     X = np.stack([np.ones_like(ds, dtype=float), 1.0 / ds], axis=1)

@@ -241,10 +241,23 @@ def _row_norms(D):
     # the sums np.linalg.norm forms for one vector (a dot product of the real
     # parts, plus one of the imaginary parts), so a row of a batch gets the
     # same bits as the same point alone
-    sq = np.vecdot(D.real, D.real)
-    if np.iscomplexobj(D):
-        sq = sq + np.vecdot(D.imag, D.imag)
-    return np.sqrt(sq)
+    def norms(D):
+        sq = np.vecdot(D.real, D.real)
+        if np.iscomplexobj(D):
+            sq = sq + np.vecdot(D.imag, D.imag)
+        return np.sqrt(sq)
+
+    with np.errstate(over="ignore"):
+        out = norms(D)
+        # a finite row whose squares overflow: scale it by its largest
+        # coordinate part first
+        big = np.flatnonzero(np.isinf(out))
+        big = big[np.isfinite(D[big]).all(axis=1)]
+        if big.size:
+            B = D[big]
+            s = np.max(np.maximum(np.abs(B.real), np.abs(B.imag)), axis=1)
+            out[big] = s * norms(B / s[:, None])
+    return out
 
 
 def _member(spec, Z, tol):
@@ -364,10 +377,6 @@ class SampleCloud:
     @property
     def size(self):
         return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
     @cached_property
     def fingerprint(self):
@@ -491,14 +500,18 @@ def _sample_disc(spec, count, seed):
     return np.concatenate([ring, inner])[:, None], h
 
 
-def _sphere3_points(count, seed):
-    """Deterministic spread on the unit sphere of C^2 (S^3), Hopf coordinates."""
-    u = _kronecker(count, 3, seed)
+def _hopf(u):
+    """The rows of u in [0, 1)^3 on the unit sphere of C^2 (S^3), by Hopf
+    coordinates, which carry the uniform measure of the cube to that of
+    the sphere."""
     eta = np.arcsin(np.sqrt(u[:, 0]))
-    t1 = 2 * math.pi * u[:, 1]
-    t2 = 2 * math.pi * u[:, 2]
-    return np.stack([np.cos(eta) * np.exp(1j * t1),
-                     np.sin(eta) * np.exp(1j * t2)], axis=1)
+    return np.stack([np.cos(eta) * np.exp(2j * math.pi * u[:, 1]),
+                     np.sin(eta) * np.exp(2j * math.pi * u[:, 2])], axis=1)
+
+
+def _sphere3_points(count, seed):
+    """Deterministic spread on the unit sphere of C^2 (S^3)."""
+    return _hopf(_kronecker(count, 3, seed))
 
 
 def _sample_ball2(spec, count, seed):

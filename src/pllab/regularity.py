@@ -18,7 +18,7 @@ from .basis import BasisSpec
 from .extremal import ProjectiveEvaluator, SandwichEvaluator
 from .fekete import cached_fekete
 from .geometry import (_PLASTIC, BallIntersection, DegenerateSetError,
-                       as_point, contains, diameter, exact_extremal)
+                       _hopf, as_point, contains, diameter, exact_extremal)
 from .serialize import Cache
 
 N_DIRECTIONS = 64
@@ -40,9 +40,7 @@ def direction_mesh(n, count=N_DIRECTIONS):
         return np.exp(1j * ang)[:, None]
     u = ((np.arange(count)[:, None] + 0.5) *
          np.array([1 / _PLASTIC, 1 / _PLASTIC ** 2, 1 / _PLASTIC ** 3])[None, :]) % 1.0
-    eta = np.arcsin(np.sqrt(u[:, 0]))
-    return np.stack([np.cos(eta) * np.exp(2j * math.pi * u[:, 1]),
-                     np.sin(eta) * np.exp(2j * math.pi * u[:, 2])], axis=1)
+    return _hopf(u)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pllab.cli import main as cli_main
 from pllab.equidist import (Arcsine, Polynomial, _circle_cloud,
                             _interval_cloud, rate_experiment)
 from pllab.extremal import (PolyMap, SandwichEvaluator, composition_gap,
-                            relative_extremal_1c, sandwich)
+                            relative_extremal_1c)
 from pllab.fekete import (FubiniStudyWeight, FunctionWeight, solve_fekete,
                           transfinite_diameter)
 from pllab.geometry import (ComplexBall, Cusp, Interval, exact_extremal,
@@ -53,13 +53,13 @@ def test_criterion_03_sandwich_brackets():
     target = 1.316958
     cloud_i = sample(Interval(-1.0, 1.0), 2001, seed=0)
     cfg_i = solve_fekete(cloud_i, BasisSpec(1, 20))
-    est_i = sandwich(cfg_i, cloud_i, 2.0)
-    ok_i = (est_i.lower <= target <= est_i.upper and
-            est_i.gap <= math.log(21 * cfg_i.gamma) / 20 + 1e-9)
+    (lo_i,), (up_i,) = SandwichEvaluator(cfg_i, cloud_i).bounds(2.0)
+    ok_i = (lo_i <= target <= up_i and
+            up_i - lo_i <= math.log(21 * cfg_i.gamma) / 20 + 1e-9)
     cloud_d = sample(ComplexBall((0.0,), 1.0), 2001, seed=0)
     cfg_d = solve_fekete(cloud_d, BasisSpec(1, 10))
-    est_d = sandwich(cfg_d, cloud_d, 2.0)
-    ok_d = est_d.lower <= math.log(2.0) <= est_d.upper
+    (lo_d,), (up_d,) = SandwichEvaluator(cfg_d, cloud_d).bounds(2.0)
+    ok_d = lo_d <= math.log(2.0) <= up_d
     _report(3, "sandwich brackets at z=2 (interval d=20, disc d=10)",
             ok_i and ok_d)
 

@@ -5,19 +5,19 @@ import pytest
 
 from scipy.linalg import qr
 
-from pllab.basis import (BasisSpec, _rescale, dimension, log_abs_vdm,
-                         orthonormal_basis, vandermonde)
+from pllab.basis import (BasisSpec, _rescale, log_abs_vdm, orthonormal_basis,
+                         vandermonde)
 from pllab.geometry import (Box, ComplexBall, Cusp, DegenerateSetError,
                             DimensionMismatchError, Interval, sample)
 
 
 def test_dimension_counts():
-    assert dimension(1, 5) == 6
-    assert dimension(2, 1) == 3
-    assert dimension(2, 2) == 6
-    assert dimension(2, 20) == 231
+    assert BasisSpec(1, 5).size == 6
+    assert BasisSpec(2, 1).size == 3
+    assert BasisSpec(2, 2).size == 6
+    assert BasisSpec(2, 20).size == 231
     with pytest.raises(ValueError):
-        dimension(3, 2)
+        BasisSpec(3, 2)
 
 
 def test_graded_lex_order_n2():

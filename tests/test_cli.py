@@ -1034,6 +1034,19 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_far_anchor_exits_schema_with_one_stderr_line(tmp_path):
+    """At 1e200 the anchor's squared norm overflows; the run names the
+    anchor and prints no numpy warning."""
+    man = dict(SCALAR_DEGREE_MANIFESTS["localize"], anchor=[[1e200, 1e200]])
+    res = subprocess.run([sys.executable, "-m", "pllab.cli", "--manifest",
+                          _write_manifest(tmp_path, man), "--out",
+                          str(tmp_path / "o"), "--no-cache"],
+                         capture_output=True, text=True, env=_child_env())
+    assert res.returncode == EXIT_SCHEMA
+    assert len(res.stderr.splitlines()) == 1
+    assert "field 'anchor'" in res.stderr
+
+
 def test_console_script_help():
     res = subprocess.run([sys.executable, "-m", "pllab.cli", "--help"],
                          capture_output=True, text=True, env=_child_env())

@@ -8,10 +8,10 @@ from pllab.basis import BasisSpec
 from pllab.cli import _one_blas_thread
 from pllab.extremal import (BLOCK_ROWS, PolyMap, ProjectiveEvaluator,
                             SandwichEvaluator, composition_gap,
-                            relative_extremal_1c, sandwich)
+                            relative_extremal_1c)
 from pllab.fekete import FubiniStudyWeight, ZeroWeight, solve_fekete
-from pllab.geometry import (ComplexBall, Interval, Union, contains,
-                            exact_extremal, sample)
+from pllab.geometry import (ComplexBall, DimensionMismatchError, Interval,
+                            Union, contains, exact_extremal, sample)
 
 
 @pytest.fixture(scope="module")
@@ -30,24 +30,24 @@ def disc_setup():
 
 def test_sandwich_brackets_interval(interval_setup):
     cfg, cloud = interval_setup
-    est = sandwich(cfg, cloud, 2.0)
+    (lo,), (up,) = SandwichEvaluator(cfg, cloud).bounds(2.0)
     target = math.log(2 + math.sqrt(3))
-    assert est.lower <= target <= est.upper
-    assert est.gap <= math.log(21 * cfg.gamma) / 20 + 1e-9
+    assert lo <= target <= up
+    assert up - lo <= math.log(21 * cfg.gamma) / 20 + 1e-9
 
 
 def test_sandwich_brackets_disc(disc_setup):
     cfg, cloud = disc_setup
-    est = sandwich(cfg, cloud, 2.0)
-    assert est.lower <= math.log(2) <= est.upper
+    (lo,), (up,) = SandwichEvaluator(cfg, cloud).bounds(2.0)
+    assert lo <= math.log(2) <= up
 
 
 def test_gap_law(interval_setup):
     cfg, cloud = interval_setup
-    est = sandwich(cfg, cloud, 1.7)
+    (lo,), (up,) = SandwichEvaluator(cfg, cloud).bounds(1.7)
     N = cfg.basis.size
-    assert est.gap * cfg.basis.d == pytest.approx(math.log(N * cfg.gamma),
-                                                  abs=1e-12)
+    assert (up - lo) * cfg.basis.d == pytest.approx(math.log(N * cfg.gamma),
+                                                    abs=1e-12)
 
 
 def test_lower_nonnegative_on_set(interval_setup):
@@ -61,9 +61,9 @@ def test_lower_nonnegative_on_set(interval_setup):
 
 def test_sandwich_at_node(interval_setup):
     cfg, cloud = interval_setup
-    est = sandwich(cfg, cloud, cfg.nodes[0])
-    assert est.lower >= -math.log(cfg.gamma) / cfg.basis.d - 1e-12
-    assert est.upper >= 0.0
+    (lo,), (up,) = SandwichEvaluator(cfg, cloud).bounds(cfg.nodes[0])
+    assert lo >= -math.log(cfg.gamma) / cfg.basis.d - 1e-12
+    assert up >= 0.0
 
 
 def test_oracle_inside_bracket_many_points(interval_setup):
@@ -83,9 +83,9 @@ def test_degree_monotonicity_of_lower():
     prev = -np.inf
     for d in (5, 10, 20, 40):
         cfg = solve_fekete(cloud, BasisSpec(1, d))
-        est = sandwich(cfg, cloud, z)
-        assert est.lower >= prev - 2e-2
-        prev = est.lower
+        (lo,), _ = SandwichEvaluator(cfg, cloud).bounds(z)
+        assert lo >= prev - 2e-2
+        prev = lo
 
 
 def test_weight_comparison_invariant():
@@ -108,17 +108,18 @@ def test_weight_comparison_invariant():
 def test_projective_extremal_inside_set():
     cloud = sample(ComplexBall((0.0,), 1.0), 1201, seed=0)
     cfg = solve_fekete(cloud, BasisSpec(1, 12), FubiniStudyWeight())
-    est = ProjectiveEvaluator(cfg, cloud).estimate(0.0)
+    ev = ProjectiveEvaluator(cfg, cloud)
+    (lo,), (up,) = ev.bounds(0.0)
     # the certificate is relative to the cloud, so allow mesh slack
     eps = 3 * cloud.density_parameter
-    assert est.lower - eps <= 0.0 <= est.upper + eps
-    assert est.mode == "projective"
+    assert lo - eps <= 0.0 <= up + eps
+    assert ev.source == "projective"
 
 
 def test_projective_requires_fubini_study(disc_setup):
     cfg, cloud = disc_setup
     with pytest.raises(ValueError, match="Fubini-Study"):
-        ProjectiveEvaluator(cfg, cloud).estimate(2.0)
+        ProjectiveEvaluator(cfg, cloud).bounds(2.0)
     with pytest.raises(ValueError, match="Fubini-Study"):
         ProjectiveEvaluator(cfg, cloud)
 
@@ -128,11 +129,11 @@ def test_projective_identity_cross_check():
     cloud = sample(Interval(-1.0, 1.0), 1201, seed=0)
     cfg = solve_fekete(cloud, BasisSpec(1, 12), FubiniStudyWeight())
     z = 2.0
-    est_w = sandwich(cfg, cloud, z)
-    est_v = ProjectiveEvaluator(cfg, cloud).estimate(z)
+    (lo_w,), (up_w,) = SandwichEvaluator(cfg, cloud).bounds(z)
+    (lo_v,), (up_v,) = ProjectiveEvaluator(cfg, cloud).bounds(z)
     rho = 0.5 * math.log1p(abs(z) ** 2)
-    assert est_v.lower == pytest.approx(est_w.lower - rho, abs=1e-12)
-    assert est_v.upper == pytest.approx(est_w.upper - rho, abs=1e-12)
+    assert lo_v == pytest.approx(lo_w - rho, abs=1e-12)
+    assert up_v == pytest.approx(up_w - rho, abs=1e-12)
 
 
 def test_projective_evaluator_batch():
@@ -150,8 +151,8 @@ def test_projective_evaluator_batch():
     rho = cfg.weight.evaluate(zs)
     assert lo.tobytes() == (lw - rho).tobytes()
     assert up.tobytes() == (uw - rho).tobytes()
-    single = ProjectiveEvaluator(cfg, cloud).estimate(1.5)
-    assert lo[0] == pytest.approx(single.lower, abs=1e-12)
+    (single,), _ = ProjectiveEvaluator(cfg, cloud).bounds(1.5)
+    assert lo[0] == pytest.approx(single, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,16 @@ def test_bounds_overflow_names_the_first_far_point():
     z[[BLOCK_ROWS + 3, BLOCK_ROWS + 9, 2 * BLOCK_ROWS + 1]] = 1e25
     with pytest.raises(ValueError, match=f"query point {BLOCK_ROWS + 3}:"):
         ev.bounds(z)
+
+
+def test_bounds_checks_the_point_dimension():
+    # one coordinate against the C^2 basis: a scalar, and (k, 1) arrays,
+    # which would broadcast against the basis centre
+    cloud = sample(ComplexBall((0.0, 0.0), 1.0), 400, seed=0)
+    ev = SandwichEvaluator(solve_fekete(cloud, BasisSpec(2, 3)), cloud)
+    for z in (1.5, np.array([[1.5]]), np.full((3, 1), 1.5 + 0j)):
+        with pytest.raises(DimensionMismatchError, match="dimension 1"):
+            ev.bounds(z)
 
 
 def test_bounds_memory_is_one_block_not_all_points():

@@ -7,8 +7,8 @@ from scipy.linalg import qr
 from pllab import cli, fekete
 from pllab.basis import BasisSpec, log_abs_vdm
 from pllab.fekete import (FeketeConfig, FubiniStudyWeight, FunctionWeight,
-                          ZeroWeight, fekete_measure, quality_gamma,
-                          solve_fekete, transfinite_diameter)
+                          ZeroWeight, quality_gamma, solve_fekete,
+                          transfinite_diameter)
 from pllab.geometry import (AffineImage, Box, ComplexBall, DegenerateSetError,
                             Interval, RealBall, sample)
 
@@ -70,13 +70,6 @@ def test_solve_fekete_cloud_size_guard():
     cloud = sample(Interval(-1, 1), 10, seed=0)
     with pytest.raises(ValueError, match="cloud size"):
         solve_fekete(cloud, BasisSpec(1, 8))
-
-
-def test_fekete_measure_uniform(interval_cloud):
-    cfg = solve_fekete(interval_cloud, BasisSpec(1, 2))
-    mu = fekete_measure(cfg)
-    assert np.allclose(mu.masses, 1.0 / 3)
-    assert np.sum(mu.masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quality_gamma_exact_nodes(interval_cloud):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from pllab.geometry import (TOL, AffineImage, BallIntersection, Box,
                             DimensionMismatchError, Interval, RealBall, Union,
                             as_point, contains, diameter, exact_extremal,
                             halfdisc_harmonic_measure, sample, spec_from_dict)
-from pllab.geometry import _cusp_gap, _dedupe, _hull_contains, _sample_dispatch
+from pllab.geometry import (_cusp_gap, _dedupe, _hull_contains, _kronecker,
+                            _sample_dispatch, _sphere3_points)
 
 
 def test_as_point_dimension_check():
@@ -282,6 +284,23 @@ def test_contains_ball_threshold_is_linalg_norm(kind):
     assert checked > 100
 
 
+def test_far_points_do_not_overflow_the_norm():
+    """At 1e200 the squares of the coordinates overflow; membership and the
+    ball oracle still answer, with no warning, from the rescaled row."""
+    disc = ComplexBall((0.0,), 1.0)
+    z = 1e200 * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not contains(disc, z)
+        assert not contains(disc, np.array([[z]]))[0]
+        assert exact_extremal(disc, z) == pytest.approx(
+            math.log(math.sqrt(2)) + 200 * math.log(10), rel=1e-15)
+        far = np.array([[1e200, -3e200]], dtype=complex)
+        assert exact_extremal(ComplexBall((0.0, 0.0), 1.0), far)[0] == \
+            pytest.approx(0.5 * math.log(10) + 200 * math.log(10), rel=1e-15)
+        assert not contains(RealBall((0.0, 0.0), 1.0), far.real)[0]
+
+
 def test_contains_array_dimension_check():
     with pytest.raises(DimensionMismatchError):
         contains(ComplexBall((0.0, 0.0), 1.0), np.zeros((3, 1)))
@@ -311,6 +330,18 @@ def test_ballcap_shell_filter_matches_per_point(inner, monkeypatch):
     got = sample(spec, 300, seed=4)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.density_parameter == want.density_parameter
+
+
+@pytest.mark.parametrize("count", [1, 64, 4097])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_sphere3_points_keep_their_bits(count, seed):
+    u = _kronecker(count, 3, seed)
+    eta = np.arcsin(np.sqrt(u[:, 0]))
+    t1 = 2 * math.pi * u[:, 1]
+    t2 = 2 * math.pi * u[:, 2]
+    want = np.stack([np.cos(eta) * np.exp(1j * t1),
+                     np.sin(eta) * np.exp(1j * t2)], axis=1)
+    assert _sphere3_points(count, seed).tobytes() == want.tobytes()
 
 
 def test_sample_interval_deterministic():

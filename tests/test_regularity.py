@@ -27,6 +27,17 @@ def test_direction_mesh_shapes():
     assert np.allclose(np.linalg.norm(d2, axis=1), 1.0)
 
 
+@pytest.mark.parametrize("count", [1, 64, 4097])
+def test_direction_mesh_keeps_its_bits(count):
+    g = 1.3247179572447460            # the plastic number
+    u = ((np.arange(count)[:, None] + 0.5) *
+         np.array([1 / g, 1 / g ** 2, 1 / g ** 3])[None, :]) % 1.0
+    eta = np.arcsin(np.sqrt(u[:, 0]))
+    want = np.stack([np.cos(eta) * np.exp(2j * math.pi * u[:, 1]),
+                     np.sin(eta) * np.exp(2j * math.pi * u[:, 2])], axis=1)
+    assert direction_mesh(2, count).tobytes() == want.tobytes()
+
+
 def test_modulus_fit_interval_endpoint_exact():
     iv = Interval(-1.0, 1.0)
     rep = modulus_fit(iv, 1.0, GRID, ExactEngine(iv))

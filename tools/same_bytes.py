@@ -12,15 +12,16 @@ at different seeds, two extremal manifests whose query points end in a
 partial row block, one of them with int leaves, and the ``EXPONENTS``
 extremal manifest, whose float leaves and bounds repr writes with an
 exponent or as -0.0, the ``RELATIVE`` manifests, whose E reaches the
-relative field's linear system, and the ``SCANS`` manifest, whose smallest
+relative field's linear system, the ``SCANS`` manifest, whose smallest
 cap makes the ball-cap sampler try every oversampling factor and ``sample``
-top up.  Each tree runs every manifest through ``pllab.cli.main`` four
-times, at one BLAS thread: once with ``--no-cache``, twice on a fresh cache
-of its own (a miss, then a hit), and once on a cache shared by its group
-(``shared``).  A group is one workload variant, the ``UNTRUSTED`` manifests,
-the ``SEED_PAIR``, the extremal block manifests, ``EXPONENTS``, ``RELATIVE``
-or ``SCANS``; its manifests run in order, as a benchmark pass does, so a
-shared run may replay a solve of an earlier manifest.  The sha256 of every
+top up, and the ``FAR`` manifests, whose one point lies at 1e200.  Each
+tree runs every manifest through ``pllab.cli.main`` four times, at one BLAS
+thread: once with ``--no-cache``, twice on a fresh cache of its own (a
+miss, then a hit), and once on a cache shared by its group (``shared``).  A
+group is one workload variant, the ``UNTRUSTED`` manifests, the
+``SEED_PAIR``, the extremal block manifests, ``EXPONENTS``, ``RELATIVE``,
+``SCANS`` or ``FAR``; its manifests run in order, as a benchmark pass does,
+so a shared run may replay a solve of an earlier manifest.  The sha256 of every
 output file and the exit code of every run are compared between the trees,
 and inside each tree every cached run is compared with the ``--no-cache``
 run of the same manifest.  Prints each difference and each tree's count of
@@ -110,6 +111,20 @@ SCANS = [
       "anchor": [[1.0, 0.0]], "radii": [0.5, 0.01],
       "delta_grid": [0.1 * 0.7 ** k for k in range(8)]})]
 
+# Points at 1e200, whose squared norms overflow: a localize anchor off the
+# unit disc, which exits 2 naming the anchor, and an extremal query point
+# too far out for the monomial table of a C^2 ball at d=6, which exits 3.
+FAR = [
+    ("localize-disc-anchor-1e200",
+     {"command": "localize", "degree": 4, "radius": 0.3,
+      "spec": {"kind": "ComplexBall", "center": [[0.0, 0.0]], "radius": 1.0},
+      "anchor": [[1e200, 1e200]]}),
+    ("extremal-ball2-d6-point-1e200",
+     {"command": "extremal", "degree": 6, "points": [[[1e200, 0.0],
+                                                      [0.0, 0.0]]],
+      "spec": {"kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
+               "radius": 1.0}})]
+
 
 def _extremal_blocks(workloads):
     """The BLOCK_POINTS extremal manifests, drawn at a fixed seed."""
@@ -138,7 +153,7 @@ def _src(tree):
 def _manifests(seed):
     """(group, label, manifest) for every manifest of the three workloads,
     one group per variant, then the UNTRUSTED, SEED_PAIR, extremal block,
-    EXPONENTS, RELATIVE and SCANS ones."""
+    EXPONENTS, RELATIVE, SCANS and FAR ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -154,7 +169,8 @@ def _manifests(seed):
                for case in _extremal_blocks(workloads)]
             + [("exponents", *EXPONENTS)]
             + [("relative", *case) for case in RELATIVE]
-            + [("scans", *case) for case in SCANS])
+            + [("scans", *case) for case in SCANS]
+            + [("far", *case) for case in FAR])
 
 
 def _digests(outdir):
