@@ -279,7 +279,7 @@ def _member(spec, Z, tol):
         return _hull_contains(spec, Z, tol)
     if isinstance(spec, Cusp):
         inside = _real_rows(Z, tol)
-        inside[inside] = _cusp_gap(spec, Z[inside].real) <= tol
+        inside[inside] = _cusp_member(spec, Z[inside].real, tol)
         return inside
     if isinstance(spec, AffineImage):
         W = np.linalg.solve(spec.A, (Z - spec.b)[:, :, None])[:, :, 0]
@@ -318,28 +318,49 @@ def _hull_contains(spec, Z, tol):
     return inside
 
 
-def _cusp_gap(spec, X):
-    """For each row x of the real (k, n) array X: min over t in [0,1] of the
-    sup-norm distance from x to the cube at t; <= 0 means inside.
+# nodes of the grid of t that _cusp_grid tries before any search
+_CUSP_NODES = 2049
 
-    A grid of t gives each row its best cell, and a 60-step golden-section
-    search polishes it, on all rows at once.  Every row's arithmetic is that
-    of a search on the row alone, t ** m included: it is taken on Python
-    floats, since numpy's array power may round otherwise than its scalar
-    power.
+
+def _cusp_member(spec, X, tol):
+    """Whether each row x of the real (k, n) array X lies in the cusp:
+    _cusp_gap(spec, X, *_cusp_grid(spec, X)) <= tol, row for row.
+
+    The grid settles most rows, and the search runs only on the rest.  The
+    search never leaves the two grid cells around the best node, so its
+    point t lies within one step 1/2048 of that node, and the gap
+    g(t) = max_j |x_j - h_j(t)| - M t^m moves by at most L / 2048 between
+    them: L = max_j sum_k k |c_jk| + M m bounds the slope of g on [0, 1].
+    The gap the search returns is at most the grid's best, so a row is in
+    when best <= tol; and it is out when best > tol + L / 2048 + eps, where
+    eps = 8 (D + 2) u s bounds the rounding of the two evaluations of g
+    (Horner's rule on degree D, the subtraction, t^m and M t^m) at the row's
+    scale s = max_j |x_j| + max_j sum_k |c_jk| + M, with u = 2^-53.
     """
-    if not len(X):
-        return np.zeros(0)
-    ts = np.linspace(0.0, 1.0, 2049)
+    a, b, best = _cusp_grid(spec, X)
+    coeffs = [np.abs(np.asarray(c, dtype=float)) for c in spec.h_coeffs]
+    slope = max(float(np.arange(len(c)) @ c) for c in coeffs) \
+        + spec.M * spec.m
+    size = max(float(np.sum(c)) for c in coeffs) + spec.M
+    degree = max(len(c) for c in coeffs) - 1
+    eps = 8 * (degree + 2) * 2.0 ** -53 * (np.max(np.abs(X), axis=1) + size)
+    inside = best <= tol
+    rest = ~(inside | (best > tol + slope / (_CUSP_NODES - 1) + eps))
+    if rest.any():
+        inside[rest] = _cusp_gap(spec, X[rest], a[rest], b[rest],
+                                 best[rest]) <= tol
+    return inside
+
+
+def _cusp_grid(spec, X):
+    """For each row x of the real (k, n) array X, the grid node t_i of
+    t_0 = 0 < ... < t_2048 = 1 whose cube is nearest x in the sup norm:
+    the bracket (t_{i-1}, t_{i+1}), clipped to [0, 1], and the gap there,
+    max_j |x_j - h_j(t_i)| - M t_i^m."""
+    ts = np.linspace(0.0, 1.0, _CUSP_NODES)
     H = spec.h(ts)                                        # (T, n)
     radius = spec.M * ts ** spec.m
-
-    def f(t, Y):
-        power = np.array([s ** spec.m for s in t.tolist()])
-        return np.max(np.abs(Y - spec.h(t)), axis=1) - spec.M * power
-
-    # the grid's best cell of each row, a block of rows at a time: the
-    # differences take rows x T x n floats
+    # a block of rows at a time: the differences take rows x T x n floats
     i = np.zeros(len(X), dtype=int)
     best = np.zeros(len(X))
     step = max(1, 2 ** 20 // H.size)
@@ -347,8 +368,24 @@ def _cusp_gap(spec, X):
         gap = np.max(np.abs(X[r:r + step, None, :] - H), axis=2) - radius
         i[r:r + step] = np.argmin(gap, axis=1)
         best[r:r + step] = gap[np.arange(len(gap)), i[r:r + step]]
-    a = ts[np.maximum(i - 1, 0)]
-    b = ts[np.minimum(i + 1, len(ts) - 1)]
+    return (ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)],
+            best)
+
+
+def _cusp_gap(spec, X, a, b, best):
+    """For each row x of the real (k, n) array X: min over t in [0,1] of the
+    sup-norm distance from x to the cube at t; <= 0 means inside.
+
+    A 60-step golden-section search polishes the grid's bracket (a, b) and
+    gap best of each row (_cusp_grid), on all rows at once.  Every row's
+    arithmetic is that of a search on the row alone, t ** m included: it is
+    taken on Python floats, since numpy's array power may round otherwise
+    than its scalar power.
+    """
+    def f(t, Y):
+        power = np.array([s ** spec.m for s in t.tolist()])
+        return np.max(np.abs(Y - spec.h(t)), axis=1) - spec.M * power
+
     XX = np.concatenate([X, X])     # both probes of a step in one call
     for _ in range(60):
         m1 = a + 0.382 * (b - a)
@@ -609,8 +646,28 @@ def _sample_cusp(spec, count, seed):
 
 
 def _sample_ballcap(spec, count, seed):
+    """The cap K ∩ B̄(c, r): the inner set's points within r + TOL of c,
+    deduplicated, from a cloud of count * factor points at the first factor
+    of 2, 4, ..., 128 that keeps count of them, then the sphere points in K.
+
+    Only the inner points near the cap are deduplicated: those within
+    r + TOL + slack of c, slack = n (2e-12 + 1e-14 (A + r + 1)) with A the
+    largest coordinate part of c, and those with a coordinate part of 1e296
+    or more.  That keeps the points, and the order, of deduplicating the
+    whole cloud.  A cap point q is dropped only for an earlier point p with
+    its key.  Below 1e296, np.round(x, 12) = rint(x 1e12) / 1e12 lies within
+    0.5e-12 (1 + u) + 2.0000001 u |x| of x (u = 2^-53), so p and q differ by
+    at most 1e-12 (1 + u) + 4.0000002 u max(|p_i|, |q_i|) in each of their
+    2n coordinate parts, with |q_i| <= A + r + TOL.  Together with the
+    rounding of the two distances, each within a relative 8 u, p lies
+    within r + TOL + slack of c.  From 1e296 up, x * 1e12 may overflow to
+    inf and merge points far apart; those points are all deduplicated.
+    """
     c = spec.c
     r = spec.radius
+    n = spec.dim
+    cmax = float(np.max(np.maximum(np.abs(c.real), np.abs(c.imag))))
+    near = r + TOL + n * (2e-12 + 1e-14 * (cmax + r + 1.0))
     for factor in (2, 4, 8, 16, 32, 64, 128):
         # each nested level multiplies the request: guard it before the
         # inner set allocates
@@ -619,7 +676,9 @@ def _sample_ballcap(spec, count, seed):
                              f"{count * factor} points of its inner set, "
                              "over the resource guard of 1e7")
         pts, h = _sample_dispatch(spec.inner, count * factor, seed)
-        pts = _dedupe(pts)
+        huge = np.any((np.abs(pts.real) >= 1e296)
+                      | (np.abs(pts.imag) >= 1e296), axis=1)
+        pts = _dedupe(pts[(_row_norms(pts - c[None, :]) <= near) | huge])
         inside = pts[np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL]
         if len(inside) >= count:
             break
@@ -627,7 +686,6 @@ def _sample_ballcap(spec, count, seed):
         raise DegenerateSetError("BallIntersection retains too few points; "
                                  "set appears degenerate at this radius")
     # densify the spherical cap boundary: ring/sphere points kept in the set
-    n = spec.dim
     nb = max(16, int(0.3 * count))
     if n == 1:
         ang = 2 * math.pi * (np.arange(nb) + 0.5 * ((seed % 7) + 1) / 8) / nb
@@ -674,14 +732,33 @@ def _exact(spec, Z):
                          "exact_extremal covers ComplexBall, RealBall and "
                          "Interval")
     W = (Z - c) / r
-    s = np.sum(W * W, axis=1) - 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # log(x + sqrt(x^2 - 1)) for x >= 1, stable near 1
+        x = np.maximum(_spread(W, 1.0), 1.0)
+        out = 0.5 * np.log(x + np.sqrt(x * x - 1.0))
+    # a finite row where that overflows, from about |W| = 1e77: with s its
+    # largest coordinate part, x = s^2 x' for x' the spread of W / s against
+    # s^-2, and log(x + sqrt(x^2 - 1)) = log x + log(1 + sqrt(1 - x^-2))
+    big = np.flatnonzero(~np.isfinite(out))
+    big = big[np.isfinite(W[big]).all(axis=1)]
+    if big.size:
+        B = W[big]
+        s = np.max(np.maximum(np.abs(B.real), np.abs(B.imag)), axis=1)
+        tiny = s ** -2.0
+        xs = _spread(B / s[:, None], tiny)
+        inv = tiny / xs
+        out[big] = 0.5 * (2.0 * np.log(s) + np.log(xs)
+                          + np.log1p(np.sqrt(1.0 - inv * inv)))
+    return out
+
+
+def _spread(W, one):
+    """|w|^2 + |<w, w> - one| for each row w of W."""
+    s = np.sum(W * W, axis=1) - one
     # |s| by hypot, as abs rounds one complex number: np.abs of a complex
     # array can differ in the last bit, and the log below magnifies that
     # near the set
-    x = np.sum(np.abs(W) ** 2, axis=1) + np.hypot(s.real, s.imag)
-    # log(x + sqrt(x^2 - 1)) for x >= 1, stable near 1
-    x = np.maximum(x, 1.0)
-    return 0.5 * np.log(x + np.sqrt(x * x - 1.0))
+    return np.sum(np.abs(W) ** 2, axis=1) + np.hypot(s.real, s.imag)
 
 
 def halfdisc_harmonic_measure(tau):

@@ -11,7 +11,8 @@ from pllab.geometry import (TOL, AffineImage, BallIntersection, Box,
                             DimensionMismatchError, Interval, RealBall, Union,
                             as_point, contains, diameter, exact_extremal,
                             halfdisc_harmonic_measure, sample, spec_from_dict)
-from pllab.geometry import (_cusp_gap, _dedupe, _hull_contains, _kronecker,
+from pllab.geometry import (_cusp_gap, _cusp_grid, _cusp_member, _dedupe,
+                            _hull_contains, _kronecker, _sample_ballcap,
                             _sample_dispatch, _sphere3_points)
 
 
@@ -198,20 +199,85 @@ def _probe(spec, rng):
     return np.vstack(pts)
 
 
-@pytest.mark.parametrize("spec", [
-    Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
-    Cusp(((0.0, 1.0), (0.0, 0.0, 0.7)), 0.3, 3),
-    Cusp(((0.2, -1.0), (0.0, 0.5), (0.1, 0.0, 1.0)), 1.0, 1)],
-    ids=["m2", "m3-curved", "m1-3d"])
+def _gap(spec, X):
+    """The grid step and the search on every row: the gap of each row."""
+    return _cusp_gap(spec, X, *_cusp_grid(spec, X))
+
+
+CUSP_SPECS = [Cusp(((0.0, 1.0), (0.0,)), 0.5, 2),
+              Cusp(((0.0, 1.0), (0.0, 0.0, 0.7)), 0.3, 3),
+              Cusp(((0.2, -1.0), (0.0, 0.5), (0.1, 0.0, 1.0)), 1.0, 1)]
+CUSP_IDS = ["m2", "m3-curved", "m1-3d"]
+
+
+@pytest.mark.parametrize("spec", CUSP_SPECS, ids=CUSP_IDS)
 def test_cusp_gap_matches_the_per_point_search_bit_for_bit(spec):
     rng = np.random.default_rng(3)
     t = rng.uniform(0.0, 1.0, 20)
     X = np.vstack([spec.h(t) + rng.uniform(-1, 1, (20, spec.dim))
                    * (spec.M * t ** spec.m)[:, None],
                    rng.uniform(-1.5, 1.5, (20, spec.dim))])
-    gaps = _cusp_gap(spec, X)
+    gaps = _gap(spec, X)
     assert np.array_equal(gaps, [_cusp_gap_loop(spec, x) for x in X])
-    assert np.array_equal(_cusp_gap(spec, X[:0]), [])
+    assert np.array_equal(_gap(spec, X[:0]), [])
+
+
+def _cusp_boundary_points(spec, rng):
+    """Points on the faces of the cubes D(h(t), M t^m), pushed in and out by
+    relative steps from 1e-3 down to 1e-13 and 0, and random points."""
+    n = spec.dim
+    t = rng.uniform(0.0, 1.0, 120)
+    u = rng.uniform(-1.0, 1.0, (120, n))
+    face = rng.integers(0, n, 120)
+    u[np.arange(120), face] = np.sign(u[np.arange(120), face])
+    step = np.array([-1e-3, -1e-5, -1e-9, -1e-12, -1e-13, 0.0, 1e-13, 1e-12,
+                     1e-9, 1e-5, 1e-3])
+    scale = (spec.M * t ** spec.m)[:, None, None] * (1 + step)[None, :, None]
+    X = (spec.h(t)[:, None, :] + scale * u[:, None, :]).reshape(-1, n)
+    return np.vstack([X, rng.uniform(-1.5, 1.5, (120, n))])
+
+
+@pytest.mark.parametrize("spec", CUSP_SPECS, ids=CUSP_IDS)
+def test_cusp_membership_equals_the_searched_gap(spec, monkeypatch):
+    """The grid settles most rows; every decision, at TOL and at 1e-9, is
+    that of the search on all rows, on boundary-heavy points and on points
+    at |x| = 1e8."""
+    rng = np.random.default_rng(17)
+    near = _cusp_boundary_points(spec, rng)
+    far = rng.standard_normal((200, spec.dim))
+    far *= 1e8 / np.max(np.abs(far), axis=1, keepdims=True)
+    searched = []
+    search = geometry._cusp_gap
+
+    def counting(spec, X, *args):
+        searched.append(len(X))
+        return search(spec, X, *args)
+
+    monkeypatch.setattr(geometry, "_cusp_gap", counting)
+    for X in (near, far):
+        gap = search(spec, X, *_cusp_grid(spec, X))
+        for tol in (TOL, 1e-9):
+            want = gap <= tol
+            assert np.array_equal(_cusp_member(spec, X, tol), want)
+            assert np.array_equal(contains(spec, X + 0j, tol), want)
+            assert 0 < want.sum() < len(X) or X is far and not want.any()
+    # the boundary points leave some rows open, but few; far rows settle
+    assert len(searched) == 4
+    assert all(0 < k < len(near) // 4 for k in searched)
+
+
+@pytest.mark.parametrize("spec", CUSP_SPECS, ids=CUSP_IDS)
+def test_cusp_vertex_never_enters_the_search(spec, monkeypatch):
+    """A scan anchored at the vertex checks it on the cusp and on its caps:
+    the grid settles each check."""
+    calls = []
+    monkeypatch.setattr(geometry, "_cusp_gap",
+                        lambda *args: calls.append(args) or 1 / 0)
+    v = spec.vertex
+    assert contains(spec, v)
+    assert contains(spec, v[None, :])[0]
+    assert contains(BallIntersection(spec, tuple(v), 0.25), v)
+    assert calls == []
 
 
 MEMBERSHIP_SPECS = [
@@ -330,6 +396,114 @@ def test_ballcap_shell_filter_matches_per_point(inner, monkeypatch):
     got = sample(spec, 300, seed=4)
     assert got.points.tobytes() == want.points.tobytes()
     assert got.density_parameter == want.density_parameter
+
+
+def _sample_ballcap_dedupe_all(spec, count, seed):
+    """Reference for _sample_ballcap: at each factor the whole inner cloud
+    is deduplicated, then filtered to the cap."""
+    c, r = spec.c, spec.radius
+    for factor in (2, 4, 8, 16, 32, 64, 128):
+        pts, h = geometry._sample_dispatch(spec.inner, count * factor, seed)
+        pts = _dedupe(pts)
+        inside = pts[np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL]
+        if len(inside) >= count:
+            break
+    if len(inside) < 4:
+        raise DegenerateSetError("BallIntersection retains too few points")
+    nb = max(16, int(0.3 * count))
+    if spec.dim == 1:
+        ang = 2 * math.pi * (np.arange(nb) + 0.5 * ((seed % 7) + 1) / 8) / nb
+        shell = c[None, :] + r * np.exp(1j * ang)[:, None]
+    else:
+        shell = c[None, :] + r * _sphere3_points(nb, seed + 3)
+    shell = shell[geometry.contains(spec.inner, shell)]
+    return np.vstack([inside, shell]), h
+
+
+def _cap_outcome(sampler, spec, count, seed=0):
+    """The bytes and mesh size of a cap sampler's cloud, or its error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            pts, h = sampler(spec, count, seed)
+        except DegenerateSetError as exc:
+            return type(exc)
+    return pts.tobytes(), h
+
+
+@pytest.mark.parametrize("spec, count", [
+    # the caps of the benchmark's scans and localize, and a scan radius
+    # that tries every factor
+    *[(BallIntersection(Interval(-1.0, 1.0), (1.0,), r), 600)
+      for r in (0.5, 0.25, 0.01)],
+    *[(BallIntersection(Cusp(((0.0, 1.0), (0.0,)), 0.5, 2), (0.0, 0.0), r),
+       600) for r in (0.5, 0.25)],
+    (BallIntersection(ComplexBall((0.0,), 1.0), (1.0,), 0.3), 800),
+    # caps centred at 1e6, where an ulp is 1e-10
+    (BallIntersection(Interval(1e6 - 1, 1e6 + 1), (1e6 + 1,), 0.5), 600),
+    (BallIntersection(ComplexBall((1e6 + 1e6j,), 2.0), (1e6 + 1 + 1e6j,),
+                      0.3), 800),
+], ids=["interval-r0.5", "interval-r0.25", "interval-r0.01", "cusp-r0.5",
+        "cusp-r0.25", "disc-r0.3", "interval-1e6", "disc-1e6"])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_ballcap_equals_dedupe_of_the_whole_cloud(spec, count, seed):
+    got = _cap_outcome(_sample_ballcap, spec, count, seed)
+    assert got == _cap_outcome(_sample_ballcap_dedupe_all, spec, count, seed)
+    assert got is not DegenerateSetError
+
+
+def _key(z):
+    """The dedupe key of the point z, inf where x * 1e12 overflows."""
+    with np.errstate(over="ignore"):
+        return tuple(np.round(np.concatenate([z.real, z.imag]), 12) + 0.0)
+
+
+def _planted_cap(case):
+    """A cap, and an inner cloud in which a point p outside the cap comes
+    before a point q inside it with the same dedupe key: (spec, cloud,
+    [p, q])."""
+    if case == "1e300":
+        # keys overflow to inf: a far point merges with the cap's points
+        cloud = np.array([[1.7e300, 0.0]] + [[1.5e300, 0.1 * k]
+                                              for k in range(10)],
+                         dtype=complex)
+        spec = BallIntersection(ComplexBall((0.0, 0.0), 1.0), (1.5e300, 0.0),
+                                1.0)
+        return spec, cloud, cloud[:2]
+    if case == "unit":
+        c, r = 0.5, 0.25
+        q, p = c + r + 0.9e-12, c + r + 1.4e-12
+    else:
+        # an ulp is 1.2e-10 at 1e6: adjacent floats with one key, and a
+        # radius whose r + TOL reaches the lower one
+        c, q = 1e6, 1e6 + 0.25
+        while _key(np.array([q])) != _key(np.array([np.nextafter(q, 2e6)])):
+            q = np.nextafter(q, 2e6)
+        p = np.nextafter(q, 2e6)
+        r = _radius_reaching(q - c)
+    bulk = c + 0.2 * np.exp(2j * math.pi * np.arange(50) / 50)
+    cloud = np.concatenate([bulk, [p, q]])[:, None]
+    return BallIntersection(ComplexBall((c,), 1.0), (c,), r), cloud, cloud[-2:]
+
+
+@pytest.mark.parametrize("case", ["unit", "1e6", "1e300"])
+def test_ballcap_keeps_planted_key_sharing_points(case, monkeypatch):
+    """Deduplicating the whole cloud drops q for the earlier p outside the
+    cap, and so must the near-cap dedupe."""
+    spec, cloud, pair = _planted_cap(case)
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(pair - spec.c, axis=1)
+    assert _key(pair[0]) == _key(pair[1])
+    assert dist[0] > spec.radius + TOL >= dist[1]
+    dispatch = geometry._sample_dispatch
+    monkeypatch.setattr(geometry, "_sample_dispatch",
+                        lambda s, count, seed: (cloud, 0.1)
+                        if s is spec.inner else dispatch(s, count, seed))
+    got = _cap_outcome(_sample_ballcap, spec, 4)
+    assert got == _cap_outcome(_sample_ballcap_dedupe_all, spec, 4)
+    # every planted point but p and q is in the cap and kept
+    pts = np.frombuffer(got[0], dtype=complex).reshape(-1, spec.dim)
+    assert not (pts == pair[1]).all(axis=1).any()
+    assert len(pts) >= len(cloud) - 2
 
 
 @pytest.mark.parametrize("count", [1, 64, 4097])
@@ -573,6 +747,24 @@ def test_exact_extremal_array_matches_per_point(spec):
         assert exact_extremal(spec, list(z)) == v
         if spec.dim == 1:
             assert exact_extremal(spec, complex(z[0])) == v
+
+
+def test_exact_extremal_far_from_an_interval_or_real_ball():
+    """Past |z| = 1e77, x^2 overflows in log(x + sqrt(x^2 - 1)); the oracle
+    still gives log(2|z|), the limit of V_K there, with no warning."""
+    iv, rb = Interval(-1.0, 1.0), RealBall((0.0, 0.0), 1.0)
+    cases = [(iv, z) for z in (1e77, 1e150, 1e300, 1e200j, -1e300)]
+    cases.append((rb, [1e77, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, z in cases:
+            want = math.log(2 * np.max(np.abs(z)))
+            assert exact_extremal(spec, z) == pytest.approx(want, rel=1e-12)
+        far = np.array([[1e77], [1e300], [2.0]], dtype=complex)
+        got = exact_extremal(iv, far)
+        assert got[:2] == pytest.approx(np.log(2 * far[:2, 0].real),
+                                        rel=1e-12)
+        assert got[2] == exact_extremal(iv, 2.0)
 
 
 def test_exact_extremal_array_dimension_check():

@@ -4,29 +4,31 @@
 
 PARENT and CHANGE are pllab checkouts (or their ``src`` directories).  The
 manifests are those of the three workloads in ``perfbench/workloads.py`` of
-this checkout, drawn at the given seed: every solve-cold variant, replay-warm
-and relative-field.  To them are added the fixed ``UNTRUSTED`` manifests,
-whose Fekete refinements take the full-solve branch that no benchmark
-manifest reaches, the ``SEED_PAIR``, two manifests that draw the same cloud
-at different seeds, two extremal manifests whose query points end in a
-partial row block, one of them with int leaves, and the ``EXPONENTS``
+this checkout, drawn at the given seed: every solve-cold variant,
+replay-warm and relative-field.  To them are added the fixed ``UNTRUSTED``
+manifests, whose Fekete refinements take the full-solve branch that no
+benchmark manifest reaches, the ``SEED_PAIR``, two manifests that draw the
+same cloud at different seeds, two extremal manifests whose query points end
+in a partial row block, one of them with int leaves, and the ``EXPONENTS``
 extremal manifest, whose float leaves and bounds repr writes with an
 exponent or as -0.0, the ``RELATIVE`` manifests, whose E reaches the
-relative field's linear system, the ``SCANS`` manifest, whose smallest
-cap makes the ball-cap sampler try every oversampling factor and ``sample``
-top up, and the ``FAR`` manifests, whose one point lies at 1e200.  Each
-tree runs every manifest through ``pllab.cli.main`` four times, at one BLAS
-thread: once with ``--no-cache``, twice on a fresh cache of its own (a
-miss, then a hit), and once on a cache shared by its group (``shared``).  A
-group is one workload variant, the ``UNTRUSTED`` manifests, the
-``SEED_PAIR``, the extremal block manifests, ``EXPONENTS``, ``RELATIVE``,
-``SCANS`` or ``FAR``; its manifests run in order, as a benchmark pass does,
-so a shared run may replay a solve of an earlier manifest.  The sha256 of every
-output file and the exit code of every run are compared between the trees,
-and inside each tree every cached run is compared with the ``--no-cache``
-run of the same manifest.  Prints each difference and each tree's count of
-cross-manifest cache hits (hits of a shared run beyond those of its miss
-run), and exits 1 if there is any difference, else 0.
+relative field's linear system, the ``SCANS`` manifest, whose smallest cap
+makes the ball-cap sampler try every oversampling factor and ``sample`` top
+up, the ``FAR`` manifests, whose one point lies at 1e200, and the ``CUSP``
+manifests, whose Cusp anchor the membership grid leaves open for its search
+and whose ball cap is centred at 1e6.  Each tree runs every manifest through
+``pllab.cli.main`` four times, at one BLAS thread: once with ``--no-cache``,
+twice on a fresh cache of its own (a miss, then a hit), and once on a cache
+shared by its group (``shared``).  A group is one workload variant, the
+``UNTRUSTED`` manifests, the ``SEED_PAIR``, the extremal block manifests,
+``EXPONENTS``, ``RELATIVE``, ``SCANS``, ``FAR`` or ``CUSP``; its manifests
+run in order, as a benchmark pass does, so a shared run may replay a solve
+of an earlier manifest.  The sha256 of every output file and the exit code
+of every run are compared between the trees, and inside each tree every
+cached run is compared with the ``--no-cache`` run of the same manifest.
+Prints each difference and each tree's count of cross-manifest cache hits
+(hits of a shared run beyond those of its miss run), and exits 1 if there is
+any difference, else 0.
 
 Each tree runs in its own Python process (the two at once), which imports
 pllab from that tree only.
@@ -125,6 +127,33 @@ FAR = [
       "spec": {"kind": "ComplexBall", "center": [[0.0, 0.0], [0.0, 0.0]],
                "radius": 1.0}})]
 
+# The benchmark's Cusp is anchored on its upper edge where the cube at
+# t = 1/2 + 2^-13 touches it: that t lies a quarter step off the 2049-node
+# grid of Cusp membership, so each check of the anchor stays open for the
+# golden-section search.  At t = 1/2 itself the touching t is a grid node
+# and the grid settles every check.
+_T = 0.5 + 2 ** -13
+CUSP_EDGE = [[_T - 0.5 * _T * _T, 0.0], [0.5 * _T * _T, 0.0]]
+
+
+def _cusp(workloads):
+    """The CUSP manifests: a scan and a localize at CUSP_EDGE, and a scan
+    of an interval at 1e6, where the ball-cap sampler's dedupe slack is
+    ulps of 1e6, not 1e-12."""
+    return [
+        ("scan-regularity-cusp-edge",
+         {"command": "scan-regularity", "degree": 6, "seed": 5,
+          "spec": workloads.CUSP, "anchor": CUSP_EDGE, "radii": [0.5, 0.25],
+          "delta_grid": [2.6 * 0.7 ** k for k in range(10)]}),
+        ("localize-cusp-edge",
+         {"command": "localize", "degree": 6, "seed": 5, "radius": 0.3,
+          "spec": workloads.CUSP, "anchor": CUSP_EDGE}),
+        ("scan-regularity-interval-1e6",
+         {"command": "scan-regularity", "degree": 8, "seed": 1,
+          "spec": {"kind": "Interval", "a": 1e6 - 1, "b": 1e6 + 1},
+          "anchor": [[1e6 + 1, 0.0]], "radii": [0.5, 0.25],
+          "delta_grid": [0.1 * 0.7 ** k for k in range(8)]})]
+
 
 def _extremal_blocks(workloads):
     """The BLOCK_POINTS extremal manifests, drawn at a fixed seed."""
@@ -153,7 +182,7 @@ def _src(tree):
 def _manifests(seed):
     """(group, label, manifest) for every manifest of the three workloads,
     one group per variant, then the UNTRUSTED, SEED_PAIR, extremal block,
-    EXPONENTS, RELATIVE, SCANS and FAR ones."""
+    EXPONENTS, RELATIVE, SCANS, FAR and CUSP ones."""
     spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -170,7 +199,8 @@ def _manifests(seed):
             + [("exponents", *EXPONENTS)]
             + [("relative", *case) for case in RELATIVE]
             + [("scans", *case) for case in SCANS]
-            + [("far", *case) for case in FAR])
+            + [("far", *case) for case in FAR]
+            + [("cusp", *case) for case in _cusp(workloads)])
 
 
 def _digests(outdir):
