@@ -141,8 +141,8 @@ def orthonormal_basis(cloud, basis):
     Raises DegenerateSetError when the cloud cannot separate degree-d
     polynomials (the set is polynomially thin at this degree).
     """
-    pts = cloud.points if hasattr(cloud, "points") else np.atleast_2d(np.asarray(cloud, dtype=complex))
-    M = pts.shape[0]
+    pts = cloud.points
+    M = cloud.size
     N = basis.size
     if M < N:
         raise DegenerateSetError(f"set appears pluripolar at degree {basis.d}")

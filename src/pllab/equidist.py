@@ -181,7 +181,7 @@ def _rate_cloud(spec, d, target, seed):
     return sample(spec, target, seed=seed)
 
 
-def rate_experiment(spec, v, degrees, measure, alpha_prime=0.5, seed=0):
+def rate_experiment(spec, v, degrees, measure, alpha_prime, seed):
     """Fekete-measure pairing errors e_d = |<mu_d - mu_eq, v>| across degrees,
     with a log-log slope fit and a falsifiable bound line calibrated at the
     smallest degree."""

@@ -156,7 +156,7 @@ class RelativeField:
         field_contour_svg(path, self.xs, self.ys, self.values, CONTOUR_LEVELS)
 
 
-def relative_extremal_1c(E, B, grid_n=256):
+def relative_extremal_1c(E, B, grid_n):
     """Zero-one relative extremal function of E inside the disc B.
 
     In C^1 this is the harmonic measure of the boundary of B in B minus E, so

@@ -55,6 +55,8 @@ _FRESH_MARGIN = 1e-9
 # the columns within _FRESH_MARGIN of the approximate best.
 _TRUST = 0.1 * _FRESH_MARGIN
 _EPS = float(np.finfo(float).eps)
+# Exchange refinement stops after MAX_SWEEP_FACTOR * N accepted swaps.
+MAX_SWEEP_FACTOR = 50
 # A replayed gamma may fall this far below 1, its lower bound in exact
 # arithmetic, by rounding in the Lagrange solve.
 _GAMMA_SLACK = 1e-9
@@ -167,7 +169,7 @@ def _weighted_columns(ortho, weight, d, points):
     return vals * np.exp(-d * weight.evaluate(points)[:, None])
 
 
-def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
+def solve_fekete(cloud, basis, weight=None):
     """Pivoted-QR seeding plus exchange refinement over the cloud."""
     weight = weight or ZeroWeight()
     N = basis.size
@@ -183,7 +185,7 @@ def solve_fekete(cloud, basis, weight=None, max_sweep_factor=50):
     A = U.T                                                      # (N, M)
     _, piv = qr(A if A.imag.any() else A.real, pivoting=True, mode="r")
     sel, swaps, quality = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
-                                           max_sweep_factor * N)
+                                           MAX_SWEEP_FACTOR * N)
     return FeketeConfig.from_indices(
         cloud, basis, weight, sel, ortho=ortho, quality=quality,
         provenance=_provenance(cloud, int(swaps)))

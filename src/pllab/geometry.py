@@ -30,15 +30,20 @@ class DegenerateSetError(ValueError):
     pass
 
 
-def as_point(p, n=None):
-    """Normalize a scalar or sequence into a complex vector of length n."""
+def as_point(p):
+    """Normalize a scalar or sequence into a complex vector."""
     if np.isscalar(p):
-        z = np.array([complex(p)])
-    else:
-        z = np.asarray(p, dtype=complex).reshape(-1)
-    if n is not None and z.size != n:
-        raise DimensionMismatchError(f"point has dimension {z.size}, expected {n}")
-    return z
+        return np.array([complex(p)])
+    return np.asarray(p, dtype=complex).reshape(-1)
+
+
+def _rows(spec, Z):
+    """The (k, n) array Z as complex points of spec's C^n;
+    DimensionMismatchError when n is not spec's dimension."""
+    if Z.shape[1] != spec.dim:
+        raise DimensionMismatchError(
+            f"points have dimension {Z.shape[1]}, expected {spec.dim}")
+    return np.asarray(Z, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,11 @@ class Box:
 class ConvexHull:
     vertices: tuple        # tuple of complex vectors (tuples)
 
+    def __post_init__(self):
+        if len({len(np.atleast_1d(np.asarray(w))) for w in self.vertices}) > 1:
+            raise DimensionMismatchError("ConvexHull vertices differ in "
+                                         "dimension")
+
     @property
     def dim(self):
         return len(np.atleast_1d(np.asarray(self.vertices[0])))
@@ -133,7 +143,6 @@ class Cusp:
     h_coeffs: tuple        # tuple of coefficient tuples
     M: float
     m: int
-    degree_bound: int = 0
 
     def __post_init__(self):
         if not (isinstance(self.m, int) and self.m >= 1):
@@ -162,6 +171,10 @@ class AffineImage:
     shift: tuple
 
     def __post_init__(self):
+        if len(self.b) != self.inner.dim:
+            raise DimensionMismatchError(
+                f"AffineImage shift has dimension {len(self.b)}, its inner "
+                f"set {self.inner.dim}")
         if abs(np.linalg.det(self.A)) < TOL:
             raise ValueError("affine map must be invertible")
 
@@ -205,6 +218,10 @@ class BallIntersection:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        if len(self.c) != self.inner.dim:
+            raise DimensionMismatchError(
+                f"BallIntersection center has dimension {len(self.c)}, "
+                f"its inner set {self.inner.dim}")
 
     @property
     def c(self):
@@ -219,18 +236,15 @@ class BallIntersection:
 # membership
 # ---------------------------------------------------------------------------
 
-def contains(spec, p, tol=TOL):
-    """Closed-set membership with boundary tolerance.
+def contains(spec, p):
+    """Closed-set membership with boundary tolerance TOL.
 
     p is one point, answered with a bool, or a (k, dim) ndarray of points,
     answered with a (k,) bool array.
     """
     if isinstance(p, np.ndarray) and p.ndim == 2:
-        if p.shape[1] != spec.dim:
-            raise DimensionMismatchError(
-                f"points have dimension {p.shape[1]}, expected {spec.dim}")
-        return _member(spec, np.asarray(p, dtype=complex), tol)
-    return bool(_member(spec, as_point(p, spec.dim)[None, :], tol)[0])
+        return _member(spec, _rows(spec, p), TOL)
+    return bool(_member(spec, _rows(spec, as_point(p)[None, :]), TOL)[0])
 
 
 def _real_rows(Z, tol):
@@ -360,12 +374,17 @@ def _cusp_grid(spec, X):
     ts = np.linspace(0.0, 1.0, _CUSP_NODES)
     H = spec.h(ts)                                        # (T, n)
     radius = spec.M * ts ** spec.m
-    # a block of rows at a time: the differences take rows x T x n floats
+    # a block of rows at a time: the differences take rows x T floats, and
+    # their running maximum over the coordinates is the sup norm
     i = np.zeros(len(X), dtype=int)
     best = np.zeros(len(X))
-    step = max(1, 2 ** 20 // H.size)
+    step = max(1, 2 ** 20 // len(ts))
     for r in range(0, len(X), step):
-        gap = np.max(np.abs(X[r:r + step, None, :] - H), axis=2) - radius
+        Y = X[r:r + step]
+        gap = np.abs(Y[:, None, 0] - H[:, 0])
+        for k in range(1, H.shape[1]):
+            np.maximum(gap, np.abs(Y[:, None, k] - H[:, k]), out=gap)
+        gap -= radius
         i[r:r + step] = np.argmin(gap, axis=1)
         best[r:r + step] = gap[np.arange(len(gap)), i[r:r + step]]
     return (ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)],
@@ -679,7 +698,8 @@ def _sample_ballcap(spec, count, seed):
         huge = np.any((np.abs(pts.real) >= 1e296)
                       | (np.abs(pts.imag) >= 1e296), axis=1)
         pts = _dedupe(pts[(_row_norms(pts - c[None, :]) <= near) | huge])
-        inside = pts[np.linalg.norm(pts - c[None, :], axis=1) <= r + TOL]
+        # the norm of membership, so the cap keeps what contains accepts
+        inside = pts[_row_norms(pts - c[None, :]) <= r + TOL]
         if len(inside) >= count:
             break
     if len(inside) < 4:
@@ -701,21 +721,20 @@ def _sample_ballcap(spec, count, seed):
 # ---------------------------------------------------------------------------
 
 def exact_extremal(spec, z):
-    """Closed-form extremal function for balls and intervals.
+    """Closed-form extremal function for balls, intervals and boxes.
 
     ComplexBall(a, r): max(log(|z-a|/r), 0).
     RealBall/Interval: (1/2) log h(|w|^2 + |<w,w> - 1|) with h(x) = x + sqrt(x^2-1)
     on the normalized point w = (z - center)/radius.
+    Box: max_k V_[a_k, b_k](z_k), Siciak's product formula (Klimek,
+    Pluripotential Theory, 1991, ch. 5).
 
     z is one point, answered with a float, or a (k, n) ndarray of points,
     answered with a (k,) array.
     """
     if isinstance(z, np.ndarray) and z.ndim == 2:
-        if z.shape[1] != spec.dim:
-            raise DimensionMismatchError(
-                f"points have dimension {z.shape[1]}, expected {spec.dim}")
-        return _exact(spec, np.asarray(z, dtype=complex))
-    return float(_exact(spec, as_point(z, spec.dim)[None, :])[0])
+        return _exact(spec, _rows(spec, z))
+    return float(_exact(spec, _rows(spec, as_point(z)[None, :]))[0])
 
 
 def _exact(spec, Z):
@@ -723,14 +742,17 @@ def _exact(spec, Z):
     if isinstance(spec, ComplexBall):
         nrm = np.maximum(_row_norms(Z - spec.c), 1e-300)
         return np.maximum(np.log(nrm / spec.radius), 0.0)
+    if isinstance(spec, Box):
+        return np.max([_exact(Interval(a, b), Z[:, [k]])
+                       for k, (a, b) in enumerate(spec.intervals)], axis=0)
     if isinstance(spec, Interval):
         c, r = 0.5 * (spec.a + spec.b), 0.5 * (spec.b - spec.a)
     elif isinstance(spec, RealBall):
         c, r = spec.c, spec.radius
     else:
         raise ValueError(f"no closed form for {type(spec).__name__}; "
-                         "exact_extremal covers ComplexBall, RealBall and "
-                         "Interval")
+                         "exact_extremal covers ComplexBall, RealBall, "
+                         "Interval and Box")
     W = (Z - c) / r
     with np.errstate(over="ignore", invalid="ignore"):
         # log(x + sqrt(x^2 - 1)) for x >= 1, stable near 1
@@ -859,8 +881,14 @@ MAX_NESTING = 8
 def spec_from_dict(doc):
     """The SetSpec a JSON document describes; ValueError naming the key
     when a leaf is not a finite number (or an integer where one is due),
-    and when composite kinds nest more than MAX_NESTING levels deep."""
-    return _spec_from_dict(doc, 0)
+    and when composite kinds nest more than MAX_NESTING levels deep;
+    DimensionMismatchError when its parts disagree on n or n is not 1
+    or 2."""
+    spec = _spec_from_dict(doc, 0)
+    if spec.dim not in (1, 2):
+        raise DimensionMismatchError(
+            f"a set spec lies in C^1 or C^2, not C^{spec.dim}")
+    return spec
 
 
 def _spec_from_dict(doc, level):
@@ -886,9 +914,7 @@ def _spec_from_dict(doc, level):
                                 for v in _get(doc, "vertices", _VERTICES)))
     if kind == "Cusp":
         return Cusp(tuple(map(tuple, _get(doc, "h_coeffs", _COEFFS))),
-                    _get(doc, "M", _NUMBER), _get(doc, "m", _INTEGER),
-                    _get(doc, "degree_bound", _INTEGER)
-                    if "degree_bound" in doc else 0)
+                    _get(doc, "M", _NUMBER), _get(doc, "m", _INTEGER))
     if kind == "AffineImage":
         inner = _spec_from_dict(_get(doc, "inner", _SPEC), level + 1)
         n = inner.dim

@@ -33,7 +33,7 @@ HCP_CLOUD_FLOOR = 600
 LOCALIZE_CLOUD_FLOOR = 800
 
 
-def direction_mesh(n, count=N_DIRECTIONS):
+def direction_mesh(n, count):
     """Deterministic unit directions: angles in C, Hopf spread on S^3 in C^2."""
     if n == 1:
         ang = 2 * math.pi * np.arange(count) / count
@@ -120,20 +120,21 @@ def _check_delta_grid(deltas):
 
 
 def scan_cloud_target(basis_size, floor):
-    """Cloud size of a scan given no cloud_target: 4 points per basis
-    function, and at least floor."""
+    """Cloud size of a scan: 4 points per basis function, and at least
+    floor."""
     return max(4 * basis_size, floor)
 
 
-def modulus_fit(spec, a, delta_grid, engine, directions=N_DIRECTIONS):
-    """Scan w(a, delta) = sup_{|z-a|=delta} of the extremal estimate and fit
-    log w against log delta on the lower track above the noise floor.  The
-    circles of every delta go to one engine.bounds call."""
-    av = as_point(a, spec.dim)
+def modulus_fit(spec, a, delta_grid, engine):
+    """Scan w(a, delta) = sup_{|z-a|=delta} of the extremal estimate, over
+    N_DIRECTIONS directions, and fit log w against log delta on the lower
+    track above the noise floor.  The circles of every delta go to one
+    engine.bounds call."""
+    av = as_point(a)
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     deltas = _check_delta_grid(delta_grid)
-    dirs = direction_mesh(spec.dim, directions)
+    dirs = direction_mesh(spec.dim, N_DIRECTIONS)
     # every scale's circle in one call, scale-major
     Z = av[None, None, :] + deltas[:, None, None] * dirs[None, :, :]
     lo, up = engine.bounds(Z.reshape(-1, spec.dim))
@@ -191,18 +192,17 @@ class HcpReport:
         }
 
 
-def hcp_scan(spec, a, radii, delta_grid, degree, cloud_target=None, seed=11,
-             cache=Cache(None)):
+def hcp_scan(spec, a, radii, delta_grid, degree, seed, cache=Cache(None)):
     """Per-radius Fekete solve on K cap B(a, r), modulus fit, and sup of the
     lower track over the reference sphere |z - a| = REFERENCE_RADIUS; fits the
     order q as the slope of log sup against log(1/r)."""
-    av = as_point(a, spec.dim)
+    av = as_point(a)
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     radii = sorted(radii, reverse=True)
-    target = cloud_target or scan_cloud_target(
-        BasisSpec(spec.dim, degree).size, HCP_CLOUD_FLOOR)
-    dirs = direction_mesh(spec.dim)
+    target = scan_cloud_target(BasisSpec(spec.dim, degree).size,
+                               HCP_CLOUD_FLOOR)
+    dirs = direction_mesh(spec.dim, N_DIRECTIONS)
     sups, mus, kept, dropped = [], [], [], []
     for r in radii:
         sub = BallIntersection(spec, tuple(av.tolist()), r)
@@ -286,10 +286,10 @@ class LocalizationResult:
     mu_difference: float | None
 
 
-def localization_experiment(spec, a, r, degree, seed=5, cache=Cache(None)):
+def localization_experiment(spec, a, r, degree, seed, cache=Cache(None)):
     """Paired modulus fits (projective engine) for K and K cap B(a, r), on
     the scales 2.6 * 0.7^k, k < 8."""
-    av = as_point(a, spec.dim)
+    av = as_point(a)
     if not contains(spec, av):
         raise ValueError("anchor point must belong to the set")
     if not 0 < r < diameter(spec):

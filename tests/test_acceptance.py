@@ -93,7 +93,7 @@ def test_criterion_05_holder_fits_exact_engine():
 def test_criterion_06_cusp_exponent():
     cusp = Cusp(((0.0, 1.0), (0.0,)), 0.5, 2)
     rep = hcp_scan(cusp, (0.0, 0.0), [0.5, 0.25],
-                   [2.6 * 0.7 ** k for k in range(10)], 20)
+                   [2.6 * 0.7 ** k for k in range(10)], 20, seed=11)
     mus = [m for m in rep.mu_per_radius if m is not None]
     ok = len(mus) == 2 and all(0.15 <= m <= 0.6 for m in mus)
     _report(6, "cusp vertex exponents " +
@@ -102,7 +102,7 @@ def test_criterion_06_cusp_exponent():
 
 def test_criterion_07_localization():
     disc = ComplexBall((0.0,), 1.0)
-    res = localization_experiment(disc, 1.0, 0.3, 60)
+    res = localization_experiment(disc, 1.0, 0.3, 60, seed=5)
     ok = res.mu_difference is not None and res.mu_difference <= 0.15
     _report(7, f"localization exponent difference "
                f"{res.mu_difference if res.mu_difference is not None else 'n/a'}",
@@ -175,7 +175,8 @@ def test_criterion_10_relative_extremal_comparison():
 
 def test_criterion_11_equidistribution_rate():
     fit = rate_experiment(Interval(-1.0, 1.0), Polynomial([0, 0, 1]),
-                          [2, 4, 8, 16], Arcsine(-1.0, 1.0))
+                          [2, 4, 8, 16], Arcsine(-1.0, 1.0),
+                          alpha_prime=0.5, seed=0)
     ok = (abs(fit.errors[0] - 1.0 / 6.0) < 1e-6 and
           abs(fit.errors[1] - 1.0 / 14.0) < 1e-6 and
           fit.monotone and fit.slope <= -0.8 and fit.errors[-1] <= 0.05)

@@ -8,7 +8,8 @@ from scipy.linalg import qr
 from pllab.basis import (BasisSpec, _rescale, log_abs_vdm, orthonormal_basis,
                          vandermonde)
 from pllab.geometry import (Box, ComplexBall, Cusp, DegenerateSetError,
-                            DimensionMismatchError, Interval, sample)
+                            DimensionMismatchError, Interval, SampleCloud,
+                            sample)
 
 
 def test_dimension_counts():
@@ -100,24 +101,28 @@ def test_orthonormal_basis_triangular_coeffs():
     assert np.max(np.abs(below)) < 1e-12
 
 
+def _cloud(pts):
+    return SampleCloud(points=pts, seed=0, density_parameter=0.0)
+
+
 def test_orthonormal_basis_degeneracy_collinear():
     # five points on a line in C^2 cannot separate degree-2 polynomials
     t = np.linspace(0, 1, 5)
     pts = np.stack([t, 2 * t], axis=1).astype(complex)
     with pytest.raises(DegenerateSetError, match="pluripolar at degree 2"):
-        orthonormal_basis(pts, BasisSpec(2, 2))
+        orthonormal_basis(_cloud(pts), BasisSpec(2, 2))
 
 
 def test_orthonormal_basis_cloud_size_check():
     pts = np.linspace(-1, 1, 8)[:, None].astype(complex)
     with pytest.raises(ValueError, match="cloud size"):
-        orthonormal_basis(pts, BasisSpec(1, 5))
+        orthonormal_basis(_cloud(pts), BasisSpec(1, 5))
 
 
 def test_orthonormal_basis_too_few_points_is_degenerate():
     pts = np.linspace(-1, 1, 4)[:, None].astype(complex)
     with pytest.raises(DegenerateSetError):
-        orthonormal_basis(pts, BasisSpec(1, 5))
+        orthonormal_basis(_cloud(pts), BasisSpec(1, 5))
 
 
 def _economic_qr_reference(cloud, basis):

@@ -1087,8 +1087,7 @@ BAD_SPECS = [
     {"kind": "ConvexHull", "vertices": [[[0.0, 0.0]], [[1.0, None]]]},
     {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2.5},
     {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": True},
-    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2,
-     "degree_bound": 1.5},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": "0.5", "m": 2},
     {"kind": "Cusp", "h_coeffs": [[0.0, "1"], [0.0]], "M": 0.5, "m": 2},
     {"kind": "AffineImage", "inner": INTERVAL, "matrix": [[2.0, 0.0]],
      "shift": [[float("inf"), 0.0]]},
@@ -1110,6 +1109,63 @@ def test_bad_spec_leaf_exits_schema(tmp_path, capsys, sample_fails, spec):
     assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
                  str(tmp_path / "o"), "--no-cache"]) == EXIT_SCHEMA
     assert "field 'spec'" in capsys.readouterr().err
+
+
+# specs in C^3, and specs whose parts disagree on the dimension, each with
+# the words of its error
+C3_SPECS = [
+    {"kind": "RealBall", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+    {"kind": "Box", "intervals": [[0.0, 1.0]] * 3},
+    {"kind": "ComplexBall", "center": [[0.0, 0.0]] * 3, "radius": 1.0},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0], [0.0]], "M": 0.5,
+     "m": 2},
+]
+MISMATCHED_SPECS = [
+    ({"kind": "BallIntersection", "inner": INTERVAL,
+      "center": [[0.0, 0.0], [0.0, 0.0]], "radius": 0.5},
+     "center has dimension 2"),
+    ({"kind": "AffineImage", "inner": DISC, "matrix": [[2.0, 0.0]],
+      "shift": [[1.0, 0.0], [0.0, 0.0]]}, "shift has dimension 2"),
+    # numpy would broadcast the one shift entry to both coordinates
+    ({"kind": "AffineImage",
+      "inner": {"kind": "ComplexBall", "center": [[0.0, 0.0]] * 2,
+                "radius": 1.0},
+      "matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+      "shift": [[1.0, 0.0]]}, "shift has dimension 1"),
+    ({"kind": "ConvexHull", "vertices": [[[0.0, 0.0]],
+                                         [[1.0, 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [1.0, 0.0]]]},
+     "vertices differ in dimension"),
+]
+
+
+def _dimension_cases():
+    """(manifest, words of its error): every spec through fekete, the C^3
+    ones also through extremal and scan-regularity."""
+    c3 = [(spec, "not C^3") for spec in C3_SPECS]
+    mans = [({"command": "fekete", "spec": spec, "degrees": [2]}, words)
+            for spec, words in c3 + MISMATCHED_SPECS]
+    for spec, words in c3:
+        mans.append(({"command": "extremal", "spec": spec, "degree": 2,
+                      "points": [[[2.0, 0.0]] * 3]}, words))
+        mans.append(({"command": "scan-regularity", "spec": spec,
+                      "anchor": [[0.0, 0.0]] * 3, "radii": [0.5],
+                      "delta_grid": [0.1 * 0.7 ** k for k in range(6)],
+                      "degree": 2}, words))
+    return [pytest.param(man, words, id=f"{man['command']}-"
+                         f"{man['spec']['kind']}-" + "-".join(words.split()))
+            for man, words in mans]
+
+
+@pytest.mark.parametrize("man, words", _dimension_cases())
+def test_spec_dimension_mismatch_exits_schema_before_sampling(
+        tmp_path, capsys, sample_fails, man, words):
+    out = tmp_path / "o"
+    assert main(["--manifest", _write_manifest(tmp_path, man), "--out",
+                 str(out), "--no-cache"]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "field 'spec' is invalid" in err and words in err
+    assert not out.exists()
 
 
 def _nested_interval(levels):

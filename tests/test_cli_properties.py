@@ -143,8 +143,7 @@ KIND_SPECS = [
      "shift": [[1.0, 0.0]]},
     {"kind": "Union", "parts": [{"kind": "Interval", "a": -1.0, "b": 0.0},
                                 {"kind": "Interval", "a": 0.5, "b": 1.0}]},
-    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0]], "M": 0.5, "m": 2,
-     "degree_bound": 0},
+    {"kind": "Cusp", "h_coeffs": [[0.0, 1.0]], "M": 0.5, "m": 2},
     {"kind": "BallIntersection", "inner": C1_SPECS[1],
      "center": [[1.0, 0.0]], "radius": 0.5},
 ]

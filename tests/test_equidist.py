@@ -71,7 +71,8 @@ def test_tabulated_lipschitz_rejects_unsorted_grid(grid):
 def test_rate_experiment_interval_quadratic():
     # exact pairing error for v = x^2 at degree d is 1/(2(2d+1)) at even d
     fit = rate_experiment(Interval(-1.0, 1.0), Polynomial([0, 0, 1]),
-                          [2, 4, 8, 16], Arcsine(-1.0, 1.0))
+                          [2, 4, 8, 16], Arcsine(-1.0, 1.0),
+                          alpha_prime=0.5, seed=0)
     assert fit.errors[0] == pytest.approx(1.0 / 6.0, abs=1e-10)
     assert fit.errors[1] == pytest.approx(1.0 / 14.0, abs=1e-10)
     assert fit.monotone
@@ -83,7 +84,8 @@ def test_rate_experiment_interval_quadratic():
 def test_rate_experiment_circle_exact():
     # roots of unity integrate Re z^2 exactly for d >= 2
     fit = rate_experiment(ComplexBall((0.0,), 1.0), Polynomial([0, 0, 1]),
-                          [2, 4, 8, 16], UniformCircle(0.0, 1.0))
+                          [2, 4, 8, 16], UniformCircle(0.0, 1.0),
+                          alpha_prime=0.5, seed=0)
     assert max(fit.errors) <= 1e-10
 
 
@@ -91,10 +93,11 @@ def test_rate_experiment_affine_equivariance():
     # [0, 1] = affine image of [-1, 1]; pairing errors match the pullback
     v = Polynomial([0, 0, 1])
     fit_img = rate_experiment(AffineImage(Interval(-1.0, 1.0), ((0.5,),), (0.5,)),
-                              v, [2, 4, 8, 16], Arcsine(0.0, 1.0))
+                              v, [2, 4, 8, 16], Arcsine(0.0, 1.0),
+                              alpha_prime=0.5, seed=0)
     pull = Polynomial([0.25, 0.5, 0.25])      # ((x+1)/2)^2
     fit_pull = rate_experiment(Interval(-1.0, 1.0), pull, [2, 4, 8, 16],
-                               Arcsine(-1.0, 1.0))
+                               Arcsine(-1.0, 1.0), alpha_prime=0.5, seed=0)
     for a, b in zip(fit_img.errors, fit_pull.errors):
         assert a == pytest.approx(b, abs=1e-6)
 
@@ -102,7 +105,7 @@ def test_rate_experiment_affine_equivariance():
 def test_rate_experiment_trivial_bound():
     v = Polynomial([0, 0, 1])
     fit = rate_experiment(Interval(-1.0, 1.0), v, [2, 4, 8, 16],
-                          Arcsine(-1.0, 1.0))
+                          Arcsine(-1.0, 1.0), alpha_prime=0.5, seed=0)
     sup_v = 1.0
     assert all(e <= 2 * sup_v for e in fit.errors)
 
@@ -110,6 +113,8 @@ def test_rate_experiment_trivial_bound():
 def test_rate_experiment_validation():
     v = Polynomial([0, 1])
     with pytest.raises(ValueError, match="increasing"):
-        rate_experiment(Interval(-1, 1), v, [4, 2, 8], Arcsine(-1, 1))
+        rate_experiment(Interval(-1, 1), v, [4, 2, 8], Arcsine(-1, 1),
+                        alpha_prime=0.5, seed=0)
     with pytest.raises(ValueError, match="increasing"):
-        rate_experiment(Interval(-1, 1), v, [2, 4, 8], Arcsine(-1, 1))
+        rate_experiment(Interval(-1, 1), v, [2, 4, 8], Arcsine(-1, 1),
+                        alpha_prime=0.5, seed=0)

@@ -144,7 +144,7 @@ def _exchange_refine_resolve(A, sel, tol, max_iters):
     return np.sort(sel), swaps
 
 
-def _refine_runs(monkeypatch, cloud, basis, weight=None, **kw):
+def _refine_runs(monkeypatch, cloud, basis, weight=None):
     """Solve, recording every refinement's inputs and results."""
     runs = []
     refine = fekete._exchange_refine
@@ -155,7 +155,7 @@ def _refine_runs(monkeypatch, cloud, basis, weight=None, **kw):
         return out
 
     monkeypatch.setattr(fekete, "_exchange_refine", recording)
-    solve_fekete(cloud, basis, weight, **kw)
+    solve_fekete(cloud, basis, weight)
     return runs
 
 
@@ -223,7 +223,8 @@ def test_exchange_refine_any_layout_matches_full_resolve(monkeypatch, layout):
 def test_exchange_refine_swap_cap_matches_full_resolve(monkeypatch):
     cloud = sample(ComplexBall((0.0,), 1.0), 2001, seed=5)
     basis = BasisSpec(1, 16)
-    runs = _refine_runs(monkeypatch, cloud, basis, max_sweep_factor=1)
+    monkeypatch.setattr(fekete, "MAX_SWEEP_FACTOR", 1)
+    runs = _refine_runs(monkeypatch, cloud, basis)
     for args, (sel, swaps, lag) in runs:
         assert swaps == args[3] == basis.size
         assert lag is None

@@ -17,9 +17,13 @@ from pllab.geometry import (_cusp_gap, _cusp_grid, _cusp_member, _dedupe,
 
 
 def test_as_point_dimension_check():
-    with pytest.raises(DimensionMismatchError):
-        as_point([1.0, 2.0], 1)
-    assert as_point(2.0, 1)[0] == 2.0 + 0j
+    # as_point only normalizes; membership and the oracle check the
+    # dimension of the point against the set's
+    assert as_point(2.0)[0] == 2.0 + 0j
+    assert as_point([1.0, 2.0]).shape == (2,)
+    for call in (contains, exact_extremal):
+        with pytest.raises(DimensionMismatchError, match="dimension 2"):
+            call(Interval(-1.0, 1.0), [1.0, 2.0])
 
 
 def test_interval_membership_boundary_tolerance():
@@ -102,7 +106,7 @@ def _cusp_gap_loop(spec, x):
 
 def _contains_loop(spec, p, tol=TOL):
     """Per-point reference: the scalar membership test, one point at a time."""
-    z = as_point(p, spec.dim)
+    z = as_point(p)
     real = bool(np.all(np.abs(z.imag) <= tol))
     if isinstance(spec, Interval):
         return real and spec.a - tol <= z[0].real <= spec.b + tol
@@ -199,6 +203,16 @@ def _probe(spec, rng):
     return np.vstack(pts)
 
 
+def _contains_at(spec, p, tol):
+    """contains(spec, p) at the boundary tolerance tol: contains itself at
+    TOL, else the membership rows it answers from."""
+    if tol == TOL:
+        return contains(spec, p)
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        return geometry._member(spec, p, tol)
+    return bool(geometry._member(spec, as_point(p)[None, :], tol)[0])
+
+
 def _gap(spec, X):
     """The grid step and the search on every row: the gap of each row."""
     return _cusp_gap(spec, X, *_cusp_grid(spec, X))
@@ -259,7 +273,7 @@ def test_cusp_membership_equals_the_searched_gap(spec, monkeypatch):
         for tol in (TOL, 1e-9):
             want = gap <= tol
             assert np.array_equal(_cusp_member(spec, X, tol), want)
-            assert np.array_equal(contains(spec, X + 0j, tol), want)
+            assert np.array_equal(_contains_at(spec, X + 0j, tol), want)
             assert 0 < want.sum() < len(X) or X is far and not want.any()
     # the boundary points leave some rows open, but few; far rows settle
     assert len(searched) == 4
@@ -278,6 +292,27 @@ def test_cusp_vertex_never_enters_the_search(spec, monkeypatch):
     assert contains(spec, v[None, :])[0]
     assert contains(BallIntersection(spec, tuple(v), 0.25), v)
     assert calls == []
+
+
+def _cusp_grid_max(spec, X):
+    """_cusp_grid as it was: the sup norm by np.max over an axis of the n
+    coordinates, on a rows x T x n array of differences."""
+    ts = np.linspace(0.0, 1.0, geometry._CUSP_NODES)
+    H = spec.h(ts)
+    radius = spec.M * ts ** spec.m
+    gap = np.vstack([np.max(np.abs(X[r:r + 256, None, :] - H), axis=2)
+                     - radius for r in range(0, len(X), 256)])
+    i = np.argmin(gap, axis=1)
+    return (ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)],
+            gap[np.arange(len(X)), i])
+
+
+@pytest.mark.parametrize("spec", CUSP_SPECS, ids=CUSP_IDS)
+def test_cusp_grid_equals_the_max_over_coordinates(spec):
+    # 1440 rows: three of _cusp_grid's blocks
+    X = _cusp_boundary_points(spec, np.random.default_rng(23))
+    for got, want in zip(_cusp_grid(spec, X), _cusp_grid_max(spec, X)):
+        assert got.tobytes() == want.tobytes()
 
 
 MEMBERSHIP_SPECS = [
@@ -305,11 +340,11 @@ MEMBERSHIP_SPECS = [
 def test_contains_array_matches_per_point(spec, tol):
     P = _probe(spec, np.random.default_rng(7))
     ref = np.array([_contains_loop(spec, p, tol) for p in P])
-    got = contains(spec, P, tol)
+    got = _contains_at(spec, P, tol)
     assert got.dtype == bool and got.shape == (len(P),)
     assert np.array_equal(got, ref)
     assert 0 < ref.sum() < len(ref)
-    single = [contains(spec, p, tol) for p in P]
+    single = [_contains_at(spec, p, tol) for p in P]
     assert all(type(v) is bool for v in single)
     assert single == ref.tolist()
 
@@ -506,6 +541,28 @@ def test_ballcap_keeps_planted_key_sharing_points(case, monkeypatch):
     assert len(pts) >= len(cloud) - 2
 
 
+def test_ballcap_keeps_what_contains_accepts(monkeypatch):
+    """Planted inner points within an ulp of r + TOL from the centre, where
+    np.linalg.norm and the norm of membership fall on opposite sides of
+    it: the cap keeps exactly the points that contains accepts."""
+    spec = BallIntersection(RealBall((0.0, 0.0), 1.0), (0.0, 0.0), 0.5)
+    rim = np.random.default_rng(0).standard_normal((20000, 2))
+    rim *= (spec.radius + TOL) / np.hypot(rim[:, 0], rim[:, 1])[:, None]
+    rim = rim.astype(complex)
+    by_norm = np.linalg.norm(rim, axis=1) <= spec.radius + TOL
+    accepted = contains(spec, rim)
+    assert (by_norm & ~accepted).any() and (accepted & ~by_norm).any()
+    cloud = np.vstack([0.2 * rim[:50], rim[by_norm != accepted]])
+    dispatch = geometry._sample_dispatch
+    monkeypatch.setattr(geometry, "_sample_dispatch",
+                        lambda s, count, seed: (cloud, 0.1)
+                        if s is spec.inner else dispatch(s, count, seed))
+    pts, _ = _sample_ballcap(spec, 4, 0)
+    want = cloud[contains(spec, cloud)]
+    assert pts[:len(want)].tobytes() == want.tobytes()
+    assert contains(spec, pts).all()
+
+
 @pytest.mark.parametrize("count", [1, 64, 4097])
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_sphere3_points_keep_their_bits(count, seed):
@@ -542,7 +599,7 @@ def test_sample_points_belong_to_set(spec):
     assert cloud.size >= 300
     idx = np.linspace(0, cloud.size - 1, 40).astype(int)
     for p in cloud.points[idx]:
-        assert contains(spec, p, tol=1e-9)
+        assert contains(spec, p)
 
 
 def test_sample_resource_guard():
@@ -679,26 +736,46 @@ def test_exact_extremal_real_ball():
 
 
 def test_exact_extremal_unsupported_kind():
+    cusp = Cusp(((0.0, 1.0), (0.0,)), 0.5, 2)
     with pytest.raises(ValueError, match="no closed form") as err:
-        exact_extremal(Box(((0, 1), (0, 1))), np.array([2.0, 2.0]))
-    assert "ComplexBall, RealBall and Interval" in str(err.value)
+        exact_extremal(cusp, np.array([2.0, 2.0]))
+    assert "ComplexBall, RealBall, Interval and Box" in str(err.value)
     with pytest.raises(ValueError, match="no closed form"):
-        exact_extremal(Box(((0, 1), (0, 1))), np.array([[2.0, 2.0]]))
+        exact_extremal(cusp, np.array([[2.0, 2.0]]))
+
+
+def test_exact_extremal_box_is_the_max_over_its_intervals():
+    """Siciak's product formula, each term the interval oracle's, far
+    points included."""
+    box = Box(((-1.0, 1.0), (0.0, 3.0)))
+    rng = np.random.default_rng(5)
+    Z = (rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))) \
+        * np.repeat([0.3, 1.0, 4.0, 1e100, 1e300], 40)[:, None]
+    Z = np.vstack([Z, [[0.5, 1.0], [-1.0, 3.0], [2.0, 1.5]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exact_extremal(box, Z)
+    want = np.maximum(exact_extremal(Interval(-1.0, 1.0), Z[:, :1]),
+                      exact_extremal(Interval(0.0, 3.0), Z[:, 1:]))
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
+    assert list(got[-3:-1]) == [0.0, 0.0]
+    assert got[-1] == pytest.approx(math.log(2 + math.sqrt(3)), abs=1e-12)
+    assert exact_extremal(box, [2.0, 1.5]) == got[-1]
 
 
 def _exact_extremal_loop(spec, z):
     """The per-point oracle exact_extremal had before it took arrays."""
     if isinstance(spec, ComplexBall):
-        w = as_point(z, spec.dim)
+        w = as_point(z)
         return max(math.log(max(np.linalg.norm(w - spec.c), 1e-300)
                             / spec.radius), 0.0)
     if isinstance(spec, Interval):
         c = np.array([0.5 * (spec.a + spec.b)])
         r = 0.5 * (spec.b - spec.a)
-        n = 1
     else:
-        c, r, n = spec.c, spec.radius, spec.dim
-    w = (as_point(z, n) - c) / r
+        c, r = spec.c, spec.radius
+    w = (as_point(z) - c) / r
     x = max(float(np.sum(np.abs(w) ** 2) + abs(np.sum(w * w) - 1.0)), 1.0)
     return 0.5 * math.log(x + math.sqrt(x * x - 1.0))
 
@@ -845,8 +922,8 @@ def test_spec_from_dict_unknown_kind():
     ({"kind": "ConvexHull", "vertices": [[[0.0, math.nan]]]}, "vertices"),
     ({"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2.5},
      "m"),
-    ({"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": 0.5, "m": 2,
-      "degree_bound": 2.0}, "degree_bound"),
+    ({"kind": "Cusp", "h_coeffs": [[0.0, 1.0], [0.0]], "M": "0.5", "m": 2},
+     "M"),
     ({"kind": "Cusp", "h_coeffs": [[]], "M": 0.5, "m": 2}, "h_coeffs"),
     ({"kind": "AffineImage", "inner": {"kind": "Interval", "a": -1, "b": 1},
       "matrix": [[1.0, 0.0], [0.0, 0.0]], "shift": [[0.0, 0.0]]}, "matrix"),
@@ -856,6 +933,36 @@ def test_spec_from_dict_unknown_kind():
 ])
 def test_spec_from_dict_names_bad_leaf(doc, key):
     with pytest.raises(ValueError, match=f"'{key}'"):
+        spec_from_dict(doc)
+
+
+@pytest.mark.parametrize("make, words", [
+    (lambda: BallIntersection(Interval(-1.0, 1.0), (0.0, 0.0), 1.0),
+     "center has dimension 2"),
+    (lambda: BallIntersection(ComplexBall((0.0, 0.0), 1.0), (0.0,), 1.0),
+     "center has dimension 1"),
+    (lambda: AffineImage(Interval(-1.0, 1.0), ((2.0,),), (0.0, 1.0)),
+     "shift has dimension 2"),
+    (lambda: AffineImage(ComplexBall((0.0, 0.0), 1.0),
+                         ((1.0, 0.0), (0.0, 1.0)), (1.0,)),
+     "shift has dimension 1"),
+    (lambda: ConvexHull(((0.0,), (1.0, 0.0), (0.0, 1.0))),
+     "vertices differ in dimension"),
+], ids=["cap-center-long", "cap-center-short", "shift-long", "shift-short",
+        "hull-ragged"])
+def test_kinds_check_their_dimensions(make, words):
+    with pytest.raises(DimensionMismatchError, match=words):
+        make()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "Box", "intervals": [[0.0, 1.0]] * 3},
+    {"kind": "Union", "parts": [{"kind": "ComplexBall",
+                                 "center": [[0.0, 0.0]] * 3,
+                                 "radius": 1.0}]},
+])
+def test_spec_from_dict_takes_c1_and_c2_only(doc):
+    with pytest.raises(DimensionMismatchError, match=r"not C\^3"):
         spec_from_dict(doc)
 
 
@@ -900,8 +1007,8 @@ def test_spec_from_dict_keeps_int_leaves():
     # ints stay ints, so the cache key of a spec document is unchanged
     assert spec_from_dict({"kind": "Interval", "a": -1, "b": 1}).a == -1
     cusp = spec_from_dict({"kind": "Cusp", "h_coeffs": [[0, 1], [0]],
-                           "M": 1, "m": 2, "degree_bound": 3})
-    assert cusp == Cusp(((0, 1), (0,)), 1, 2, 3)
+                           "M": 1, "m": 2})
+    assert cusp == Cusp(((0, 1), (0,)), 1, 2)
 
 
 def _perimeter_walk(lo, hi, nb):

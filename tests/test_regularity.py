@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from pllab import regularity
 from pllab.basis import BasisSpec
 from pllab.cli import _one_blas_thread
 from pllab.extremal import ProjectiveEvaluator, SandwichEvaluator
 from pllab.fekete import cached_fekete, solve_fekete
 from pllab.geometry import (Box, ComplexBall, Cusp, Interval, as_point,
                             exact_extremal, sample)
-from pllab.regularity import (CondPWitness, ExactEngine, _check_delta_grid,
+from pllab.regularity import (N_DIRECTIONS, CondPWitness, ExactEngine,
+                              _check_delta_grid,
                               capacity_density_from_supnorm, condition_p_bound,
                               direction_mesh, hcp_scan,
                               localization_experiment, modulus_fit)
@@ -19,10 +21,10 @@ GRID = [0.1 * 0.7 ** k for k in range(12)]
 
 
 def test_direction_mesh_shapes():
-    d1 = direction_mesh(1)
+    d1 = direction_mesh(1, N_DIRECTIONS)
     assert d1.shape == (64, 1)
     assert np.allclose(np.abs(d1[:, 0]), 1.0)
-    d2 = direction_mesh(2)
+    d2 = direction_mesh(2, N_DIRECTIONS)
     assert d2.shape == (64, 2)
     assert np.allclose(np.linalg.norm(d2, axis=1), 1.0)
 
@@ -90,8 +92,8 @@ def test_modulus_fit_sandwich_engine_agrees_with_exact():
 def _modulus_per_scale(spec, a, delta_grid, engine):
     """(lower, upper) of modulus_fit as one bounds call per scale, with the
     running sup taken by Python's max from 0.0."""
-    av = as_point(a, spec.dim)
-    dirs = direction_mesh(spec.dim)
+    av = as_point(a)
+    dirs = direction_mesh(spec.dim, N_DIRECTIONS)
     lows, ups, run_lo, run_up = [], [], 0.0, 0.0
     for d in _check_delta_grid(delta_grid):
         lo, up = engine.bounds(av[None, :] + d * dirs)
@@ -173,17 +175,26 @@ def test_modulus_fit_running_sup_keeps_positive_zero_past_nan(layout):
     (ComplexBall((0.0, 0.0), 1.0), [1.0, 0.0]),
 ], ids=["Interval", "ComplexBall2"])
 def test_exact_engine_bounds_equal_per_point_loop(spec, a):
-    Z = np.asarray(a, dtype=complex)[None, :] + 0.3 * direction_mesh(spec.dim)
+    Z = np.asarray(a, dtype=complex)[None, :] \
+        + 0.3 * direction_mesh(spec.dim, N_DIRECTIONS)
     lo, up = ExactEngine(spec).bounds(Z)
     want = np.array([exact_extremal(spec, z) for z in Z])
     assert lo.tobytes() == want.tobytes() and up.tobytes() == want.tobytes()
 
 
-def test_mesh_halving_stability():
+def test_mesh_halving_stability(monkeypatch):
     iv = Interval(-1.0, 1.0)
-    full = modulus_fit(iv, 1.0, GRID, ExactEngine(iv), directions=64)
-    half = modulus_fit(iv, 1.0, GRID, ExactEngine(iv), directions=32)
+    full = modulus_fit(iv, 1.0, GRID, ExactEngine(iv))
+    monkeypatch.setattr(regularity, "N_DIRECTIONS", 32)
+    half = modulus_fit(iv, 1.0, GRID, ExactEngine(iv))
     assert abs(full.mu_hat - half.mu_hat) <= 0.05
+
+
+def test_box_corner_exponent_with_exact_engine():
+    # the corner of the square is an endpoint of each factor interval
+    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    rep = modulus_fit(box, (1.0, 1.0), GRID, ExactEngine(box))
+    assert 0.45 <= rep.mu_hat <= 0.55
 
 
 def test_capacity_density_arithmetic():
@@ -211,16 +222,18 @@ def test_condition_p_empirical_square():
     witness = CondPWitness(segment_min_diameter=1.0, map_norm_bound=1.0,
                            set_diameter=math.sqrt(2.0))
     for delta in (1e-3, 1e-2, 1e-1):
-        dirs = direction_mesh(2)
+        dirs = direction_mesh(2, N_DIRECTIONS)
         Z = np.array([0.0, 0.0])[None, :] + delta * dirs
         lo, _ = eng.bounds(Z)
         assert float(np.max(lo)) <= condition_p_bound(witness, delta) + 1e-9
 
 
-def test_hcp_scan_interval():
+def test_hcp_scan_interval(monkeypatch):
+    # clouds of 1201 points: max(4 N, floor) with N = 15
+    monkeypatch.setattr(regularity, "HCP_CLOUD_FLOOR", 1201)
     iv = Interval(-1.0, 1.0)
     rep = hcp_scan(iv, 0.0, [0.5, 0.35, 0.25, 0.18, 0.125],
-                   [0.4 * 0.7 ** k for k in range(8)], 14, cloud_target=1201)
+                   [0.4 * 0.7 ** k for k in range(8)], 14, seed=11)
     assert len(rep.radii) >= 4
     # sup over the unit reference sphere grows as r shrinks
     assert rep.sup_values == sorted(rep.sup_values)
@@ -228,17 +241,19 @@ def test_hcp_scan_interval():
     assert rep.log_growth or (rep.q_hat is not None and rep.q_hat <= 0.5)
 
 
-def test_hcp_scan_few_radii_no_order_fit():
+def test_hcp_scan_few_radii_no_order_fit(monkeypatch):
+    # clouds of 400 points: max(4 N, floor) with N = 28
+    monkeypatch.setattr(regularity, "HCP_CLOUD_FLOOR", 400)
     cusp = Cusp(((0.0, 1.0), (0.0,)), 0.5, 2)
     rep = hcp_scan(cusp, (0.0, 0.0), [0.5], [2.6 * 0.7 ** k for k in range(8)],
-                   6, cloud_target=400)
+                   6, seed=11)
     assert rep.q_hat is None
     assert len(rep.mu_per_radius) == 1
 
 
 def test_localization_interval():
     iv = Interval(-1.0, 1.0)
-    res = localization_experiment(iv, 1.0, 0.5, 40)
+    res = localization_experiment(iv, 1.0, 0.5, 40, seed=5)
     assert res.mu_difference is not None
     assert res.mu_difference <= 0.15
     assert 0.2 <= res.mu_local <= 0.7
@@ -247,6 +262,6 @@ def test_localization_interval():
 def test_localization_validation():
     iv = Interval(-1.0, 1.0)
     with pytest.raises(ValueError, match="anchor"):
-        localization_experiment(iv, 3.0, 0.5, 10)
+        localization_experiment(iv, 3.0, 0.5, 10, seed=5)
     with pytest.raises(ValueError, match="radius"):
-        localization_experiment(iv, 1.0, 5.0, 10)
+        localization_experiment(iv, 1.0, 5.0, 10, seed=5)
