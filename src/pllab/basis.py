@@ -3,17 +3,21 @@ and discrete orthonormalization on sample clouds.
 
 The graded lexicographic order is fixed globally: exponents sorted by total
 degree, then lexicographically with the first variable dominant.  Determinants
-are never materialized; everything stays in the log domain.
+are never materialized; everything stays in the log domain.  The
+orthonormalization takes one Householder QR (LAPACK geqrf, in place on its
+own scaled Vandermonde) and keeps only the N x N triangle of R; the values
+of the orthonormal basis on the cloud come with it, so a Fekete solve or a
+gamma computation builds the cloud's Vandermonde once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, qr
+from scipy.linalg import get_lapack_funcs, lu_factor
 
 from .geometry import DegenerateSetError, DimensionMismatchError
 
@@ -61,13 +65,27 @@ def vandermonde(points, basis):
         for p in range(1, basis.d + 1):
             tab[p] = tab[p - 1] * pts[:, k]
         powers.append(tab)
-    rows = []
-    for alpha in basis.exponents():
-        row = powers[0][alpha[0]]
-        for k in range(1, basis.n):
-            row = row * powers[k][alpha[k]]
-        rows.append(row)
-    return np.array(rows)
+    if basis.n == 1:            # the monomials are the powers, in order
+        return powers[0]
+    V = np.empty((basis.size, m), dtype=complex)
+    for row, (a1, a2) in zip(V, basis.exponents()):
+        np.multiply(powers[0][a1], powers[1][a2], out=row)
+    return V
+
+
+def lapack_in_place(name, a):
+    """Run the LAPACK routine name ("geqrf" or "geqp3") on the
+    Fortran-ordered array a, overwriting it, with the workspace query and
+    the info check of scipy.linalg.qr, which calls the same routine on a
+    copy of a.  Returns the routine's outputs but work and info: (qr, tau)
+    or (qr, jpvt, tau), with 1-based pivots jpvt."""
+    fn, = get_lapack_funcs((name,), (a,))
+    lwork = fn(a, lwork=-1, overwrite_a=True)[-2][0].real.astype(np.int_)
+    *out, _, info = fn(a, lwork=lwork, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal "
+                         f"{name}")
+    return out
 
 
 def _rescale(pts):
@@ -117,6 +135,16 @@ class OrthoBasis:
     scale: np.ndarray          # (n,) real
     coeffs: np.ndarray         # (N, N): q_k = sum_i coeffs[i, k] * e'_i
     condition: float
+    # (M, N) values q_k(x_j) on the cloud the basis was built on, as
+    # evaluate(cloud.points) gives them; only orthonormal_basis sets them,
+    # and split() hands them over
+    values: np.ndarray | None = field(default=None, repr=False)
+
+    def split(self):
+        """(this basis without its cloud values, the cloud values), so
+        that the (M, N) values live only as long as their consumer keeps
+        them."""
+        return replace(self, values=None), self.values
 
     def evaluate(self, points):
         """Values q_k(x_j): array of shape (len(points), N)."""
@@ -138,8 +166,16 @@ DEGENERACY_RTOL = 1e-15
 def orthonormal_basis(cloud, basis):
     """Discrete orthonormalization of the monomial basis on a cloud.
 
-    Raises DegenerateSetError when the cloud cannot separate degree-d
-    polynomials (the set is polynomially thin at this degree).
+    The basis comes with its values on the cloud (see OrthoBasis.split),
+    V.T @ coeffs from the Vandermonde V that its QR factored: the product
+    evaluate(cloud.points) forms from the same operations, bit for bit.
+    R is that of scipy.linalg.qr(Phi, mode="r"), bit for bit: geqrf runs on
+    Phi itself, which is a fresh array, and only its N x N triangle is
+    read.  Raises ValueError when the scaled cloud is not finite (the real
+    and imaginary parts of a finite scaled coordinate lie in [-1, 1], so V
+    is finite exactly when the scaled cloud is), as that QR's finiteness
+    check did, and DegenerateSetError when the cloud cannot separate
+    degree-d polynomials (the set is polynomially thin at this degree).
     """
     pts = cloud.points
     M = cloud.size
@@ -147,9 +183,12 @@ def orthonormal_basis(cloud, basis):
     if M < N:
         raise DegenerateSetError(f"set appears pluripolar at degree {basis.d}")
     scaled, c, s = _rescale(pts)
+    if not np.isfinite(scaled).all():
+        raise ValueError("array must not contain infs or NaNs")
     V = vandermonde(scaled, basis)                    # (N, M)
-    Phi = V.T / math.sqrt(M)                          # (M, N)
-    R = qr(Phi, mode="r")[0][:N]                      # Q is never needed
+    Phi = V.T / math.sqrt(M)                          # (M, N), Fortran order
+    R = np.triu(lapack_in_place("geqrf", Phi)[0][:N])  # Q is never needed
+    del Phi
     diag = np.abs(np.diag(R))
     if np.min(diag) <= DEGENERACY_RTOL * np.max(diag):
         raise DegenerateSetError(
@@ -158,4 +197,5 @@ def orthonormal_basis(cloud, basis):
         raise ValueError(f"cloud size {M} < 2 N = {2 * N}")
     coeffs = np.linalg.inv(R)                         # triangular
     return OrthoBasis(basis=basis, center=c, scale=s, coeffs=coeffs,
-                      condition=float(np.max(diag) / np.min(diag)))
+                      condition=float(np.max(diag) / np.min(diag)),
+                      values=V.T @ coeffs)

@@ -90,16 +90,24 @@ class SandwichEvaluator:
                 f"Lagrange values are not finite at query point "
                 f"{start + int(np.argmin(finite))}: it lies too far from "
                 "the set")
-        with np.errstate(divide="ignore"):
-            logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
+        # Each step below writes into L, a fresh C-ordered (rows, N) array,
+        # with the operands in the order of the plain expression, so its
+        # values and np.sum's order of adding a row are those on new arrays.
+        # log L, floored at log 1e-300 but -inf where L is 0 (L >= 0 here)
+        zero = None if L.all() else L == 0
+        np.log(np.maximum(L, 1e-300, out=L), out=L)
+        if zero is not None:
+            L[zero] = -np.inf
         # phi is 0 for ZeroWeight, and 0.0 + x is x: log never returns -0.0
-        cand = self.phi_nodes[None, :] + logL / self.d
+        cand = np.add(self.phi_nodes[None, :], np.divide(L, self.d, out=L),
+                      out=L)
         best = np.max(cand, axis=1)
         raw_max = best - math.log(self.gamma) / self.d
         # log sum_j |l_j(z)| e^{d phi(x_j)} in the log domain
+        np.subtract(cand, best[:, None], out=cand)
+        np.exp(np.multiply(self.d, cand, out=cand), out=cand)
         with np.errstate(divide="ignore"):
-            logsum = np.log(np.sum(np.exp(self.d * (cand - best[:, None])),
-                                   axis=1))
+            logsum = np.log(np.sum(cand, axis=1))
         raw_sum = np.where(np.isfinite(best),
                            best + (np.nan_to_num(logsum)
                                    - math.log(self.lebesgue)) / self.d,

@@ -3,7 +3,11 @@
 Phase 1 is one pivoted-QR seeding: greedy column selection on the
 orthonormalized, weighted Vandermonde; phase 2 is exchange refinement over
 the whole cloud (the AFP-plus-exchange method of Sommariva-Vianello and
-Bos-De Marchi-Sommariva-Vianello).  The seeding QR forms R only, never Q.
+Bos-De Marchi-Sommariva-Vianello).  The seeding QR (LAPACK geqp3 on one
+copy of the weighted Vandermonde) forms neither Q nor R: only its pivots
+are read.  The weighted Vandermonde is built from the values that
+orthonormal_basis hands over with the basis, so a solve evaluates the
+cloud's monomials once.
 Refinement keeps an approximate Lagrange matrix C = B^{-1} A of the selected
 columns, formed once as inv(B) @ A and carried across each swap by a
 rank-one Sherman-Morrison update, done in place by one BLAS geru call on
@@ -36,10 +40,9 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.linalg.blas import dger, zgeru
 
-from .basis import BasisSpec, log_abs_vdm, orthonormal_basis
+from .basis import BasisSpec, lapack_in_place, log_abs_vdm, orthonormal_basis
 from .geometry import DegenerateSetError, sample
 from .serialize import canonical_json
 
@@ -163,10 +166,23 @@ class FeketeConfig:
 # solver
 # ---------------------------------------------------------------------------
 
-def _weighted_columns(ortho, weight, d, points):
-    """Rows u(x) = q(x) * exp(-d phi(x)), returned as (len(points), N)."""
-    vals = ortho.evaluate(points)
-    return vals * np.exp(-d * weight.evaluate(points)[:, None])
+def _weighted_columns(values, weight, d, points):
+    """Rows u(x) = q(x) * exp(-d phi(x)), as (len(points), N), from the
+    values q(x) of the orthonormal basis at points.  Without a weight they
+    are the values themselves, which is what multiplying by exp(-d * 0)
+    would give."""
+    if isinstance(weight, ZeroWeight):
+        return values
+    return values * np.exp(-d * weight.evaluate(points)[:, None])
+
+
+def _seed(A):
+    """The N columns that a column-pivoted QR of A (N, M) takes first,
+    sorted: those of scipy.linalg.qr(A, pivoting=True), run in float64 on
+    A.real when A is real-valued.  geqp3 runs in place on one Fortran copy
+    of A, and neither Q nor R is formed."""
+    F = np.array(A if A.imag.any() else A.real, order="F")
+    return np.sort(lapack_in_place("geqp3", F)[1][:len(A)] - 1)
 
 
 def solve_fekete(cloud, basis, weight=None):
@@ -176,15 +192,15 @@ def solve_fekete(cloud, basis, weight=None):
     M = cloud.size
     if M < 2 * N:
         raise ValueError(f"cloud size {M} < 2 N = {2 * N}")
-    ortho = orthonormal_basis(cloud, basis)
+    ortho, values = orthonormal_basis(cloud, basis).split()
     d = basis.d
-    U = _weighted_columns(ortho, weight, d, cloud.points)        # (M, N)
+    U = _weighted_columns(values, weight, d, cloud.points)       # (M, N)
+    del values
     if not np.all(np.isfinite(U)):
         raise DegenerateSetError(f"set appears pluripolar at degree {d}")
 
     A = U.T                                                      # (N, M)
-    _, piv = qr(A if A.imag.any() else A.real, pivoting=True, mode="r")
-    sel, swaps, quality = _exchange_refine(A, np.sort(piv[:N]), _SWAP_TOL,
+    sel, swaps, quality = _exchange_refine(A, _seed(A), _SWAP_TOL,
                                            MAX_SWEEP_FACTOR * N)
     return FeketeConfig.from_indices(
         cloud, basis, weight, sel, ortho=ortho, quality=quality,
@@ -236,8 +252,8 @@ def _exchange_refine(A, sel, tol, max_iters):
     of the best entry.  Once it is not, the inverse is dropped and every
     column is a contender: an unsettled decision is taken on the full
     reference solve, which then replaces C (its real part, exactly, when A
-    is real), and a stop is confirmed on the full sorted-order solve.  A
-    first B that is not _conditioned starts C as np.linalg.solve(W[:, sel],
+    is real), and a stop is confirmed on the full sorted-order solve, which
+    is that reference solve itself when sel is sorted.  A first B that is not _conditioned starts C as np.linalg.solve(W[:, sel],
     W) instead.  Decisions that stand on a C so carried need not be those
     of re-solving when B is numerically singular.
     """
@@ -266,13 +282,18 @@ def _exchange_refine(A, sel, tol, max_iters):
                 settled = (_clear_of_tol(off_max, tol)
                            and math.log(off_max) < tol)
             if not settled:             # take it on the reference solve
-                j, m, gain, L = _exact_swap(A, sel, approx, col_gain)
+                j, m, gain, L, absL = _exact_swap(A, sel, approx, col_gain)
                 if approx is None:
                     C = np.ascontiguousarray(L.real) if real else L
                 stop = _stops(gain, tol)
                 if stop and quality is None:
-                    _, quality = _lagrange_quality(
-                        A, sel, np.argsort(sel), approx, G, col_gain)
+                    if approx is None and (np.diff(sel) > 0).all():
+                        # a full solve in slot order of a sorted sel is
+                        # the sorted-order solve
+                        quality = _quality_of(absL)
+                    else:
+                        _, quality = _lagrange_quality(
+                            A, sel, np.argsort(sel), approx, G, col_gain)
         except np.linalg.LinAlgError:   # B singular, or C off the solve
             if Binv is None:
                 break
@@ -380,7 +401,8 @@ def _exact(A, order, cols, C, scale, rows=slice(None)):
 
 def _exact_swap(A, sel, C, col_gain):
     """The decision (j, m, gain) of _best_swap on the reference solve
-    L = np.linalg.solve(A[:, sel], A), and the columns of L it solved for.
+    L = np.linalg.solve(A[:, sel], A), and the columns of L it solved for
+    with their magnitudes.
 
     While C is trusted, those are its contender columns: the ones whose
     largest |C| off the selection, col_gain, lies within a relative
@@ -394,10 +416,12 @@ def _exact_swap(A, sel, C, col_gain):
             else np.flatnonzero(_near(gain, col_gain)))
     L = _exact(A, sel, cols, C, gain)
     absL = np.abs(L)
-    absL[:, (cols[:, None] == sel).any(axis=1)] = 0.0
-    best = absL.max(axis=0)
+    # the column maxima off the selection; a selected column can win only
+    # with gain 0, which stops the refinement whatever its slot
+    best = np.where((cols[:, None] == sel).any(axis=1), 0.0, absL.max(axis=0))
     k = int(np.argmax(best))                      # lowest cloud index wins
-    return int(np.argmax(absL[:, k])), int(cols[k]), float(best[k]), L
+    return (int(np.argmax(absL[:, k])), int(cols[k]), float(best[k]), L,
+            absL)
 
 
 def _lagrange_quality(A, sel, rows, C=None, G=None, col_gain=None):
@@ -474,9 +498,15 @@ def quality_gamma(config, cloud, quality=None):
     solve_fekete does with those the refinement computes at its stop.
     """
     if quality is None:
-        ortho = config.ortho or orthonormal_basis(cloud, config.basis)
-        A = _weighted_columns(ortho, config.weight, config.basis.d,
+        if config.ortho is None:
+            ortho, values = orthonormal_basis(cloud, config.basis).split()
+        else:   # a solve whose refinement stopped at the swap cap or a
+                # singular node matrix
+            ortho = config.ortho
+            values = ortho.evaluate(cloud.points)
+        A = _weighted_columns(values, config.weight, config.basis.d,
                               cloud.points).T
+        del values
         quality = _gamma_lebesgue(A, config.node_indices)
         config.ortho = ortho
     config.gamma, config.lebesgue = quality

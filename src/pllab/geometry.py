@@ -472,7 +472,7 @@ def _kronecker(count, dims, seed):
 MAX_SAMPLE = 10 ** 7
 
 
-def sample(spec, target_count, seed=0):
+def sample(spec, target_count, seed):
     """Deterministic point cloud covering spec with boundary densification."""
     if target_count > MAX_SAMPLE:
         raise ValueError("target_count exceeds resource guard of 1e7")

@@ -5,11 +5,12 @@ import pytest
 
 from scipy.linalg import qr
 
-from pllab.basis import (BasisSpec, _rescale, log_abs_vdm, orthonormal_basis,
-                         vandermonde)
+from pllab.basis import (BasisSpec, _rescale, lapack_in_place, log_abs_vdm,
+                         orthonormal_basis, vandermonde)
+from pllab.cli import _one_blas_thread
 from pllab.geometry import (Box, ComplexBall, Cusp, DegenerateSetError,
-                            DimensionMismatchError, Interval, SampleCloud,
-                            sample)
+                            DimensionMismatchError, Interval, RealBall,
+                            SampleCloud, sample)
 
 
 def test_dimension_counts():
@@ -153,3 +154,83 @@ def test_orthonormal_basis_matches_economic_qr(spec, d, target):
     coeffs, condition = _economic_qr_reference(cloud, basis)
     assert ob.coeffs.tobytes() == coeffs.tobytes()
     assert ob.condition == condition
+
+
+def _vandermonde_by_rows(points, basis):
+    """The value table as vandermonde built it from a list of rows."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    powers = []
+    for k in range(basis.n):
+        tab = np.empty((basis.d + 1, pts.shape[0]), dtype=complex)
+        tab[0] = 1.0
+        for p in range(1, basis.d + 1):
+            tab[p] = tab[p - 1] * pts[:, k]
+        powers.append(tab)
+    rows = []
+    for alpha in basis.exponents():
+        row = powers[0][alpha[0]]
+        for k in range(1, basis.n):
+            row = row * powers[k][alpha[k]]
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("spec, d", [
+    (Interval(-1.0, 1.0), 20),
+    (ComplexBall((0.0,), 1.0), 16),
+    (ComplexBall((0.0, 0.0), 1.0), 6),
+    (Box(((0.0, 1.0), (0.0, 1.0))), 9),
+])
+def test_vandermonde_equals_the_row_list_build(spec, d):
+    pts = sample(spec, 500, seed=3).points
+    basis = BasisSpec(spec.dim, d)
+    V = vandermonde(pts, basis)
+    ref = _vandermonde_by_rows(pts, basis)
+    assert V.shape == ref.shape and V.flags.c_contiguous
+    assert V.tobytes() == ref.tobytes()
+
+
+# the distinct clouds and degrees of the benchmark's solver manifests
+BENCH_CLOUDS = [
+    (Interval(-1.0, 1.0), 20, 2001),
+    (ComplexBall((0.0,), 1.0), 16, 2001),
+    (ComplexBall((0.0, 0.0), 1.0), 6, 1000),
+    (Box(((-1.0, 1.0), (-1.0, 1.0))), 6, 1000),
+    (RealBall((0.0, 0.0), 1.0), 6, 1000),
+    (ComplexBall((0.0, 0.0), 1.0), 6, 2001),
+    (ComplexBall((0.0,), 1.0), 12, 2001),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("spec, d, target", BENCH_CLOUDS)
+def test_direct_geqrf_equals_scipy_qr(spec, d, target, seed):
+    """orthonormal_basis runs geqrf in place on Phi; its R, and so the
+    coefficients and the condition number, are scipy.linalg.qr's bit for
+    bit, and the cloud values it hands over are evaluate's."""
+    cloud = sample(spec, target, seed=seed)
+    basis = BasisSpec(spec.dim, d)
+    N = basis.size
+    with _one_blas_thread():
+        scaled, _, _ = _rescale(cloud.points)
+        Phi = vandermonde(scaled, basis).T / math.sqrt(cloud.size)
+        R = qr(Phi, mode="r")[0][:N]
+        direct = np.triu(lapack_in_place("geqrf", Phi)[0][:N])
+        ob = orthonormal_basis(cloud, basis)
+        values = ob.evaluate(cloud.points)
+    assert direct.tobytes() == R.tobytes()
+    assert ob.coeffs.tobytes() == np.linalg.inv(R).tobytes()
+    assert ob.values.tobytes() == values.tobytes()
+    bare, handed = ob.split()
+    assert bare.values is None and handed is ob.values
+    assert bare.coeffs is ob.coeffs
+
+
+def test_orthonormal_basis_rejects_a_cloud_that_is_not_finite():
+    # 2e308 overflows the centre, so the scaled cloud is not finite
+    for bad in (np.nan, np.inf, 1e308):
+        pts = np.linspace(-1, 1, 40)[:, None].astype(complex)
+        pts[7:9] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"), \
+                np.errstate(invalid="ignore", over="ignore"):
+            orthonormal_basis(_cloud(pts), BasisSpec(1, 5))

@@ -214,6 +214,68 @@ def test_bounds_in_blocks_match_one_pass(block_evaluators, kind, k):
         assert got.tobytes() == np.concatenate(blocks).tobytes()
 
 
+def _block_bounds_by_expressions(ev, L, rho):
+    """(lower, upper) of a block from its |l_j| values L, as _block_bounds
+    computed them on a fresh array per step; rho is the Fubini-Study
+    potential at the points for a projective evaluator, else None."""
+    with np.errstate(divide="ignore"):
+        logL = np.where(L > 0, np.log(np.maximum(L, 1e-300)), -np.inf)
+    cand = ev.phi_nodes[None, :] + logL / ev.d
+    best = np.max(cand, axis=1)
+    raw_max = best - math.log(ev.gamma) / ev.d
+    with np.errstate(divide="ignore"):
+        logsum = np.log(np.sum(np.exp(ev.d * (cand - best[:, None])),
+                               axis=1))
+    raw_sum = np.where(np.isfinite(best),
+                       best + (np.nan_to_num(logsum)
+                               - math.log(ev.lebesgue)) / ev.d,
+                       -np.inf)
+    lower = np.maximum(np.maximum(raw_max, raw_sum), ev.phi_floor)
+    upper = lower + ev.gap
+    if rho is None:
+        return lower, upper
+    return lower - rho, upper - rho
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "fubini-study",
+                                  "projective"])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_block_bounds_in_place_equal_the_expression_chain(
+        monkeypatch, block_evaluators, kind, zeros):
+    """_block_bounds writes its chain of steps into one array, and gives
+    the bits of a fresh array per step, in every block, the partial last
+    one included.  With zeros, some Lagrange values are set to exactly 0
+    (bracketed by -inf logs) or to below the 1e-300 floor, and one row is
+    0 throughout."""
+    ev = block_evaluators[kind]
+    k = 2 * BLOCK_ROWS + 17
+    z = _exterior(k, 1, seed=3)
+    with _one_blas_thread():
+        L = ev.lagrange_abs(z)
+    if zeros:
+        L[[5, BLOCK_ROWS + 1, k - 2], [0, 3, ev.N - 1]] = 0.0
+        L[7, 2] = 1e-310
+        L[k - 1] = 0.0
+    starts = iter(range(0, k, BLOCK_ROWS))
+
+    def prescribed(pts):
+        start = next(starts)
+        return L[start:start + len(pts)].copy()
+
+    monkeypatch.setattr(ev, "lagrange_abs", prescribed)
+    with _one_blas_thread(), np.errstate(invalid="ignore"):
+        lower, upper = ev.bounds(z)
+        parts = [_block_bounds_by_expressions(
+            ev, L[s:s + BLOCK_ROWS],
+            ev.config.weight.evaluate(z[s:s + BLOCK_ROWS])
+            if kind == "projective" else None)
+            for s in range(0, k, BLOCK_ROWS)]
+    assert lower.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert upper.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+    if zeros:
+        assert np.isfinite(lower).all()
+
+
 def test_bounds_overflow_names_the_first_far_point():
     cloud = sample(Interval(-1.0, 1.0), 401, seed=0)
     ev = SandwichEvaluator(solve_fekete(cloud, BasisSpec(1, 16)), cloud)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,8 +356,8 @@ def _solve_three_restarts(cloud, basis, weight):
     """Reference solve: three randomly rotated pivoted-QR seeds, each refined,
     keeping the first of the largest logdet; returns the selected indices."""
     N = basis.size
-    ortho = fekete.orthonormal_basis(cloud, basis)
-    A = fekete._weighted_columns(ortho, weight, basis.d, cloud.points).T
+    _, values = fekete.orthonormal_basis(cloud, basis).split()
+    A = fekete._weighted_columns(values, weight, basis.d, cloud.points).T
     best = None
     for k in range(3):
         if k == 0:
@@ -391,14 +392,98 @@ def test_single_seeding_matches_three_restarts(spec, d, count, weight, seed):
 
 def test_solve_runs_one_pivoted_qr_and_one_refinement(monkeypatch,
                                                       interval_cloud):
-    qr_calls = []
+    lapack_calls, lapack = [], fekete.lapack_in_place
 
-    def counting_qr(*args, **kw):
-        qr_calls.append(kw.get("pivoting", False))
-        return qr(*args, **kw)
+    def counting_lapack(name, a):
+        lapack_calls.append(name)
+        return lapack(name, a)
 
-    monkeypatch.setattr(fekete, "qr", counting_qr)
+    monkeypatch.setattr(fekete, "lapack_in_place", counting_lapack)
     runs = _refine_runs(monkeypatch, interval_cloud, BasisSpec(1, 12))
-    assert qr_calls == [True]
+    assert lapack_calls == ["geqp3"]
     assert len(runs) == 1
     assert runs[0][0][2] == fekete._SWAP_TOL
+
+
+# the distinct clouds, degrees and weights of the benchmark's solver
+# manifests
+BENCH_SOLVES = [
+    (Interval(-1.0, 1.0), 20, 2001, None),
+    (ComplexBall((0.0,), 1.0), 16, 2001, None),
+    (ComplexBall((0.0, 0.0), 1.0), 6, 1000, None),
+    (Box(((-1.0, 1.0), (-1.0, 1.0))), 6, 1000, None),
+    (RealBall((0.0, 0.0), 1.0), 6, 1000, None),
+    (Interval(-1.0, 1.0), 16, 2001, FubiniStudyWeight()),
+    (ComplexBall((0.0, 0.0), 1.0), 6, 2001, None),
+    (ComplexBall((0.0,), 1.0), 12, 2001, None),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("spec,d,count,weight", BENCH_SOLVES)
+def test_direct_geqp3_pivots_equal_scipy_qr(spec, d, count, weight, seed):
+    """The seeding runs geqp3 in place on its own copy of the weighted
+    Vandermonde A; its pivots are those of scipy.linalg.qr.  A, from the
+    cloud values the basis hands over, and with no multiply by
+    exp(-d * 0) when there is no weight, is the evaluate-and-multiply
+    build bit for bit."""
+    cloud = sample(spec, count, seed=seed)
+    basis = BasisSpec(spec.dim, d)
+    weight = weight or ZeroWeight()
+    with cli._one_blas_thread():
+        ortho, values = fekete.orthonormal_basis(cloud, basis).split()
+        A = fekete._weighted_columns(values, weight, d, cloud.points).T
+        old = (ortho.evaluate(cloud.points)
+               * np.exp(-d * weight.evaluate(cloud.points)[:, None])).T
+        _, piv = qr(A if A.imag.any() else A.real, pivoting=True,
+                    mode="r")
+        assert np.array_equal(fekete._seed(A), np.sort(piv[:basis.size]))
+    assert A.tobytes() == old.tobytes()
+
+
+def test_solve_peak_memory_is_three_cloud_matrices():
+    """A C^2 ball solve at d = 6 peaks while it seeds, holding the
+    weighted Vandermonde A, one Fortran copy of it for geqp3 and geqp3's
+    workspace, which is blocked over the M columns: about 3.2 complex
+    M x N arrays.  A second copy of A, or a formed R, passes 3.5."""
+    cloud = sample(ComplexBall((0.0, 0.0), 1.0), 2001, seed=5)
+    basis = BasisSpec(2, 6)
+    assert (cloud.size, basis.size) == (3491, 28)
+    with cli._one_blas_thread():
+        solve_fekete(cloud, basis)
+        tracemalloc.start()
+        try:
+            solve_fekete(cloud, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3.5 * 16 * cloud.size * basis.size
+
+
+@pytest.mark.parametrize("d", [8, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2, 5])
+def test_untrusted_refinement_makes_no_full_solve_twice(monkeypatch, d,
+                                                        seed):
+    """With no approximate Lagrange matrix trusted, every unsettled
+    decision and the stop are taken on full solves.  None of them repeats
+    an earlier one: a stop found by the slot-order solve of a sorted
+    selection reads gamma and the Lebesgue constant off that solve.  The
+    solve is the one of a trusted refinement."""
+    cloud = sample(ComplexBall((0.0,), 1.0), 2001, seed=seed)
+    basis = BasisSpec(1, d)
+    with cli._one_blas_thread():
+        trusted = solve_fekete(cloud, basis)
+        monkeypatch.setattr(fekete, "_TRUST", 0.0)
+        systems = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            if b.shape[-1] == cloud.size:
+                systems.append(a.tobytes() + b.tobytes())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        untrusted = solve_fekete(cloud, basis)
+    assert len(systems) > 2
+    assert len(set(systems)) == len(systems)
+    assert untrusted.to_dict() == trusted.to_dict()

@@ -604,7 +604,7 @@ def test_sample_points_belong_to_set(spec):
 
 def test_sample_resource_guard():
     with pytest.raises(ValueError):
-        sample(Interval(-1, 1), 10 ** 7 + 1)
+        sample(Interval(-1, 1), 10 ** 7 + 1, seed=0)
 
 
 def test_sample_top_up_requests_are_guarded(monkeypatch):
@@ -621,7 +621,7 @@ def test_sample_top_up_requests_are_guarded(monkeypatch):
     monkeypatch.setattr(geometry, "MAX_SAMPLE", 3000)
     monkeypatch.setattr(geometry, "_sample_dispatch", recording)
     with pytest.raises(ValueError, match="resource guard"):
-        sample(spec, 1000)
+        sample(spec, 1000, seed=0)
     assert requests == [1000, 2000]
 
 
@@ -1000,7 +1000,7 @@ def test_nested_ballcap_requests_obey_the_sample_guard():
     for _ in range(7):
         spec = BallIntersection(spec, (0.0,), 2.0)
     with pytest.raises(ValueError, match="inner set, over the resource"):
-        sample(spec, 10 ** 5)
+        sample(spec, 10 ** 5, seed=0)
 
 
 def test_spec_from_dict_keeps_int_leaves():
